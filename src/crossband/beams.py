@@ -108,41 +108,22 @@ class SimilarityReport:
 
 
 def _plateau_maxima(values) -> list[int]:
-    """Indices of circular local maxima, one per plateau.
+    """Indices of circular local maxima, one per plateau, in ascending order.
 
     A maximal run of equal values flanked by strictly smaller neighbors on
     both sides yields the run's central index (the lower-index one of the two
     centers for even run lengths). A constant spectrum has no flanked run and
     collapses to index 0, the smallest angle of the tied global maximum.
     """
-    n = len(values)
-    if n == 1:
+    v = np.asarray(values)
+    n = len(v)
+    starts = np.flatnonzero(v != np.roll(v, 1))
+    if starts.size == 0:
         return [0]
-    start = None
-    for i in range(n):
-        if values[i] != values[i - 1]:
-            start = i
-            break
-    if start is None:
-        return [0]
-    runs = []  # (value, start index, length), circular order from `start`
-    pos = start
-    remaining = n
-    while remaining > 0:
-        val = values[pos % n]
-        length = 1
-        while length < remaining and values[(pos + length) % n] == val:
-            length += 1
-        runs.append((val, pos % n, length))
-        pos += length
-        remaining -= length
-    centers = []
-    for k, (val, run_start, length) in enumerate(runs):
-        prev_val = runs[k - 1][0]
-        next_val = runs[(k + 1) % len(runs)][0]
-        if val > prev_val and val > next_val:
-            centers.append((run_start + (length - 1) // 2) % n)
-    return centers
+    lengths = np.diff(starts, append=starts[0] + n)
+    run_values = v[starts]
+    peak = (run_values > np.roll(run_values, 1)) & (run_values > np.roll(run_values, -1))
+    return np.sort((starts[peak] + (lengths[peak] - 1) // 2) % n).tolist()
 
 
 def select_m1(pas: FilteredPas, delta_th_db: float, band: str | None = None) -> DirectionSet:
@@ -157,10 +138,10 @@ def select_m1(pas: FilteredPas, delta_th_db: float, band: str | None = None) -> 
         raise ValueError(f"delta_th_db must be > 0, got {delta_th_db!r}")
     v = pas.values
     vmax = float(v.max())
-    kept = sorted(
+    kept = [
         k for k in _plateau_maxima(v)
         if 10.0 * math.log10(float(v[k]) / vmax) >= -delta_th_db
-    )
+    ]
     angles = tuple(float(pas.grid.angles[k]) for k in kept)
     return DirectionSet(angles=angles, band=band, method="m1", threshold_db=float(delta_th_db))
 
@@ -213,6 +194,14 @@ def select_m2(
     normalized inner product of its beam response with every already accepted
     response stays below ``m2_correlation_threshold``. The global maximum is
     accepted first, so at least one direction survives.
+
+    The walk visits accepted candidates only: each one correlates its
+    response with every later candidate in one matrix-vector product and
+    rejects those at ``corr >= m2_correlation_threshold``; the next candidate
+    still alive is accepted. This is the pairwise greedy rule, but the inner
+    products are summed in BLAS matrix-vector order, so a correlation within
+    about 1e-15 of the threshold may fall on the other side of it than a
+    pairwise ``np.vdot`` would put it.
     """
     pas = filter_pas(channel, pattern, grid)
     v = pas.values
@@ -224,15 +213,16 @@ def select_m2(
         config.m2_frequency_points, config.m2_bandwidth_ghz,
     )
     norms = np.linalg.norm(responses, axis=1)
-    accepted = [0]
-    for i in range(1, len(order)):
-        for a in accepted:
-            corr = abs(np.vdot(responses[a], responses[i])) / (norms[a] * norms[i])
-            if corr >= config.m2_correlation_threshold:
-                break
-        else:
-            accepted.append(i)
-    kept = sorted(int(order[i]) for i in accepted)
+    alive = np.ones(len(order), dtype=bool)
+    i = 0
+    while True:
+        corr = np.abs(responses[i + 1:] @ responses[i].conj()) / (norms[i] * norms[i + 1:])
+        alive[i + 1:] &= corr < config.m2_correlation_threshold
+        later = np.flatnonzero(alive[i + 1:])
+        if later.size == 0:
+            break
+        i += 1 + int(later[0])
+    kept = sorted(int(k) for k in order[alive])
     angles = tuple(float(grid.angles[k]) for k in kept)
     return DirectionSet(angles=angles, band=band, method="m2", threshold_db=float(config.delta_th_db))
 

@@ -28,6 +28,7 @@ import csv
 import json
 import logging
 import math
+import sys
 from pathlib import Path
 
 from .channel import BandChannel, LinkPair, Ray
@@ -45,7 +46,8 @@ class DatasetFormatError(ValueError):
     """A dataset file failed structural validation.
 
     The message names the offending location: a JSON field path such as
-    ``links[2].bands[0].paths[1].aoa_deg``, or a CSV line number.
+    ``links[2].bands[0].paths[1].aoa_deg``, or a CSV line number. Writing
+    raises it, naming the link, when the CSV mirror cannot hold a pair.
     """
 
 
@@ -122,6 +124,12 @@ def _to_file_dict(pairs: list[LinkPair], metadata: dict | None) -> dict:
 
 
 def _write_csv(pairs: list[LinkPair], path) -> None:
+    for pair in pairs:
+        if abs(pair.low.frequency - pair.high.frequency) <= FREQ_MATCH_TOLERANCE_GHZ:
+            raise DatasetFormatError(
+                f"link {pair.link_id!r}: CSV cannot hold two bands at one frequency "
+                f"({pair.low.frequency!r} and {pair.high.frequency!r} GHz); write JSON instead"
+            )
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(_CSV_HEADER)
@@ -154,6 +162,17 @@ def _check_number(value, where: str, minimum=None, below=None) -> float:
     return value
 
 
+def _check_power_db(value, where: str) -> float:
+    value = _check_number(value, where)
+    try:
+        linear = db_to_linear(value)
+    except OverflowError:
+        linear = math.inf
+    if not sys.float_info.min <= linear < math.inf:
+        _fail(where, f"{value!r} dB is zero, infinite or subnormal as a linear power")
+    return value
+
+
 def _validate_path_entry(entry, where: str) -> dict:
     if not isinstance(entry, dict):
         _fail(where, "expected an object")
@@ -164,7 +183,7 @@ def _validate_path_entry(entry, where: str) -> dict:
         if key not in entry:
             _fail(where, f"missing key {key!r}")
     out = {
-        "power_db": _check_number(entry["power_db"], f"{where}.power_db"),
+        "power_db": _check_power_db(entry["power_db"], f"{where}.power_db"),
         "delay_ns": _check_number(entry["delay_ns"], f"{where}.delay_ns", minimum=0.0),
         "aoa_deg": _check_number(entry["aoa_deg"], f"{where}.aoa_deg", minimum=0.0, below=360.0),
     }

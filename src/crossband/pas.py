@@ -104,14 +104,16 @@ def filter_pas(channel: BandChannel, pattern, grid: AngularGrid) -> FilteredPas:
     """Filter a discrete channel through a beampattern on a circular grid.
 
     For every grid angle the pattern is steered there and the ray powers are
-    accumulated with the gain at the exact angular offset of each ray.
-    Accumulation runs in ray order at every grid point, so results are
-    deterministic regardless of how callers parallelize over grid angles.
+    accumulated with the gain at the exact angular offset of each ray. The
+    pattern is evaluated once over a rays x grid matrix of offsets; the
+    weighted rows are then summed along the ray axis, which adds them in ray
+    order at every grid point. The result is bit for bit that of a per-ray
+    ``values += power * pattern.gain(angles - aoa)`` loop.
     """
-    angles = grid.angles
-    values = np.zeros(grid.n_points)
-    for ray in channel.rays:
-        values += ray.power * pattern.gain(angles - ray.aoa_azimuth)
+    powers = np.array([ray.power for ray in channel.rays])
+    aoas = np.array([ray.aoa_azimuth for ray in channel.rays])
+    gains = pattern.gain(grid.angles[None, :] - aoas[:, None])
+    values = (powers[:, None] * gains).sum(axis=0)
     return FilteredPas(grid=grid, values=values, source_frequency=channel.frequency)
 
 

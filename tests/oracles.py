@@ -89,6 +89,45 @@ def local_maxima(values) -> list[int]:
     return sorted(kept)
 
 
+def beam_response(rays, gain_of, steer_deg: float, freqs_hz) -> list[complex]:
+    """Frequency response of a steered beam, one complex value per frequency.
+
+    ``rays`` is a sequence of (power, aoa_deg, delay_s) triples; each tap has
+    amplitude sqrt(power * gain) and rotates with its delay over frequency.
+    """
+    out = []
+    for f in freqs_hz:
+        total = 0j
+        for power, aoa, delay in rays:
+            amplitude = math.sqrt(power * gain_of(steer_deg - aoa))
+            total += amplitude * cmath.exp(-2j * math.pi * delay * f)
+        out.append(total)
+    return out
+
+
+def greedy_gate(rows, threshold: float) -> list[int]:
+    """Indices of rows accepted by the greedy correlation gate.
+
+    Rows are complex sequences in walk order. Row 0 is accepted; each later
+    row is accepted when its normalized inner product with every accepted
+    row stays below ``threshold``.
+    """
+    norms = [math.sqrt(sum(abs(x) ** 2 for x in row)) for row in rows]
+    accepted = [0]
+    for i in range(1, len(rows)):
+        passes = True
+        for a in accepted:
+            inner = 0j
+            for x, y in zip(rows[a], rows[i]):
+                inner += x.conjugate() * y
+            if abs(inner) / (norms[a] * norms[i]) >= threshold:
+                passes = False
+                break
+        if passes:
+            accepted.append(i)
+    return accepted
+
+
 def select_directions(values, delta_th_db: float) -> list[int]:
     """Indices of local maxima within the relative power threshold."""
     peak = max(values)

@@ -6,9 +6,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import crossband as cb
-from oracles import count_false, local_maxima, power_ratio_db, select_directions
+from crossband.beams import _plateau_maxima
+from oracles import (
+    beam_response,
+    count_false,
+    greedy_gate,
+    local_maxima,
+    power_ratio_db,
+    select_directions,
+    ula_gain,
+)
 
 FLOOR = 1e-6
 
@@ -156,6 +167,23 @@ class TestSelectM1:
             )
 
 
+class TestPlateauMaxima:
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda levels: st.lists(st.integers(0, levels - 1), min_size=1, max_size=400)
+        ),
+        st.integers(0, 399),
+    )
+    @example(levels=[3], shift=0)
+    @example(levels=[3] * 360, shift=0)
+    @example(levels=[5, 5, 5, 5, 5, 1, 1, 2, 1], shift=6)  # 5-run wraps over index 0
+    @example(levels=[2, 2, 1, 1], shift=3)  # even run wraps, lower center at n - 1
+    def test_matches_reference_walk(self, levels, shift):
+        # rotating by a random shift moves plateaus across index 0
+        values = np.roll(np.asarray(levels, dtype=float), shift)
+        assert _plateau_maxima(values) == local_maxima(values.tolist())
+
+
 class TestBeamCfr:
     def test_zero_delay_gives_flat_response(self, gpp3_10):
         ch = cb.BandChannel(15.0, (cb.Ray(4.0, 0.0, 30.0),))
@@ -223,6 +251,34 @@ class TestSelectM2:
         assert a.method == "m2"
         assert a.band == "high"
         assert a.threshold_db == 12.0
+
+    @pytest.mark.parametrize("delta_th_db", [10.0, 20.0])
+    def test_matches_pairwise_greedy_gate(self, grid, delta_th_db):
+        rng = np.random.default_rng(int(delta_th_db))
+        cfg = cb.SimilarityConfig(method="m2", delta_th_db=delta_th_db)
+        f0, bw, n_freq = 28.0, cfg.m2_bandwidth_ghz, cfg.m2_frequency_points
+        freqs = [(f0 - 0.5 * bw + bw * k / (n_freq - 1)) * 1e9 for k in range(n_freq)]
+        for n_elements in (4, 8, 4, 8):
+            rays = [
+                (float(10.0 ** rng.uniform(-3.0, 0.0)), float(rng.uniform(0.0, 360.0)),
+                 float(rng.uniform(0.0, 200e-9)))
+                for _ in range(int(rng.integers(2, 9)))
+            ]
+            ch = cb.BandChannel(f0, tuple(cb.Ray(p, d, a) for p, a, d in rays))
+            pattern = cb.synth_ula(n_elements)
+            got = cb.select_m2(ch, pattern, grid, cfg)
+
+            values = cb.filter_pas(ch, pattern, grid).values
+            peak = float(values.max())
+            order = sorted(
+                (k for k in range(grid.n_points)
+                 if 10.0 * math.log10(values[k] / peak) >= -delta_th_db),
+                key=lambda k: (-values[k], k),
+            )
+            gain_of = lambda off: ula_gain(off, n_elements, 0.5, -60.0)  # noqa: E731
+            rows = [beam_response(rays, gain_of, float(grid.angles[k]), freqs) for k in order]
+            accepted = greedy_gate(rows, cfg.m2_correlation_threshold)
+            assert got.angles == tuple(sorted(float(grid.angles[order[i]]) for i in accepted))
 
 
 class TestPowerRatio:

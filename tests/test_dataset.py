@@ -186,6 +186,13 @@ class TestJsonValidation:
         with pytest.raises(cb.DatasetFormatError, match="finite"):
             cb.load_dataset(path, 15.0, 28.0)
 
+    @pytest.mark.parametrize("power_db", [-4000.0, 4000.0, -3100.0])
+    def test_power_outside_the_normal_float_range_located(self, tmp_path, power_db):
+        # finite in dB, but 0, infinite or subnormal once linear
+        doc = minimal_doc()
+        doc["links"][0]["bands"][0]["paths"][0]["power_db"] = power_db
+        self.check(tmp_path, doc, r"links\[0\]\.bands\[0\]\.paths\[0\]\.power_db")
+
     def test_power_must_be_numeric(self, tmp_path):
         doc = minimal_doc()
         doc["links"][0]["bands"][0]["paths"][0]["power_db"] = "loud"
@@ -266,12 +273,36 @@ class TestCsv:
         with pytest.raises(cb.DatasetFormatError, match="360"):
             cb.load_dataset(path, 15.0, 28.0)
 
-    def test_equal_frequency_pair_merges_into_one_band(self, tmp_path):
+    @pytest.mark.parametrize("power_db", ["-4000", "4000", "-3100"])
+    def test_power_outside_the_normal_float_range_located_by_line(self, tmp_path, power_db):
+        path = tmp_path / "power.csv"
+        path.write_text(
+            "link_id,freq_ghz,power_db,delay_ns,aoa_deg\n"
+            "a,15,0,1,10\n"
+            f"a,28,{power_db},1,10\n"
+        )
+        with pytest.raises(cb.DatasetFormatError, match=r":3\.power_db"):
+            cb.load_dataset(path, 15.0, 28.0)
+
+    def test_equal_frequency_pair_refused(self, tmp_path):
         # the CSV mirror keys bands by frequency, so an equal-frequency pair
-        # collapses; both sides then self-pair over the union of paths
-        ch = cb.BandChannel(15.0, (cb.Ray(1.0, 0.0, 0.0), cb.Ray(0.5, 1e-9, 10.0)), "x")
+        # would merge into one band on reload and double every path
+        rays = (cb.Ray(1.0, 0.0, 0.0), cb.Ray(0.5, 1e-9, 10.0))
+        same = cb.BandChannel(15.0, rays, "x")
+        near = cb.BandChannel(15.0 + 0.5e-6, rays, "y")
         path = tmp_path / "self.csv"
+        for pair in (
+            cb.LinkPair(low=same, high=same),
+            cb.LinkPair(low=cb.BandChannel(15.0, rays, "y"), high=near),
+        ):
+            with pytest.raises(cb.DatasetFormatError, match=f"link {pair.link_id!r}"):
+                cb.write_dataset([pair], path)
+        assert not path.exists()
+
+    def test_equal_frequency_pair_kept_by_json(self, tmp_path):
+        ch = cb.BandChannel(15.0, (cb.Ray(1.0, 0.0, 0.0), cb.Ray(0.5, 1e-9, 10.0)), "x")
+        path = tmp_path / "self.json"
         cb.write_dataset([cb.LinkPair(low=ch, high=ch)], path)
         loaded = cb.load_dataset(path, 15.0, 15.0)
-        assert loaded[0].low is loaded[0].high
-        assert len(loaded[0].low.rays) == 4
+        assert len(loaded[0].low.rays) == 2
+        assert len(loaded[0].high.rays) == 2

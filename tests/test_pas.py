@@ -112,6 +112,38 @@ class TestFilterPas:
         np.testing.assert_allclose(pas.values, expected, rtol=1e-12)
 
 
+KERNEL_PATTERNS = {
+    "gpp3": cb.synth_3gpp(hpbw_deg=10.0, a_max_db=30.0),
+    "ula4": cb.synth_ula(n_elements=4),
+    "ula8": cb.synth_ula(n_elements=8),
+    "tabulated": cb.TabulatedPattern(
+        np.array([-180.0, -40.0, -7.5, 0.0, 12.0, 90.0]),
+        np.array([-35.0, -20.0, -3.0, 0.0, -6.5, -28.0]),
+    ),
+}
+
+
+class TestKernelContract:
+    """The rays x grid evaluation equals the per-ray accumulation bit for bit."""
+
+    @pytest.mark.parametrize("kind", sorted(KERNEL_PATTERNS))
+    @pytest.mark.parametrize("step", [1.0, 0.1])
+    @pytest.mark.parametrize("n_rays", [1, 50])
+    def test_equals_per_ray_loop(self, kind, step, n_rays):
+        pattern = KERNEL_PATTERNS[kind]
+        grid = cb.AngularGrid(step)
+        rng = np.random.default_rng(n_rays)
+        rays = tuple(
+            ray(power=float(p), aoa=float(a))
+            for p, a in zip(10.0 ** rng.uniform(-6.0, 0.0, n_rays), rng.uniform(0.0, 360.0, n_rays))
+        )
+        values = np.zeros(grid.n_points)
+        for r in rays:
+            values += r.power * pattern.gain(grid.angles - r.aoa_azimuth)
+        pas = cb.filter_pas(cb.BandChannel(28.0, rays), pattern, grid)
+        assert np.array_equal(pas.values, values)
+
+
 class TestNormalizePas:
     def test_unit_mass(self, grid, gpp3_10):
         ch = cb.BandChannel(15.0, (ray(aoa=0.0), ray(power=0.5, aoa=120.0)))
