@@ -95,12 +95,49 @@ class UlaPattern:
         off = wrap_offset_deg(x)
         out = np.full(off.shape, db_to_linear(self.backplane_floor_db))
         front = np.abs(off) <= 90.0
-        sin_theta = np.sin(np.deg2rad(off[front]))
-        n = np.arange(self.n_elements)
-        phase = 2.0 * np.pi * self.spacing_wavelengths * sin_theta[..., None] * n
-        af = np.exp(1j * phase).sum(axis=-1)
-        out[front] = np.abs(af) ** 2 / self.n_elements**2
+        base = 2.0 * np.pi * self.spacing_wavelengths * np.sin(np.deg2rad(off[front]))
+        # Row n holds exp(j*n*base); row 0 is exactly 1 since cos(0) = 1 and
+        # sin(0) = 0. The real cos/sin rows equal the parts of the complex
+        # exponential bit for bit and cost less than np.exp on complex input.
+        terms = np.empty((self.n_elements,) + base.shape, dtype=complex)
+        terms[0] = 1.0
+        phase = np.arange(1, self.n_elements)[:, None] * base
+        np.cos(phase, out=terms[1:].real)
+        np.sin(phase, out=terms[1:].imag)
+        out[front] = np.abs(_sum_rows_pairwise(terms)) ** 2 / self.n_elements**2
         return out
+
+
+def _sum_rows_pairwise(terms):
+    """Sum the rows of a 2-d array, overwriting it, in numpy's pairwise order.
+
+    The additions follow numpy's pairwise summation of a contiguous complex
+    row, so the result equals ``terms.T.sum(axis=-1)`` bit for bit: below 4
+    items they run in order; up to 64 items lane ``j`` of 4 accumulates rows
+    ``j, j+4, ...`` in order, the lanes combine as ``(l0+l1)+(l2+l3)`` and
+    the leftover rows follow in order; larger blocks split at a multiple of 4
+    near the middle and add the two halves' sums. The one difference: numpy
+    adds the total to +0.0, so where every term is -0.0 it returns +0.0 and
+    this returns -0.0, a sign that ``abs`` discards.
+    """
+    n = len(terms)
+    if n > 64:
+        half = n // 2 - (n // 2) % 4
+        return _sum_rows_pairwise(terms[:half]) + _sum_rows_pairwise(terms[half:])
+    acc = terms[0]
+    if n < 4:
+        rest = terms[1:]
+    else:
+        blocked = n - n % 4
+        for k in range(4, blocked, 4):
+            terms[:4] += terms[k:k + 4]
+        acc += terms[1]
+        terms[2] += terms[3]
+        acc += terms[2]
+        rest = terms[blocked:]
+    for row in rest:
+        acc += row
+    return acc
 
 
 @dataclass(frozen=True, eq=False)

@@ -117,13 +117,26 @@ def _plateau_maxima(values) -> list[int]:
     """
     v = np.asarray(values)
     n = len(v)
-    starts = np.flatnonzero(v != np.roll(v, 1))
+    starts = np.flatnonzero(v != _shifted(v, 1))
     if starts.size == 0:
         return [0]
-    lengths = np.diff(starts, append=starts[0] + n)
+    lengths = _shifted(starts, -1) - starts
+    lengths[-1] += n
     run_values = v[starts]
-    peak = (run_values > np.roll(run_values, 1)) & (run_values > np.roll(run_values, -1))
+    peak = (run_values > _shifted(run_values, 1)) & (run_values > _shifted(run_values, -1))
     return np.sort((starts[peak] + (lengths[peak] - 1) // 2) % n).tolist()
+
+
+def _shifted(a, shift: int):
+    """``np.roll(a, shift)`` of a 1-d array for a shift of +1 or -1."""
+    out = np.empty_like(a)
+    if shift == 1:
+        out[0] = a[-1]
+        out[1:] = a[:-1]
+    else:
+        out[-1] = a[0]
+        out[:-1] = a[1:]
+    return out
 
 
 def select_m1(pas: FilteredPas, delta_th_db: float, band: str | None = None) -> DirectionSet:

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .units import wrap_azimuth_deg
+
 
 @dataclass(frozen=True)
 class Ray:
@@ -44,11 +46,11 @@ class Ray:
         object.__setattr__(self, "delay", float(self.delay))
         if not math.isfinite(self.aoa_azimuth):
             raise ValueError("ray AoA azimuth must be finite")
-        object.__setattr__(self, "aoa_azimuth", float(self.aoa_azimuth) % 360.0)
+        object.__setattr__(self, "aoa_azimuth", wrap_azimuth_deg(self.aoa_azimuth))
         if self.aod_azimuth is not None:
             if not math.isfinite(self.aod_azimuth):
                 raise ValueError("ray AoD azimuth must be finite")
-            object.__setattr__(self, "aod_azimuth", float(self.aod_azimuth) % 360.0)
+            object.__setattr__(self, "aod_azimuth", wrap_azimuth_deg(self.aod_azimuth))
 
 
 @dataclass(frozen=True)

@@ -47,12 +47,19 @@ class DatasetFormatError(ValueError):
 
     The message names the offending location: a JSON field path such as
     ``links[2].bands[0].paths[1].aoa_deg``, or a CSV line number. Writing
-    raises it, naming the link, when the CSV mirror cannot hold a pair.
+    raises it, naming the link, when the CSV mirror cannot hold a pair or a
+    value would fail these checks on reload.
     """
 
 
 def write_dataset(pairs: list[LinkPair], path, metadata: dict | None = None) -> None:
-    """Write link pairs as a dataset file; format chosen by extension."""
+    """Write link pairs as a dataset file; format chosen by extension.
+
+    Raises ``DatasetFormatError`` naming the link and the path entry, before
+    anything is written, when a value would not load back: a power whose
+    ``power_db`` is zero, infinite or subnormal as a linear power, or (CSV
+    only) a pair whose bands share a frequency.
+    """
     if Path(path).suffix.lower() == ".csv":
         _write_csv(pairs, path)
     else:
@@ -103,13 +110,29 @@ def _build_channel(band, link_id: str) -> BandChannel:
     return BandChannel(frequency=freq_ghz, rays=rays, link_id=link_id)
 
 
+def _check_written_power(ray: Ray, link_id: str, where: str, *where_args) -> None:
+    """Refuse a ray whose ``power_db`` would not load back.
+
+    Names the link and ``where.format(*where_args)``, built only on failure.
+    A linear power inside (1e-300, 1e300) reloads from its dB value as a
+    normal, finite float, so only powers outside it run the loader's check.
+    """
+    if not 1e-300 < ray.power < 1e300:
+        _check_power_db(
+            float(linear_to_db(ray.power)), f"link {link_id!r}: " + where.format(*where_args)
+        )
+
+
 def _to_file_dict(pairs: list[LinkPair], metadata: dict | None) -> dict:
     links = []
-    for pair in pairs:
+    for i, pair in enumerate(pairs):
         bands = []
-        for channel in (pair.low, pair.high):
+        for j, channel in enumerate((pair.low, pair.high)):
             paths = []
-            for ray in channel.rays:
+            for k, ray in enumerate(channel.rays):
+                _check_written_power(
+                    ray, pair.link_id, "links[{}].bands[{}].paths[{}].power_db", i, j, k
+                )
                 entry = {
                     "power_db": float(linear_to_db(ray.power)),
                     "delay_ns": ray.delay * 1e9,
@@ -124,12 +147,17 @@ def _to_file_dict(pairs: list[LinkPair], metadata: dict | None) -> dict:
 
 
 def _write_csv(pairs: list[LinkPair], path) -> None:
+    line = 1
     for pair in pairs:
         if abs(pair.low.frequency - pair.high.frequency) <= FREQ_MATCH_TOLERANCE_GHZ:
             raise DatasetFormatError(
                 f"link {pair.link_id!r}: CSV cannot hold two bands at one frequency "
                 f"({pair.low.frequency!r} and {pair.high.frequency!r} GHz); write JSON instead"
             )
+        for channel in (pair.low, pair.high):
+            for ray in channel.rays:
+                line += 1
+                _check_written_power(ray, pair.link_id, "{}:{}.power_db", path, line)
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(_CSV_HEADER)

@@ -16,10 +16,21 @@ def linear_to_db(value):
 
 
 def wrap_offset_deg(offset_deg):
-    """Wrap an angular offset into (-180, 180] degrees."""
-    return 180.0 - (180.0 - offset_deg) % 360.0
+    """Wrap an angular offset into (-180, 180] degrees.
+
+    Bit for bit ``180 - (180 - offset_deg) % 360``: ``fmod`` plus one
+    correction of negative remainders gives the same floor-mod result at a
+    fraction of the cost of ``np.remainder``. Returns an array.
+    """
+    r = np.fmod(180.0 - offset_deg, 360.0)
+    return 180.0 - np.where(r < 0.0, r + 360.0, r)
 
 
-def wrap_azimuth_deg(angle_deg):
-    """Wrap an azimuth into [0, 360) degrees."""
-    return angle_deg % 360.0
+def wrap_azimuth_deg(angle_deg: float) -> float:
+    """Wrap an azimuth into [0, 360) degrees.
+
+    A negative angle too small for ``angle + 360`` to fall below 360 wraps
+    to 0, its nearest point on the circle, not to 360.
+    """
+    wrapped = float(angle_deg) % 360.0
+    return wrapped if wrapped < 360.0 else 0.0

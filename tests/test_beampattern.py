@@ -6,10 +6,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import crossband as cb
+from crossband.beampattern import _sum_rows_pairwise
+from crossband.units import wrap_offset_deg
 
 offsets = st.floats(-720.0, 720.0, allow_nan=False)
 # eighth-degree multiples keep the wrap arithmetic exact, so bitwise
@@ -114,6 +116,76 @@ class TestUla:
             cb.synth_ula(4, spacing_wavelengths=0.0)
         with pytest.raises(ValueError):
             cb.synth_ula(4, backplane_floor_db=0.0)
+
+
+def complex_exponential_ula_gain(offset_deg, n, spacing):
+    """The ULA gain as a row sum of complex exponentials (the reference form)."""
+    off = 180.0 - (180.0 - offset_deg) % 360.0
+    out = np.full(off.shape, 1e-6)
+    front = np.abs(off) <= 90.0
+    sin_theta = np.sin(np.deg2rad(off[front]))
+    phase = 2.0 * np.pi * spacing * sin_theta[..., None] * np.arange(n)
+    out[front] = np.abs(np.exp(1j * phase).sum(axis=-1)) ** 2 / n**2
+    return out
+
+
+def same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+EDGE_OFFSETS = [0.0, -0.0, 90.0, -90.0, 180.0, -180.0, 89.99999999999999, 1e6, -1e6]
+
+
+class TestKernelBitIdentity:
+    """The kernel's real cos/sin rows and its own summation order reproduce
+    the complex-exponential form bit for bit. A numpy or libm change to the
+    order of ``sum`` or to ``exp``/``cos``/``sin`` fails these tests."""
+
+    @pytest.mark.parametrize("spacing", [0.25, 0.5, 1.0, 2.0])
+    def test_ula_gain_matches_complex_exponential_sum(self, spacing):
+        rng = np.random.default_rng(7)
+        x = np.concatenate([EDGE_OFFSETS, rng.uniform(-720.0, 720.0, 600)])
+        mismatched = []
+        for n in [*range(2, 131), 257]:
+            pat = cb.synth_ula(n, spacing_wavelengths=spacing)
+            if not same_bits(pat.gain(x), complex_exponential_ula_gain(x, n, spacing)):
+                mismatched.append(n)
+            for off in EDGE_OFFSETS:  # one offset per call: a 1-element row
+                if not same_bits(pat.gain(np.array([off])),
+                                 complex_exponential_ula_gain(np.array([off]), n, spacing)):
+                    mismatched.append((n, off))
+        assert mismatched == []
+
+    def test_ula_gain_of_a_rays_by_grid_matrix(self, ula8):
+        offsets = np.arange(0.0, 360.0, 0.1)[None, :] - np.array([[3.3], [171.25], [359.9]])
+        assert same_bits(ula8.gain(offsets), complex_exponential_ula_gain(offsets, 8, 0.5))
+
+    def test_row_sum_follows_numpy_pairwise_order(self):
+        rng = np.random.default_rng(3)
+        for n in [*range(1, 140), 255, 256, 257, 600]:
+            scale = 10.0 ** rng.integers(-8, 9, size=(n, 1))
+            terms = (rng.standard_normal((n, 5)) + 1j * rng.standard_normal((n, 5))) * scale
+            expected = np.ascontiguousarray(terms.T).sum(axis=-1)
+            got = _sum_rows_pairwise(terms.copy())
+            assert same_bits(got.real, expected.real) and same_bits(got.imag, expected.imag), n
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    @example(0.0)
+    @example(-0.0)
+    @example(180.0)
+    @example(-180.0)
+    @example(360.0)
+    @example(-360.0)
+    @example(540.0)
+    @example(-540.0)
+    @example(1e300)
+    @example(-1e300)
+    @example(5e-324)
+    @example(-5e-324)
+    def test_wrap_offset_matches_floor_mod(self, x):
+        for value in (x, np.array([x, -x])):
+            want = 180.0 - (180.0 - np.asarray(value)) % 360.0
+            assert same_bits(wrap_offset_deg(value), want)
 
 
 class TestTabulated:

@@ -31,6 +31,20 @@ class TestRay:
         assert ray().aod_azimuth is None
         assert ray(aod=-10.0).aod_azimuth == 350.0
 
+    @pytest.mark.parametrize("angle", [-1e-20, -5e-324, -1e-14, -0.0])
+    def test_tiny_negative_angles_wrap_below_360(self, angle):
+        # angle % 360 rounds these up to 360.0; 0 is their nearest point
+        r = ray(aoa=angle, aod=angle)
+        assert r.aoa_azimuth == 0.0
+        assert r.aod_azimuth == 0.0
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_angles_land_in_the_documented_range(self, angle):
+        r = ray(aoa=angle, aod=angle)
+        assert 0.0 <= r.aoa_azimuth < 360.0
+        assert 0.0 <= r.aod_azimuth < 360.0
+        assert type(r.aoa_azimuth) is float
+
     @pytest.mark.parametrize("power", [0.0, -1.0, math.nan, math.inf])
     def test_nonpositive_power_rejected(self, power):
         with pytest.raises(ValueError):

@@ -6,6 +6,8 @@ import json
 import logging
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import crossband as cb
 
@@ -73,6 +75,52 @@ class TestJsonRoundTrip:
         cb.write_dataset([cb.LinkPair(low=ch, high=ch)], path)
         loaded = cb.load_dataset(path, 15.0, 15.0)
         assert loaded[0].low.rays[0].aod_azimuth == 33.0
+
+
+class TestWriteRefusesWhatLoadRejects:
+    # the writer runs the loader's checks, so a written file always reloads
+
+    @pytest.mark.parametrize("name", ["links.json", "links.csv"])
+    def test_tiny_negative_angles_round_trip(self, tmp_path, name):
+        low = cb.BandChannel(15.0, (cb.Ray(1.0, 0.0, -1e-20, aod_azimuth=-1e-20),), "l")
+        high = cb.BandChannel(28.0, (cb.Ray(1.0, 0.0, 10.0),), "l")
+        path = tmp_path / name
+        cb.write_dataset([cb.LinkPair(low=low, high=high)], path)
+        loaded = cb.load_dataset(path, 15.0, 28.0)
+        assert loaded[0].low.rays[0].aoa_azimuth == 0.0
+
+    @pytest.mark.parametrize("power", [5e-324, 1e-310])
+    @pytest.mark.parametrize(
+        "name, where",
+        [
+            ("links.json", r"link 'l': links\[0\]\.bands\[1\]\.paths\[1\]\.power_db"),
+            ("links.csv", r"link 'l': .*links\.csv:5\.power_db"),
+        ],
+    )
+    def test_subnormal_power_refused_and_located(self, tmp_path, power, name, where):
+        # Ray accepts a subnormal power, but its dB value reloads as 0 or a
+        # subnormal, which load_dataset rejects
+        low = cb.BandChannel(15.0, (cb.Ray(1.0, 0.0, 0.0), cb.Ray(0.5, 0.0, 5.0)), "l")
+        high = cb.BandChannel(28.0, (cb.Ray(1.0, 0.0, 0.0), cb.Ray(power, 0.0, 20.0)), "l")
+        path = tmp_path / name
+        with pytest.raises(cb.DatasetFormatError, match=where):
+            cb.write_dataset([cb.LinkPair(low=low, high=high)], path)
+        assert not path.exists()
+
+    @given(st.floats(min_value=5e-324, allow_infinity=False))
+    @example(2.2250738585072014e-308)
+    @example(1e-300)
+    @example(1e300)
+    @example(1.7976931348623157e308)
+    def test_written_power_reloads_or_is_refused(self, tmp_path_factory, power):
+        ch = cb.BandChannel(15.0, (cb.Ray(power, 0.0, 0.0),), "l")
+        path = tmp_path_factory.mktemp("power") / "links.json"
+        try:
+            cb.write_dataset([cb.LinkPair(low=ch, high=ch)], path)
+        except cb.DatasetFormatError:
+            assert not path.exists()
+        else:
+            assert cb.load_dataset(path, 15.0, 15.0)[0].low.rays[0].power > 0.0
 
 
 class TestBandPairing:
