@@ -29,14 +29,9 @@ def build_configurations(delta_p_db: float):
 
 def write_curves(report: cb.BatchReport, out_dir: Path, tag: str) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / f"r_cdf_{tag}.csv", "w", newline="") as fh:
-        fh.write("power_ratio_db,cumulative_probability\n")
-        for value, prob in report.r_cdf:
-            fh.write(f"{value:.12g},{prob:.12g}\n")
-    with open(out_dir / f"nf_pdf_{tag}.csv", "w", newline="") as fh:
-        fh.write("n_false,probability\n")
-        for count, prob in report.nf_pdf.items():
-            fh.write(f"{count},{prob:.12g}\n")
+    cb.write_curve_csv(out_dir / f"r_cdf_{tag}.csv", "power_ratio_db,cumulative_probability",
+                       report.r_cdf)
+    cb.write_curve_csv(out_dir / f"nf_pdf_{tag}.csv", "n_false,probability", report.nf_pdf.items())
 
 
 def main() -> int:

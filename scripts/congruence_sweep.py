@@ -55,10 +55,8 @@ def main() -> int:
         if args.out:
             out_dir = Path(args.out)
             out_dir.mkdir(parents=True, exist_ok=True)
-            with open(out_dir / f"psp_cdf_jitter_{jitter:g}.csv", "w", newline="") as fh:
-                fh.write("psp_percent,cumulative_probability\n")
-                for value, prob in psp_cdf:
-                    fh.write(f"{value:.12g},{prob:.12g}\n")
+            cb.write_curve_csv(out_dir / f"psp_cdf_jitter_{jitter:g}.csv",
+                               "psp_percent,cumulative_probability", psp_cdf)
     return 0
 
 

@@ -9,12 +9,11 @@ generates controllable two-band datasets; ``dataset`` and ``cli`` handle
 files and the command line.
 """
 
-from .batch import BatchReport, analyze_dataset, empirical_cdf, percentiles
+from .batch import BatchReport, analyze_dataset, empirical_cdf, percentiles, write_curve_csv
 from .beampattern import (
     Gpp3Pattern,
     TabulatedPattern,
     UlaPattern,
-    gain_at,
     hpbw,
     pattern_from_csv,
     pattern_to_csv,
@@ -62,7 +61,6 @@ __all__ = [
     "empirical_cdf",
     "false_directions",
     "filter_pas",
-    "gain_at",
     "generate_dataset",
     "generate_link",
     "hpbw",
@@ -80,5 +78,6 @@ __all__ = [
     "synth_ula",
     "total_gain",
     "total_variation",
+    "write_curve_csv",
     "write_dataset",
 ]

@@ -176,6 +176,18 @@ def analyze_dataset(
     )
 
 
+def write_curve_csv(path, header: str, rows) -> None:
+    """Write (x, y) rows under a one-line header as LF-terminated CSV.
+
+    Both columns print with 12 significant digits (``%.12g``), so an integer
+    x such as a direction count prints without a decimal point.
+    """
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(header + "\n")
+        for x, y in rows:
+            handle.write(f"{x:.12g},{y:.12g}\n")
+
+
 def _count_pdf(values: list[int]) -> dict[int, float]:
     n = len(values)
     return {k: values.count(k) / n for k in sorted(set(values))}

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .units import db_to_linear, wrap_offset_deg
+from .units import db_to_linear, linear_to_db, wrap_offset_deg
 
 _HPBW_SCAN_STEP_DEG = 0.05
 _HPBW_RESOLUTION_DEG = 0.01
@@ -34,8 +34,30 @@ def _shaped(func, offset_deg):
     return func(x).reshape(np.shape(offset_deg))
 
 
+class _Pattern:
+    """Gain evaluation shared by the pattern kinds.
+
+    Each kind computes one form, ``_gain_vec`` (linear) or ``_gain_db_vec``
+    (dB), on a 1-d array of offsets; the other form converts from it.
+    """
+
+    def gain(self, offset_deg):
+        """Linear gain at each offset, in the shape of the input."""
+        return _shaped(self._gain_vec, offset_deg)
+
+    def gain_db(self, offset_deg):
+        """Gain in dB at each offset, in the shape of the input."""
+        return _shaped(self._gain_db_vec, offset_deg)
+
+    def _gain_vec(self, x):
+        return db_to_linear(self._gain_db_vec(x))
+
+    def _gain_db_vec(self, x):
+        return linear_to_db(self._gain_vec(x))
+
+
 @dataclass(frozen=True)
-class Gpp3Pattern:
+class Gpp3Pattern(_Pattern):
     """Synthetic sector pattern: parabolic roll-off clipped at a floor."""
 
     hpbw_deg: float
@@ -49,19 +71,13 @@ class Gpp3Pattern:
         if not self.a_max_db > 0.0:
             raise ValueError(f"a_max_db must be > 0, got {self.a_max_db!r}")
 
-    def gain_db(self, offset_deg):
-        return _shaped(self._gain_db_vec, offset_deg)
-
-    def gain(self, offset_deg):
-        return _shaped(lambda x: db_to_linear(self._gain_db_vec(x)), offset_deg)
-
     def _gain_db_vec(self, x):
         off = wrap_offset_deg(x)
         return -np.minimum(12.0 * (off / self.hpbw_deg) ** 2, self.a_max_db)
 
 
 @dataclass(frozen=True)
-class UlaPattern:
+class UlaPattern(_Pattern):
     """Bore-sight beam of a uniform linear array with isotropic elements.
 
     Front half plane (|offset| <= 90 deg) carries the normalized array factor
@@ -84,12 +100,6 @@ class UlaPattern:
             raise ValueError(f"spacing_wavelengths must be > 0, got {self.spacing_wavelengths!r}")
         if not self.backplane_floor_db < 0.0:
             raise ValueError(f"backplane_floor_db must be < 0, got {self.backplane_floor_db!r}")
-
-    def gain_db(self, offset_deg):
-        return _shaped(lambda x: 10.0 * np.log10(self._gain_vec(x)), offset_deg)
-
-    def gain(self, offset_deg):
-        return _shaped(self._gain_vec, offset_deg)
 
     def _gain_vec(self, x):
         off = wrap_offset_deg(x)
@@ -141,7 +151,7 @@ def _sum_rows_pairwise(terms):
 
 
 @dataclass(frozen=True, eq=False)
-class TabulatedPattern:
+class TabulatedPattern(_Pattern):
     """Gain table over (-180, 180], interpolated linearly in dB.
 
     Samples are normalized so the strongest sample is 0 dB; the peak must sit
@@ -175,12 +185,6 @@ class TabulatedPattern:
         if abs(float(self.gain_db(0.0))) > 1e-9:
             raise ValueError("tabulated pattern peak must sit at 0 deg offset")
 
-    def gain_db(self, offset_deg):
-        return _shaped(self._gain_db_vec, offset_deg)
-
-    def gain(self, offset_deg):
-        return _shaped(lambda x: db_to_linear(self._gain_db_vec(x)), offset_deg)
-
     def _gain_db_vec(self, x):
         off = wrap_offset_deg(x)
         return np.interp(off, self.offsets_deg, self.gains_db, period=360.0)
@@ -205,11 +209,6 @@ def synth_ula(
         spacing_wavelengths=float(spacing_wavelengths),
         backplane_floor_db=float(backplane_floor_db),
     )
-
-
-def gain_at(pattern: Beampattern, offset_deg: float) -> float:
-    """Linear gain of a pattern at a single offset."""
-    return float(pattern.gain(offset_deg))
 
 
 def hpbw(pattern: Beampattern) -> float:

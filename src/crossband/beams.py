@@ -28,7 +28,12 @@ from .channel import BandChannel, LinkPair
 from .metrics import PspResult, psp
 from .pas import AngularGrid, FilteredPas, filter_pas, normalize_pas
 
-_BANDS = (None, "low", "high")
+# The fixed m2 gate: a candidate is rejected when its beam response
+# correlates at or above this with an accepted one, the responses being
+# sampled at this many frequencies across this bandwidth around the carrier.
+M2_CORRELATION_THRESHOLD = 0.7
+M2_FREQUENCY_POINTS = 101
+M2_BANDWIDTH_GHZ = 2.0
 
 
 @dataclass(frozen=True)
@@ -38,9 +43,6 @@ class SimilarityConfig:
     delta_th_db: float = 10.0
     delta_p_db: float = -30.0
     method: str = "m1"
-    m2_correlation_threshold: float = 0.7
-    m2_frequency_points: int = 101
-    m2_bandwidth_ghz: float = 2.0
 
     def __post_init__(self):
         if not self.delta_th_db > 0.0:
@@ -49,22 +51,13 @@ class SimilarityConfig:
             raise ValueError(f"delta_p_db must be < 0, got {self.delta_p_db!r}")
         if self.method not in ("m1", "m2"):
             raise ValueError(f"method must be 'm1' or 'm2', got {self.method!r}")
-        if not 0.0 < self.m2_correlation_threshold < 1.0:
-            raise ValueError("m2_correlation_threshold must be in (0, 1)")
-        if self.m2_frequency_points < 2:
-            raise ValueError("m2_frequency_points must be >= 2")
-        if not self.m2_bandwidth_ghz > 0.0:
-            raise ValueError("m2_bandwidth_ghz must be > 0")
 
 
 @dataclass(frozen=True)
 class DirectionSet:
-    """Selected steering angles for one band, with the selection context."""
+    """Selected steering angles for one band."""
 
     angles: tuple[float, ...]
-    band: str | None = None
-    method: str = "m1"
-    threshold_db: float = 10.0
 
     def __post_init__(self):
         object.__setattr__(self, "angles", tuple(float(a) for a in self.angles))
@@ -72,10 +65,6 @@ class DirectionSet:
             raise ValueError("a direction set cannot be empty")
         if len(set(self.angles)) != len(self.angles):
             raise ValueError("direction set contains duplicate angles")
-        if self.band not in _BANDS:
-            raise ValueError(f"band must be 'low' or 'high', got {self.band!r}")
-        if self.method not in ("m1", "m2"):
-            raise ValueError(f"method must be 'm1' or 'm2', got {self.method!r}")
 
     def __len__(self) -> int:
         return len(self.angles)
@@ -139,7 +128,7 @@ def _shifted(a, shift: int):
     return out
 
 
-def select_m1(pas: FilteredPas, delta_th_db: float, band: str | None = None) -> DirectionSet:
+def select_m1(pas: FilteredPas, delta_th_db: float) -> DirectionSet:
     """Local-maxima direction selection with a relative power threshold.
 
     Keeps the circular local maxima of the filtered spectrum that lie within
@@ -155,16 +144,15 @@ def select_m1(pas: FilteredPas, delta_th_db: float, band: str | None = None) -> 
         k for k in _plateau_maxima(v)
         if 10.0 * math.log10(float(v[k]) / vmax) >= -delta_th_db
     ]
-    angles = tuple(float(pas.grid.angles[k]) for k in kept)
-    return DirectionSet(angles=angles, band=band, method="m1", threshold_db=float(delta_th_db))
+    return DirectionSet(angles=tuple(float(pas.grid.angles[k]) for k in kept))
 
 
 def beam_cfr(
     channel: BandChannel,
     pattern,
     steer_deg: float,
-    freq_points: int = 101,
-    bandwidth_ghz: float = 2.0,
+    freq_points: int = M2_FREQUENCY_POINTS,
+    bandwidth_ghz: float = M2_BANDWIDTH_GHZ,
 ) -> np.ndarray:
     """Synthesized channel frequency response of a steered beam.
 
@@ -174,6 +162,8 @@ def beam_cfr(
     """
     if freq_points < 2:
         raise ValueError(f"freq_points must be >= 2, got {freq_points!r}")
+    if not bandwidth_ghz > 0.0:
+        raise ValueError(f"bandwidth_ghz must be > 0, got {bandwidth_ghz!r}")
     return _cfr_matrix(channel, pattern, np.array([float(steer_deg)]), freq_points, bandwidth_ghz)[0]
 
 
@@ -192,52 +182,46 @@ def _cfr_matrix(channel, pattern, steer_deg, freq_points, bandwidth_ghz):
     return amplitudes.astype(complex) @ phasors
 
 
-def select_m2(
-    channel: BandChannel,
-    pattern,
-    grid: AngularGrid,
-    config: SimilarityConfig,
-    band: str | None = None,
-) -> DirectionSet:
+def select_m2(channel: BandChannel, pattern, grid: AngularGrid, delta_th_db: float) -> DirectionSet:
     """Correlation-gated greedy direction selection.
 
     All grid angles within ``delta_th_db`` of the spectrum's global maximum
     are candidates, not just local maxima. Walking them in descending
     spectrum order (angle breaks ties), a candidate is accepted when the
     normalized inner product of its beam response with every already accepted
-    response stays below ``m2_correlation_threshold``. The global maximum is
+    response stays below ``M2_CORRELATION_THRESHOLD``. The global maximum is
     accepted first, so at least one direction survives.
 
     The walk visits accepted candidates only: each one correlates its
     response with every later candidate in one matrix-vector product and
-    rejects those at ``corr >= m2_correlation_threshold``; the next candidate
+    rejects those at ``corr >= M2_CORRELATION_THRESHOLD``; the next candidate
     still alive is accepted. This is the pairwise greedy rule, but the inner
     products are summed in BLAS matrix-vector order, so a correlation within
     about 1e-15 of the threshold may fall on the other side of it than a
     pairwise ``np.vdot`` would put it.
     """
+    if not delta_th_db > 0.0:
+        raise ValueError(f"delta_th_db must be > 0, got {delta_th_db!r}")
     pas = filter_pas(channel, pattern, grid)
     v = pas.values
     vmax = float(v.max())
-    candidates = np.flatnonzero(10.0 * np.log10(v / vmax) >= -config.delta_th_db)
+    candidates = np.flatnonzero(10.0 * np.log10(v / vmax) >= -delta_th_db)
     order = candidates[np.lexsort((grid.angles[candidates], -v[candidates]))]
     responses = _cfr_matrix(
-        channel, pattern, grid.angles[order],
-        config.m2_frequency_points, config.m2_bandwidth_ghz,
+        channel, pattern, grid.angles[order], M2_FREQUENCY_POINTS, M2_BANDWIDTH_GHZ
     )
     norms = np.linalg.norm(responses, axis=1)
     alive = np.ones(len(order), dtype=bool)
     i = 0
     while True:
         corr = np.abs(responses[i + 1:] @ responses[i].conj()) / (norms[i] * norms[i + 1:])
-        alive[i + 1:] &= corr < config.m2_correlation_threshold
+        alive[i + 1:] &= corr < M2_CORRELATION_THRESHOLD
         later = np.flatnonzero(alive[i + 1:])
         if later.size == 0:
             break
         i += 1 + int(later[0])
     kept = sorted(int(k) for k in order[alive])
-    angles = tuple(float(grid.angles[k]) for k in kept)
-    return DirectionSet(angles=angles, band=band, method="m2", threshold_db=float(config.delta_th_db))
+    return DirectionSet(angles=tuple(float(grid.angles[k]) for k in kept))
 
 
 def _gather(pas: FilteredPas, directions: DirectionSet) -> np.ndarray:
@@ -289,11 +273,11 @@ def analyze_pair(
     pas_low = filter_pas(pair.low, pattern_low, grid)
     pas_high = filter_pas(pair.high, pattern_high, grid)
     if config.method == "m1":
-        a_low = select_m1(pas_low, config.delta_th_db, band="low")
-        a_high = select_m1(pas_high, config.delta_th_db, band="high")
+        a_low = select_m1(pas_low, config.delta_th_db)
+        a_high = select_m1(pas_high, config.delta_th_db)
     else:
-        a_low = select_m2(pair.low, pattern_low, grid, config, band="low")
-        a_high = select_m2(pair.high, pattern_high, grid, config, band="high")
+        a_low = select_m2(pair.low, pattern_low, grid, config.delta_th_db)
+        a_high = select_m2(pair.high, pattern_high, grid, config.delta_th_db)
     overlap = psp(normalize_pas(pas_low), normalize_pas(pas_high)) if include_psp else None
     return SimilarityReport(
         power_ratio_db=power_ratio(a_low, a_high, pas_high),

@@ -20,7 +20,7 @@ import logging
 import sys
 from pathlib import Path
 
-from .batch import BatchReport, analyze_dataset, empirical_cdf
+from .batch import BatchReport, analyze_dataset, empirical_cdf, write_curve_csv
 from .beampattern import pattern_from_csv, pattern_to_csv, synth_3gpp, synth_ula
 from .beams import SimilarityConfig, analyze_pair
 from .channel import LinkPair
@@ -217,24 +217,17 @@ def _cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _write_curve_csv(path, header: str, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(header + "\n")
-        for x, y in rows:
-            handle.write(f"{x:.12g},{y:.12g}\n")
-
-
 def _export_batch(report: BatchReport, out_dir: Path, params: dict) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     doc = {"params": params}
     doc.update(report.to_dict())
     dump(doc, out_dir / "report.json", sig_digits=REPORT_SIG_DIGITS)
-    _write_curve_csv(out_dir / "r_cdf.csv", "power_ratio_db,cumulative_probability", report.r_cdf)
-    _write_curve_csv(out_dir / "nf_pdf.csv", "n_false,probability", report.nf_pdf.items())
-    _write_curve_csv(out_dir / "card_low_pdf.csv", "cardinality,probability",
-                     report.card_low_pdf.items())
-    _write_curve_csv(out_dir / "card_high_pdf.csv", "cardinality,probability",
-                     report.card_high_pdf.items())
+    write_curve_csv(out_dir / "r_cdf.csv", "power_ratio_db,cumulative_probability", report.r_cdf)
+    write_curve_csv(out_dir / "nf_pdf.csv", "n_false,probability", report.nf_pdf.items())
+    write_curve_csv(out_dir / "card_low_pdf.csv", "cardinality,probability",
+                    report.card_low_pdf.items())
+    write_curve_csv(out_dir / "card_high_pdf.csv", "cardinality,probability",
+                    report.card_high_pdf.items())
 
 
 def _cmd_batch(args) -> int:
@@ -274,7 +267,7 @@ def _cmd_psp(args) -> int:
     sys.stdout.write(dumps(out, sig_digits=REPORT_SIG_DIGITS))
     if args.out:
         cdf = empirical_cdf(list(per_link.values()))
-        _write_curve_csv(args.out, "psp_percent,cumulative_probability", cdf)
+        write_curve_csv(args.out, "psp_percent,cumulative_probability", cdf)
     return EXIT_OK
 
 

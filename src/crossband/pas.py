@@ -10,7 +10,6 @@ integration measure) makes it comparable as a probability density.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,9 +72,6 @@ class FilteredPas:
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
-    def to_csv(self, path) -> None:
-        _write_angle_value_csv(path, self.grid.angles, self.values)
-
 
 @dataclass(frozen=True, eq=False)
 class NormalizedPas:
@@ -95,9 +91,6 @@ class NormalizedPas:
             raise ValueError(f"density mass must be 1 within 1e-9, got {mass!r}")
         density.flags.writeable = False
         object.__setattr__(self, "density", density)
-
-    def to_csv(self, path) -> None:
-        _write_angle_value_csv(path, self.grid.angles, self.density)
 
 
 def filter_pas(channel: BandChannel, pattern, grid: AngularGrid) -> FilteredPas:
@@ -122,10 +115,3 @@ def normalize_pas(pas: FilteredPas) -> NormalizedPas:
     mass = float(pas.values.sum()) * pas.grid.step_deg
     return NormalizedPas(grid=pas.grid, density=pas.values / mass)
 
-
-def _write_angle_value_csv(path, angles, values):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["angle_deg", "value"])
-        for a, v in zip(angles, values):
-            writer.writerow([f"{a:.12g}", f"{v:.12g}"])

@@ -16,11 +16,17 @@ def linear_to_db(value):
 
 
 def wrap_offset_deg(offset_deg):
-    """Wrap an angular offset into (-180, 180] degrees.
+    """Wrap an angular offset into (-180, 180] degrees, or to exactly -180.
 
     Bit for bit ``180 - (180 - offset_deg) % 360``: ``fmod`` plus one
     correction of negative remainders gives the same floor-mod result at a
     fraction of the cost of ``np.remainder``. Returns an array.
+
+    An offset a hair above 180 (mod 360), such as ``np.nextafter(180, 200)``,
+    leaves a remainder that rounds up to 360 and so maps to -180.0, not to
+    180. The two are the same direction, so every pattern gives the same gain
+    there; the floor-mod form does the same, and the pattern kernels keep it
+    to stay bit-identical to that form.
     """
     r = np.fmod(180.0 - offset_deg, 360.0)
     return 180.0 - np.where(r < 0.0, r + 360.0, r)

@@ -247,7 +247,7 @@ def test_criterion_08_response_gate_splits_fused_paths():
             ),
         )
         n_m1 = len(cb.select_m1(cb.filter_pas(ch, ULA4, GRID), cfg.delta_th_db))
-        n_m2 = len(cb.select_m2(ch, ULA4, GRID, cfg))
+        n_m2 = len(cb.select_m2(ch, ULA4, GRID, cfg.delta_th_db))
         assert n_m2 >= n_m1
         strict += n_m2 > n_m1
     assert strict > 0
@@ -255,7 +255,7 @@ def test_criterion_08_response_gate_splits_fused_paths():
     # pinned strict example: one lobe in the spectrum, two taps in delay
     ch = cb.BandChannel(28.0, (cb.Ray(1.0, 0.0, 0.0), cb.Ray(0.5, 30e-9, 22.0)))
     assert cb.select_m1(cb.filter_pas(ch, ULA4, GRID), 10.0).angles == (3.0,)
-    assert cb.select_m2(ch, ULA4, GRID, cfg).angles == (3.0, 22.0)
+    assert cb.select_m2(ch, ULA4, GRID, cfg.delta_th_db).angles == (3.0, 22.0)
 
 
 def test_criterion_09_floor_bounds_singleton_loss(fixed_dataset):

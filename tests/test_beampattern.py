@@ -22,16 +22,16 @@ dyadic_offsets = st.integers(-5760, 5760).map(lambda k: k / 8.0)
 class TestGpp3:
     def test_peak_is_zero_db(self, gpp3_10):
         assert float(gpp3_10.gain_db(0.0)) == 0.0
-        assert cb.gain_at(gpp3_10, 0.0) == 1.0
+        assert float(gpp3_10.gain(0.0)) == 1.0
 
     def test_half_power_at_half_beamwidth(self, gpp3_10):
         assert float(gpp3_10.gain_db(5.0)) == pytest.approx(-3.0, abs=1e-12)
         assert float(gpp3_10.gain_db(-5.0)) == pytest.approx(-3.0, abs=1e-12)
-        assert cb.gain_at(gpp3_10, 5.0) == pytest.approx(10.0 ** -0.3, rel=1e-12)
+        assert float(gpp3_10.gain(5.0)) == pytest.approx(10.0 ** -0.3, rel=1e-12)
 
     def test_floor_clips_far_offsets(self, gpp3_10):
         assert float(gpp3_10.gain_db(180.0)) == -30.0
-        assert cb.gain_at(gpp3_10, 180.0) == pytest.approx(1e-3, rel=1e-12)
+        assert float(gpp3_10.gain(180.0)) == pytest.approx(1e-3, rel=1e-12)
         # clip starts where 12*(x/hpbw)^2 = a_max: x = 10*sqrt(30/12)
         edge = 10.0 * math.sqrt(30.0 / 12.0)
         assert float(gpp3_10.gain_db(edge + 0.001)) == -30.0
@@ -77,8 +77,8 @@ class TestUla:
 
     def test_nulls_at_grating_angles(self, ula4, ula8):
         # half-wavelength spacing: nulls where sin(theta) = k / n_elements
-        assert cb.gain_at(ula4, 30.0) < 1e-30
-        assert cb.gain_at(ula8, math.degrees(math.asin(0.25))) < 1e-30
+        assert float(ula4.gain(30.0)) < 1e-30
+        assert float(ula8.gain(math.degrees(math.asin(0.25)))) < 1e-30
 
     def test_first_sidelobe_levels(self, ula4, ula8):
         assert float(ula4.gain_db(47.078)) == pytest.approx(-11.30, abs=0.01)
@@ -86,11 +86,11 @@ class TestUla:
 
     def test_backplane_is_constant_floor(self, ula4):
         for off in (91.0, -120.0, 179.0, 180.0):
-            assert cb.gain_at(ula4, off) == pytest.approx(1e-6, rel=1e-12)
+            assert float(ula4.gain(off)) == pytest.approx(1e-6, rel=1e-12)
 
     def test_front_half_plane_boundary_uses_array_factor(self, ula4):
         # sin(90 deg) = 1 lands on a null for even element counts
-        assert cb.gain_at(ula4, 90.0) < 1e-30
+        assert float(ula4.gain(90.0)) < 1e-30
 
     def test_measured_beamwidths(self, ula4, ula8):
         assert cb.hpbw(ula4) == pytest.approx(26.28, abs=0.02)
@@ -186,6 +186,28 @@ class TestKernelBitIdentity:
         for value in (x, np.array([x, -x])):
             want = 180.0 - (180.0 - np.asarray(value)) % 360.0
             assert same_bits(wrap_offset_deg(value), want)
+
+    def test_offset_just_above_180_wraps_to_minus_180(self):
+        assert float(wrap_offset_deg(np.nextafter(180.0, 200.0))) == -180.0
+
+    @pytest.mark.parametrize(
+        "pattern",
+        [
+            cb.synth_3gpp(10.0, 30.0),
+            cb.synth_ula(4),
+            cb.synth_ula(8),
+            cb.TabulatedPattern(
+                np.array([-170.0, -30.0, 0.0, 45.0, 175.0]),
+                np.array([-25.0, -8.0, 0.0, -6.0, -20.0]),
+            ),
+        ],
+        ids=["gpp3", "ula4", "ula8", "tabulated"],
+    )
+    def test_both_ends_of_the_wrap_give_one_gain(self, pattern):
+        # -180 and 180 are one direction, whichever end the wrap lands on
+        edge = np.nextafter(180.0, 200.0)
+        gains = [float(pattern.gain(x)) for x in (-180.0, 180.0, edge, -edge)]
+        assert gains == [gains[0]] * 4
 
 
 class TestTabulated:

@@ -10,6 +10,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import crossband as cb
+from crossband import beams
 from crossband.beams import _plateau_maxima
 from oracles import (
     beam_response,
@@ -32,8 +33,8 @@ def spectrum(grid, bumps, floor=FLOOR):
     return cb.FilteredPas(grid, values, 28.0)
 
 
-def directions(*angles, band=None):
-    return cb.DirectionSet(angles=tuple(angles), band=band)
+def directions(*angles):
+    return cb.DirectionSet(angles=tuple(angles))
 
 
 class TestSimilarityConfig:
@@ -42,6 +43,10 @@ class TestSimilarityConfig:
         assert cfg.delta_th_db == 10.0
         assert cfg.delta_p_db == -30.0
         assert cfg.method == "m1"
+        # the fixed m2 gate, as documented in the README
+        assert beams.M2_CORRELATION_THRESHOLD == 0.7
+        assert beams.M2_FREQUENCY_POINTS == 101
+        assert beams.M2_BANDWIDTH_GHZ == 2.0
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -51,10 +56,6 @@ class TestSimilarityConfig:
             {"delta_p_db": 0.0},
             {"delta_p_db": 10.0},
             {"method": "m3"},
-            {"m2_correlation_threshold": 0.0},
-            {"m2_correlation_threshold": 1.0},
-            {"m2_frequency_points": 1},
-            {"m2_bandwidth_ghz": 0.0},
         ],
     )
     def test_bad_values_rejected(self, kwargs):
@@ -64,7 +65,7 @@ class TestSimilarityConfig:
 
 class TestDirectionSet:
     def test_angles_coerced_to_floats(self):
-        ds = cb.DirectionSet(angles=(0, 90), band="low")
+        ds = cb.DirectionSet(angles=(0, 90))
         assert ds.angles == (0.0, 90.0)
         assert len(ds) == 2
 
@@ -75,12 +76,6 @@ class TestDirectionSet:
     def test_duplicates_rejected(self):
         with pytest.raises(ValueError):
             cb.DirectionSet(angles=(10.0, 10))
-
-    def test_bad_band_and_method_rejected(self):
-        with pytest.raises(ValueError):
-            cb.DirectionSet(angles=(0.0,), band="mid")
-        with pytest.raises(ValueError):
-            cb.DirectionSet(angles=(0.0,), method="m9")
 
 
 class TestSimilarityReport:
@@ -105,8 +100,6 @@ class TestSelectM1:
     def test_single_peak(self, grid):
         ds = cb.select_m1(spectrum(grid, {40: 1.0}), 10.0)
         assert ds.angles == (40.0,)
-        assert ds.method == "m1"
-        assert ds.threshold_db == 10.0
 
     def test_threshold_filters_secondary_peaks(self, grid):
         pas = spectrum(grid, {0: 1.0, 90: 10.0 ** -0.5})
@@ -136,10 +129,6 @@ class TestSelectM1:
     def test_tied_global_maxima_both_kept(self, grid):
         pas = spectrum(grid, {11: 0.5, 100: 0.5})
         assert cb.select_m1(pas, 10.0).angles == (11.0, 100.0)
-
-    def test_band_tag_recorded(self, grid):
-        assert cb.select_m1(spectrum(grid, {0: 1.0}), 10.0, band="low").band == "low"
-        assert cb.select_m1(spectrum(grid, {0: 1.0}), 10.0).band is None
 
     def test_bad_threshold_rejected(self, grid):
         with pytest.raises(ValueError):
@@ -211,6 +200,12 @@ class TestBeamCfr:
         with pytest.raises(ValueError):
             cb.beam_cfr(ch, gpp3_10, steer_deg=0.0, freq_points=1)
 
+    @pytest.mark.parametrize("bandwidth_ghz", [0.0, -2.0, float("nan")])
+    def test_non_positive_bandwidth_rejected(self, gpp3_10, bandwidth_ghz):
+        ch = cb.BandChannel(15.0, (cb.Ray(1.0, 0.0, 0.0),))
+        with pytest.raises(ValueError):
+            cb.beam_cfr(ch, gpp3_10, steer_deg=0.0, bandwidth_ghz=bandwidth_ghz)
+
 
 class TestSelectM2:
     # two paths inside one ULA4 lobe, 30 ns apart: the spectrum fuses them,
@@ -220,43 +215,41 @@ class TestSelectM2:
     )
 
     def test_splits_paths_that_share_a_lobe(self, grid, ula4):
-        cfg = cb.SimilarityConfig(method="m2")
-        m1 = cb.select_m1(cb.filter_pas(self.CH, ula4, grid), cfg.delta_th_db)
-        m2 = cb.select_m2(self.CH, ula4, grid, cfg)
+        m1 = cb.select_m1(cb.filter_pas(self.CH, ula4, grid), 10.0)
+        m2 = cb.select_m2(self.CH, ula4, grid, 10.0)
         assert m1.angles == (3.0,)
         assert m2.angles == (3.0, 22.0)
 
     def test_same_delay_paths_stay_fused(self, grid, ula4):
         ch = cb.BandChannel(28.0, (cb.Ray(1.0, 0.0, 0.0), cb.Ray(0.5, 0.0, 22.0)))
-        cfg = cb.SimilarityConfig(method="m2")
-        assert len(cb.select_m2(ch, ula4, grid, cfg)) == 1
+        assert len(cb.select_m2(ch, ula4, grid, 10.0)) == 1
 
-    def test_tight_correlation_gate_keeps_only_strongest(self, grid, ula4):
-        cfg = cb.SimilarityConfig(method="m2", m2_correlation_threshold=1e-9)
-        ds = cb.select_m2(self.CH, ula4, grid, cfg)
+    def test_tight_correlation_gate_keeps_only_strongest(self, grid, ula4, monkeypatch):
+        monkeypatch.setattr(beams, "M2_CORRELATION_THRESHOLD", 1e-9)
+        ds = cb.select_m2(self.CH, ula4, grid, 10.0)
         assert ds.angles == (3.0,)
 
-    def test_looser_gate_never_selects_fewer(self, grid, ula4):
-        tight = cb.SimilarityConfig(method="m2", m2_correlation_threshold=0.5)
-        loose = cb.SimilarityConfig(method="m2", m2_correlation_threshold=0.999)
-        n_tight = len(cb.select_m2(self.CH, ula4, grid, tight))
-        n_loose = len(cb.select_m2(self.CH, ula4, grid, loose))
+    def test_looser_gate_never_selects_fewer(self, grid, ula4, monkeypatch):
+        monkeypatch.setattr(beams, "M2_CORRELATION_THRESHOLD", 0.5)
+        n_tight = len(cb.select_m2(self.CH, ula4, grid, 10.0))
+        monkeypatch.setattr(beams, "M2_CORRELATION_THRESHOLD", 0.999)
+        n_loose = len(cb.select_m2(self.CH, ula4, grid, 10.0))
         assert n_tight <= n_loose
 
     def test_metadata_and_determinism(self, grid, ula4):
-        cfg = cb.SimilarityConfig(method="m2", delta_th_db=12.0)
-        a = cb.select_m2(self.CH, ula4, grid, cfg, band="high")
-        b = cb.select_m2(self.CH, ula4, grid, cfg, band="high")
+        a = cb.select_m2(self.CH, ula4, grid, 12.0)
+        b = cb.select_m2(self.CH, ula4, grid, 12.0)
         assert a == b
-        assert a.method == "m2"
-        assert a.band == "high"
-        assert a.threshold_db == 12.0
+
+    @pytest.mark.parametrize("delta_th_db", [0.0, -5.0, float("nan")])
+    def test_bad_threshold_rejected(self, grid, ula4, delta_th_db):
+        with pytest.raises(ValueError):
+            cb.select_m2(self.CH, ula4, grid, delta_th_db)
 
     @pytest.mark.parametrize("delta_th_db", [10.0, 20.0])
     def test_matches_pairwise_greedy_gate(self, grid, delta_th_db):
         rng = np.random.default_rng(int(delta_th_db))
-        cfg = cb.SimilarityConfig(method="m2", delta_th_db=delta_th_db)
-        f0, bw, n_freq = 28.0, cfg.m2_bandwidth_ghz, cfg.m2_frequency_points
+        f0, bw, n_freq = 28.0, beams.M2_BANDWIDTH_GHZ, beams.M2_FREQUENCY_POINTS
         freqs = [(f0 - 0.5 * bw + bw * k / (n_freq - 1)) * 1e9 for k in range(n_freq)]
         for n_elements in (4, 8, 4, 8):
             rays = [
@@ -266,7 +259,7 @@ class TestSelectM2:
             ]
             ch = cb.BandChannel(f0, tuple(cb.Ray(p, d, a) for p, a, d in rays))
             pattern = cb.synth_ula(n_elements)
-            got = cb.select_m2(ch, pattern, grid, cfg)
+            got = cb.select_m2(ch, pattern, grid, delta_th_db)
 
             values = cb.filter_pas(ch, pattern, grid).values
             peak = float(values.max())
@@ -277,7 +270,7 @@ class TestSelectM2:
             )
             gain_of = lambda off: ula_gain(off, n_elements, 0.5, -60.0)  # noqa: E731
             rows = [beam_response(rays, gain_of, float(grid.angles[k]), freqs) for k in order]
-            accepted = greedy_gate(rows, cfg.m2_correlation_threshold)
+            accepted = greedy_gate(rows, beams.M2_CORRELATION_THRESHOLD)
             assert got.angles == tuple(sorted(float(grid.angles[order[i]]) for i in accepted))
 
 

@@ -169,14 +169,3 @@ class TestNormalizePas:
         with pytest.raises(ValueError):
             cb.NormalizedPas(grid, np.ones(grid.n_points))
 
-
-class TestCsvExport:
-    def test_filtered_spectrum_csv(self, tmp_path, grid, gpp3_10):
-        ch = cb.BandChannel(15.0, (ray(aoa=0.0),))
-        pas = cb.filter_pas(ch, gpp3_10, grid)
-        path = tmp_path / "pas.csv"
-        pas.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "angle_deg,value"
-        assert len(lines) == 1 + grid.n_points
-        assert lines[1] == "0,1"
