@@ -15,13 +15,6 @@ from pathlib import Path
 import crossband as cb
 
 
-def overlap_percentages(dataset, pattern, grid):
-    out = []
-    for pair in dataset:
-        out.append(cb.pair_psp(pair, pattern, grid).psp_percent)
-    return out
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--jitters-deg", type=float, nargs="+", default=[0.0, 5.0, 15.0])
@@ -43,12 +36,9 @@ def main() -> int:
             angle_jitter_deg=jitter, power_jitter_db=0.0,
             n_low_only_paths=0, n_high_only_paths=0, seed=args.seed,
         )
-        dataset = cb.generate_dataset(gen, args.n_links)
-        overlaps = overlap_percentages(dataset, pattern, grid)
-        psp_cdf = cb.empirical_cdf(overlaps)
+        report = cb.analyze_dataset(cb.generate_dataset(gen, args.n_links), pattern, pattern, grid, sim)
+        psp_cdf = cb.empirical_cdf([r.psp.psp_percent for r in report.per_link.values()])
         median_overlap = cb.percentiles(psp_cdf, levels=(50,))[50]
-
-        report = cb.analyze_dataset(dataset, pattern, pattern, grid, sim)
         median_loss = report.percentiles[50] + 0.0  # drop negative zero
         print(f"{jitter:>7.1f}d {median_overlap:>14.2f}% {median_loss:>9.2f} dB")
 

@@ -31,7 +31,7 @@ from .beams import (
     select_m1,
     select_m2,
 )
-from .channel import BandChannel, LinkPair, Ray, cull_dynamic_range, total_gain
+from .channel import BandChannel, LinkPair, Ray
 from .dataset import DatasetFormatError, load_dataset, write_dataset
 from .metrics import PspResult, pair_psp, psp, total_variation
 from .pas import AngularGrid, FilteredPas, NormalizedPas, filter_pas, normalize_pas
@@ -57,7 +57,6 @@ __all__ = [
     "analyze_dataset",
     "analyze_pair",
     "beam_cfr",
-    "cull_dynamic_range",
     "empirical_cdf",
     "false_directions",
     "filter_pas",
@@ -76,7 +75,6 @@ __all__ = [
     "select_m2",
     "synth_3gpp",
     "synth_ula",
-    "total_gain",
     "total_variation",
     "write_curve_csv",
     "write_dataset",

@@ -1,19 +1,22 @@
 """Dataset-level runs of the similarity pipeline and their empirical statistics.
 
-``analyze_dataset`` applies ``analyze_pair`` to every link of a dataset and
-folds the per-link reports into distribution summaries: the CDF of the power
-ratio, discrete PDFs of the false-direction count and the direction-set
-cardinalities, percentiles of the power loss, and the fractions of links with
-no or at most one false direction. Per-link failures are recorded and set
-aside; one malformed link must not sink a multi-thousand-link batch.
+``analyze_dataset`` applies ``analyze_pair`` to every link of a dataset, and
+its ``BatchReport`` folds the per-link reports into distribution summaries:
+the CDF of the power ratio, discrete PDFs of the false-direction count and
+the direction-set cardinalities, percentiles of the power loss, and the
+fractions of links with no or at most one false direction. Per-link failures
+are recorded and set aside; one malformed link must not sink a
+multi-thousand-link batch.
 
-Aggregation happens over link_id-sorted reports, so the outcome does not
-depend on dataset ordering.
+A ``BatchReport`` keeps its reports sorted by link_id, so the outcome does
+not depend on dataset ordering.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .beams import SimilarityConfig, SimilarityReport, analyze_pair
 from .channel import LinkPair
@@ -28,11 +31,14 @@ _PROB_EPS = 1e-12
 class BatchReport:
     """Aggregated outcome of the similarity pipeline over a dataset.
 
+    Built from the per-link reports and failures alone; every statistic is
+    derived from ``per_link`` at construction.
+
     Attributes
     ----------
     per_link : dict mapping link_id to SimilarityReport, sorted by link_id
     failures : dict mapping link_id to the error message, for links whose
-        analysis raised
+        analysis raised, sorted by link_id
     r_cdf : step CDF of power_ratio_db as (value, cumulative probability)
         pairs
     nf_pdf, card_low_pdf, card_high_pdf : discrete count distributions
@@ -43,29 +49,35 @@ class BatchReport:
 
     per_link: dict[str, SimilarityReport]
     failures: dict[str, str] = field(default_factory=dict)
-    r_cdf: tuple[tuple[float, float], ...] = ()
-    nf_pdf: dict[int, float] = field(default_factory=dict)
-    card_low_pdf: dict[int, float] = field(default_factory=dict)
-    card_high_pdf: dict[int, float] = field(default_factory=dict)
-    percentiles: dict[int, float] = field(default_factory=dict)
-    nf_fractions: dict[str, float] = field(default_factory=dict)
+    r_cdf: tuple[tuple[float, float], ...] = field(init=False)
+    nf_pdf: dict[int, float] = field(init=False)
+    card_low_pdf: dict[int, float] = field(init=False)
+    card_high_pdf: dict[int, float] = field(init=False)
+    percentiles: dict[int, float] = field(init=False)
+    nf_fractions: dict[str, float] = field(init=False)
 
     def __post_init__(self):
         if not self.per_link:
             raise ValueError("a batch report needs at least one analyzed link")
-        for value, prob in self.r_cdf:
-            del value
-            if not 0.0 < prob <= 1.0 + _PROB_EPS:
-                raise ValueError("CDF probabilities must lie in (0, 1]")
-        if self.r_cdf:
-            if any(self.r_cdf[i] >= self.r_cdf[i + 1] for i in range(len(self.r_cdf) - 1)):
-                raise ValueError("CDF pairs must be strictly increasing")
-            if abs(self.r_cdf[-1][1] - 1.0) > _PROB_EPS:
-                raise ValueError("CDF must end at probability 1")
-        for name in ("nf_pdf", "card_low_pdf", "card_high_pdf"):
-            pdf = getattr(self, name)
-            if pdf and abs(sum(pdf.values()) - 1.0) > 1e-9:
-                raise ValueError(f"{name} must sum to 1")
+        reports = dict(sorted(self.per_link.items()))
+        r_values = [r.power_ratio_db for r in reports.values()]
+        nf_values = [r.n_false for r in reports.values()]
+        n = len(reports)
+        derived = {
+            "per_link": reports,
+            "failures": dict(sorted(self.failures.items())),
+            "r_cdf": tuple(empirical_cdf(r_values)),
+            "nf_pdf": _count_pdf(nf_values),
+            "card_low_pdf": _count_pdf([r.card_low for r in reports.values()]),
+            "card_high_pdf": _count_pdf([r.card_high for r in reports.values()]),
+            "percentiles": percentiles(empirical_cdf([-r for r in r_values])),
+            "nf_fractions": {
+                "nf_eq_0": sum(v == 0 for v in nf_values) / n,
+                "nf_le_1": sum(v <= 1 for v in nf_values) / n,
+            },
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     @property
     def n_links(self) -> int:
@@ -131,13 +143,14 @@ def analyze_dataset(
     pattern_high,
     grid: AngularGrid,
     config: SimilarityConfig,
-    include_psp: bool = False,
 ) -> BatchReport:
     """Run the similarity pipeline over every link and aggregate.
 
     Links are processed independently; a link whose analysis raises is
-    recorded under ``failures`` and excluded from the aggregates. Reports are
-    aggregated in link_id order regardless of dataset order.
+    recorded under ``failures`` and excluded from the aggregates. Numpy
+    division by zero, overflow and invalid operations raise inside the
+    analysis, so such a link fails with numpy's message; underflow stays
+    quiet, as tiny pattern gains underflow in normal use.
     """
     if not dataset:
         raise ValueError("dataset is empty")
@@ -148,32 +161,15 @@ def analyze_dataset(
         seen.add(pair.link_id)
     reports: dict[str, SimilarityReport] = {}
     failures: dict[str, str] = {}
-    for pair in sorted(dataset, key=lambda p: p.link_id):
-        try:
-            reports[pair.link_id] = analyze_pair(
-                pair, pattern_low, pattern_high, grid, config, include_psp=include_psp
-            )
-        except (ValueError, ZeroDivisionError, FloatingPointError) as exc:
-            failures[pair.link_id] = str(exc)
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        for pair in dataset:
+            try:
+                reports[pair.link_id] = analyze_pair(pair, pattern_low, pattern_high, grid, config)
+            except (ValueError, ZeroDivisionError, FloatingPointError) as exc:
+                failures[pair.link_id] = str(exc)
     if not reports:
-        raise ValueError(f"every link failed analysis; first error: {next(iter(failures.values()))}")
-    n = len(reports)
-    r_values = [r.power_ratio_db for r in reports.values()]
-    nf_values = [r.n_false for r in reports.values()]
-    cdf = empirical_cdf(r_values)
-    return BatchReport(
-        per_link=reports,
-        failures=failures,
-        r_cdf=tuple(cdf),
-        nf_pdf=_count_pdf(nf_values),
-        card_low_pdf=_count_pdf([r.card_low for r in reports.values()]),
-        card_high_pdf=_count_pdf([r.card_high for r in reports.values()]),
-        percentiles=percentiles(empirical_cdf([-r for r in r_values])),
-        nf_fractions={
-            "nf_eq_0": sum(v == 0 for v in nf_values) / n,
-            "nf_le_1": sum(v <= 1 for v in nf_values) / n,
-        },
-    )
+        raise ValueError(f"every link failed analysis; first error: {failures[min(failures)]}")
+    return BatchReport(per_link=reports, failures=failures)
 
 
 def write_curve_csv(path, header: str, rows) -> None:

@@ -29,8 +29,14 @@ _HPBW_RESOLUTION_DEG = 0.01
 
 
 def _shaped(func, offset_deg):
-    """Evaluate a vectorized gain function, preserving the input's shape."""
+    """Evaluate a vectorized gain function, preserving the input's shape.
+
+    Raises ValueError on a NaN or infinite offset, which has no direction.
+    """
     x = np.atleast_1d(np.asarray(offset_deg, dtype=float))
+    finite = np.isfinite(x)
+    if not finite.all():
+        raise ValueError(f"pattern offsets must be finite, got {float(x[~finite][0])!r}")
     return func(x).reshape(np.shape(offset_deg))
 
 
@@ -63,8 +69,6 @@ class Gpp3Pattern(_Pattern):
     hpbw_deg: float
     a_max_db: float
 
-    kind = "gpp3"
-
     def __post_init__(self):
         if not 0.0 < self.hpbw_deg <= 180.0:
             raise ValueError(f"hpbw_deg must be in (0, 180], got {self.hpbw_deg!r}")
@@ -89,8 +93,6 @@ class UlaPattern(_Pattern):
     n_elements: int
     spacing_wavelengths: float = 0.5
     backplane_floor_db: float = -60.0
-
-    kind = "ula"
 
     def __post_init__(self):
         if int(self.n_elements) != self.n_elements or self.n_elements < 2:
@@ -160,8 +162,6 @@ class TabulatedPattern(_Pattern):
 
     offsets_deg: np.ndarray
     gains_db: np.ndarray
-
-    kind = "tabulated"
 
     def __post_init__(self):
         offsets = wrap_offset_deg(np.asarray(self.offsets_deg, dtype=float))

@@ -78,7 +78,7 @@ class SimilarityReport:
     n_false: int
     card_low: int
     card_high: int
-    psp: PspResult | None = None
+    psp: PspResult
 
     def __post_init__(self):
         if self.card_low < 1 or self.card_high < 1:
@@ -92,7 +92,7 @@ class SimilarityReport:
             "n_false": self.n_false,
             "card_low": self.card_low,
             "card_high": self.card_high,
-            "psp": self.psp.to_dict() if self.psp is not None else None,
+            "psp": self.psp.to_dict(),
         }
 
 
@@ -199,6 +199,11 @@ def select_m2(channel: BandChannel, pattern, grid: AngularGrid, delta_th_db: flo
     products are summed in BLAS matrix-vector order, so a correlation within
     about 1e-15 of the threshold may fall on the other side of it than a
     pairwise ``np.vdot`` would put it.
+
+    Cost: one ``M2_FREQUENCY_POINTS``-point complex128 response per
+    candidate (about 1.6 kB each), and one matrix-vector product over the
+    later candidates per accepted direction, so O(accepted x candidates)
+    time and O(candidates) memory.
     """
     if not delta_th_db > 0.0:
         raise ValueError(f"delta_th_db must be > 0, got {delta_th_db!r}")
@@ -261,14 +266,13 @@ def analyze_pair(
     pattern_high,
     grid: AngularGrid,
     config: SimilarityConfig,
-    include_psp: bool = True,
 ) -> SimilarityReport:
     """Direction-based similarity pipeline for one link pair.
 
     Filters each band through its pattern, selects directions per the
     configured method, and reports the power ratio, false direction count,
-    set cardinalities, and (optionally) the spectrum-overlap percentage
-    computed from the same filtered spectra.
+    set cardinalities, and the spectrum-overlap percentage computed from the
+    same filtered spectra.
     """
     pas_low = filter_pas(pair.low, pattern_low, grid)
     pas_high = filter_pas(pair.high, pattern_high, grid)
@@ -278,11 +282,10 @@ def analyze_pair(
     else:
         a_low = select_m2(pair.low, pattern_low, grid, config.delta_th_db)
         a_high = select_m2(pair.high, pattern_high, grid, config.delta_th_db)
-    overlap = psp(normalize_pas(pas_low), normalize_pas(pas_high)) if include_psp else None
     return SimilarityReport(
         power_ratio_db=power_ratio(a_low, a_high, pas_high),
         n_false=false_directions(a_low, a_high, pas_high, config.delta_p_db),
         card_low=len(a_low),
         card_high=len(a_high),
-        psp=overlap,
+        psp=psp(normalize_pas(pas_low), normalize_pas(pas_high)),
     )

@@ -1,4 +1,4 @@
-"""Discrete multipath channel types and elementary channel utilities.
+"""Discrete multipath channel types: rays, single-band channels and link pairs.
 
 Powers are linear channel gains, delays are in seconds, angles in degrees.
 All types are immutable once constructed, so channels can be shared freely
@@ -106,27 +106,3 @@ class LinkPair:
                     f"band link_id {member.link_id!r} does not match pair link_id {self.link_id!r}"
                 )
 
-
-def total_gain(channel: BandChannel) -> float:
-    """Sum of the linear path powers of a channel.
-
-    Uses compensated summation, so the result does not depend on ray order.
-    """
-    return math.fsum(ray.power for ray in channel.rays)
-
-
-def cull_dynamic_range(channel: BandChannel, range_db: float) -> BandChannel:
-    """Drop rays more than ``range_db`` below the strongest ray.
-
-    Keeps exactly the rays with ``10*log10(P / max P) >= -range_db``; the
-    strongest ray always survives and relative order is preserved. Applying
-    the same cull twice is a no-op.
-    """
-    if not range_db > 0.0:
-        raise ValueError(f"dynamic range must be > 0 dB, got {range_db!r}")
-    peak = max(ray.power for ray in channel.rays)
-    kept = tuple(
-        ray for ray in channel.rays
-        if 10.0 * math.log10(ray.power / peak) >= -range_db
-    )
-    return BandChannel(channel.frequency, kept, channel.link_id)

@@ -209,7 +209,6 @@ def _cmd_analyze(args) -> int:
         parse_pattern_spec(args.pattern_high),
         AngularGrid(args.grid_step_deg),
         _similarity_config(args),
-        include_psp=True,
     )
     out = {"link_id": pair.link_id}
     out.update(report.to_dict())
@@ -237,7 +236,6 @@ def _cmd_batch(args) -> int:
         parse_pattern_spec(args.pattern_high),
         AngularGrid(args.grid_step_deg),
         _similarity_config(args),
-        include_psp=True,
     )
     params = {
         "data": args.data,

@@ -37,6 +37,7 @@ from .units import db_to_linear, linear_to_db
 
 SCHEMA_VERSION = "1"
 FREQ_MATCH_TOLERANCE_GHZ = 1e-6
+_SKIPPED_IDS_SHOWN = 5  # link ids named in the skip warning, per missing band
 _CSV_HEADER = ["link_id", "freq_ghz", "power_db", "delay_ns", "aoa_deg"]
 
 logger = logging.getLogger(__name__)
@@ -73,8 +74,8 @@ def load_dataset(path, low_freq_ghz: float, high_freq_ghz: float) -> list[LinkPa
     matches ``low_freq_ghz`` within 1e-6 GHz and the high band to the last
     band matching ``high_freq_ghz``, so a link holding two bands at one
     frequency pairs them in file order and a single matching band pairs with
-    itself. Links missing either frequency are skipped with a logged
-    warning; structural problems raise ``DatasetFormatError``.
+    itself. Links missing either frequency are skipped, summarized in one
+    logged warning; structural problems raise ``DatasetFormatError``.
     """
     if not 0.0 < low_freq_ghz <= high_freq_ghz:
         raise ValueError("need 0 < low_freq_ghz <= high_freq_ghz")
@@ -83,16 +84,23 @@ def load_dataset(path, low_freq_ghz: float, high_freq_ghz: float) -> list[LinkPa
     else:
         links = _read_links_json(path)
     pairs = []
+    skipped: dict[float, list[str]] = {}
     for link_id, bands in links:
         low_matches = [b for b in bands if abs(b[0] - low_freq_ghz) <= FREQ_MATCH_TOLERANCE_GHZ]
         high_matches = [b for b in bands if abs(b[0] - high_freq_ghz) <= FREQ_MATCH_TOLERANCE_GHZ]
         if not low_matches or not high_matches:
             missing = low_freq_ghz if not low_matches else high_freq_ghz
-            logger.warning("link %s has no band at %.6g GHz; skipped", link_id, missing)
+            skipped.setdefault(missing, []).append(link_id)
             continue
         low = _build_channel(low_matches[0], link_id)
         high = low if high_matches[-1] is low_matches[0] else _build_channel(high_matches[-1], link_id)
         pairs.append(LinkPair(low=low, high=high, link_id=link_id))
+    if skipped:
+        groups = "; ".join(
+            f"{len(ids)} with no band at {freq:.6g} GHz (first: {', '.join(ids[:_SKIPPED_IDS_SHOWN])})"
+            for freq, ids in skipped.items()
+        )
+        logger.warning("%s: skipped %d of %d links: %s", path, len(links) - len(pairs), len(links), groups)
     return pairs
 
 

@@ -47,14 +47,12 @@ def psp(a: NormalizedPas, b: NormalizedPas) -> PspResult:
     return PspResult(d_tv=d, psp_percent=(1.0 - d) * 100.0)
 
 
-def pair_psp(pair: LinkPair, pattern_low, grid: AngularGrid, pattern_high=None) -> PspResult:
+def pair_psp(pair: LinkPair, pattern, grid: AngularGrid) -> PspResult:
     """Full overlap pipeline for a link pair: filter both bands, normalize, compare.
 
-    By default the same pattern filters both bands; pass ``pattern_high`` to
-    use band-specific beamwidths.
+    One pattern filters both bands; ``analyze_pair`` reports the overlap
+    under band-specific patterns.
     """
-    if pattern_high is None:
-        pattern_high = pattern_low
-    low = normalize_pas(filter_pas(pair.low, pattern_low, grid))
-    high = normalize_pas(filter_pas(pair.high, pattern_high, grid))
+    low = normalize_pas(filter_pas(pair.low, pattern, grid))
+    high = normalize_pas(filter_pas(pair.high, pattern, grid))
     return psp(low, high)

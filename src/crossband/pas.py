@@ -58,7 +58,6 @@ class FilteredPas:
 
     grid: AngularGrid
     values: np.ndarray
-    source_frequency: float
 
     def __post_init__(self):
         values = np.array(self.values, dtype=float)
@@ -107,7 +106,7 @@ def filter_pas(channel: BandChannel, pattern, grid: AngularGrid) -> FilteredPas:
     aoas = np.array([ray.aoa_azimuth for ray in channel.rays])
     gains = pattern.gain(grid.angles[None, :] - aoas[:, None])
     values = (powers[:, None] * gains).sum(axis=0)
-    return FilteredPas(grid=grid, values=values, source_frequency=channel.frequency)
+    return FilteredPas(grid=grid, values=values)
 
 
 def normalize_pas(pas: FilteredPas) -> NormalizedPas:

@@ -89,9 +89,7 @@ def test_criterion_01_pattern_calibration():
 def test_criterion_02_equal_band_calibration(fixed_dataset):
     start = time.perf_counter()
     self_pairs = [cb.LinkPair(low=p.low, high=p.low) for p in fixed_dataset]
-    report = cb.analyze_dataset(
-        self_pairs, GPP3, GPP3, GRID, cb.SimilarityConfig(), include_psp=True
-    )
+    report = cb.analyze_dataset(self_pairs, GPP3, GPP3, GRID, cb.SimilarityConfig())
     assert not report.failures
     assert report.n_links == N_LINKS
     for link in report.per_link.values():
@@ -177,7 +175,7 @@ def test_criterion_03_reference_equivalence():
     # quantized spectra force plateaus and exact ties in the selector
     for _ in range(200):
         values = rng.integers(1, 12, GRID.n_points).astype(float)
-        pas = cb.FilteredPas(GRID, values, 28.0)
+        pas = cb.FilteredPas(GRID, values)
         got = cb.select_m1(pas, 6.0)
         assert [GRID.index_of(a) for a in got.angles] == select_directions(
             values.tolist(), 6.0

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -87,24 +89,74 @@ class TestPercentiles:
         assert sum(s <= med for s in ordered) / len(ordered) >= 0.5 - 1e-9
 
 
+PSP = cb.PspResult(d_tv=0.0, psp_percent=100.0)
+
+
+@st.composite
+def similarity_reports(draw):
+    card_low = draw(st.integers(1, 6))
+    return cb.SimilarityReport(
+        # a few fixed values force ties in the CDF
+        power_ratio_db=draw(st.sampled_from([0.0, -3.0, -30.0]) | st.floats(-60.0, 60.0)),
+        n_false=draw(st.integers(0, card_low)),
+        card_low=card_low,
+        card_high=draw(st.integers(1, 6)),
+        psp=PSP,
+    )
+
+
+def batch_of(reports):
+    return cb.BatchReport(per_link={f"l{i:03d}": r for i, r in enumerate(reports)})
+
+
+report_lists = st.lists(similarity_reports(), min_size=1, max_size=40)
+
+
 class TestBatchReportValidation:
-    REPORT = cb.SimilarityReport(power_ratio_db=0.0, n_false=0, card_low=1, card_high=1)
+    """The statistics are derived from ``per_link``; each invariant they must
+    satisfy is checked over random per-link reports."""
+
+    REPORT = cb.SimilarityReport(power_ratio_db=0.0, n_false=0, card_low=1, card_high=1, psp=PSP)
 
     def test_needs_a_link(self):
         with pytest.raises(ValueError):
             cb.BatchReport(per_link={})
 
-    def test_cdf_must_increase(self):
-        with pytest.raises(ValueError):
-            cb.BatchReport(per_link={"a": self.REPORT}, r_cdf=((1.0, 0.5), (0.5, 1.0)))
+    @given(report_lists)
+    def test_cdf_must_increase(self, reports):
+        cdf = batch_of(reports).r_cdf
+        assert all(a[0] < b[0] and a[1] < b[1] for a, b in zip(cdf, cdf[1:]))
+        assert all(0.0 < p <= 1.0 for _, p in cdf)
 
-    def test_cdf_must_end_at_one(self):
-        with pytest.raises(ValueError):
-            cb.BatchReport(per_link={"a": self.REPORT}, r_cdf=((1.0, 0.5),))
+    @given(report_lists)
+    def test_cdf_must_end_at_one(self, reports):
+        assert batch_of(reports).r_cdf[-1][1] == 1.0
 
-    def test_pdf_must_sum_to_one(self):
-        with pytest.raises(ValueError):
-            cb.BatchReport(per_link={"a": self.REPORT}, nf_pdf={0: 0.5, 1: 0.4})
+    @given(report_lists)
+    def test_pdf_must_sum_to_one(self, reports):
+        rep = batch_of(reports)
+        for pdf in (rep.nf_pdf, rep.card_low_pdf, rep.card_high_pdf):
+            assert abs(sum(pdf.values()) - 1.0) <= 1e-9
+
+    @given(report_lists)
+    def test_percentiles_read_off_the_loss_cdf(self, reports):
+        losses = [-r.power_ratio_db for r in reports]
+        assert batch_of(reports).percentiles == cb.percentiles(cb.empirical_cdf(losses))
+
+    @given(report_lists, st.randoms())
+    def test_to_dict_independent_of_input_order(self, reports, rnd):
+        per_link = {f"l{i:03d}": r for i, r in enumerate(reports)}
+        items = list(per_link.items())
+        rnd.shuffle(items)
+        failures = {"f1": "boom", "f0": "bang"}
+        forward = cb.BatchReport(per_link=per_link, failures=failures)
+        shuffled = cb.BatchReport(per_link=dict(items), failures=dict(reversed(failures.items())))
+        # same keys in the same order, so the JSON report bytes match too
+        assert json.dumps(forward.to_dict()) == json.dumps(shuffled.to_dict())
+
+    def test_statistics_are_not_settable(self):
+        with pytest.raises(TypeError):
+            cb.BatchReport(per_link={"a": self.REPORT}, nf_pdf={0: 1.0})
 
     def test_n_links_counts_failures(self):
         rep = cb.BatchReport(per_link={"a": self.REPORT}, failures={"b": "boom"})
@@ -112,12 +164,10 @@ class TestBatchReportValidation:
 
 
 class TestAnalyzeDataset:
-    def run(self, dataset, **kwargs):
+    def run(self, dataset):
         cfg = cb.SimilarityConfig()
         pat = cb.synth_3gpp(hpbw_deg=10.0, a_max_db=30.0)
-        return cb.analyze_dataset(
-            dataset, pat, pat, cb.AngularGrid(1.0), cfg, **kwargs
-        )
+        return cb.analyze_dataset(dataset, pat, pat, cb.AngularGrid(1.0), cfg)
 
     def test_three_link_fixture(self):
         rep = self.run(three_link_dataset())
@@ -172,11 +222,20 @@ class TestAnalyzeDataset:
         with pytest.raises(ValueError, match="every link failed"):
             self.run([bad])
 
-    def test_psp_included_on_request(self):
-        plain = self.run(three_link_dataset())
-        with_psp = self.run(three_link_dataset(), include_psp=True)
-        assert plain.per_link["a"].psp is None
-        assert with_psp.per_link["a"].psp.psp_percent == 100.0
+    def test_psp_always_included(self):
+        rep = self.run(three_link_dataset())
+        assert rep.per_link["a"].psp.psp_percent == 100.0
+        assert all(r.psp.psp_percent < 100.0 for k, r in rep.per_link.items() if k != "a")
+
+    def test_float_fault_fails_its_link_only(self):
+        # two 1e308 rays overflow the high band's filtered spectrum
+        hot = cb.BandChannel(28.0, (cb.Ray(1e308, 0.0, 10.0), cb.Ray(1e308, 0.0, 10.0)))
+        bad = cb.LinkPair(low=cb.BandChannel(15.0, (cb.Ray(1.0, 0.0, 10.0),), "bad"), high=hot)
+        before = np.geterr()
+        rep = self.run([bad, one_ray_pair("good", 0.0, 0.0)])
+        assert list(rep.per_link) == ["good"]
+        assert "overflow" in rep.failures["bad"]
+        assert np.geterr() == before
 
     def test_to_dict_shape(self):
         d = self.run(three_link_dataset()).to_dict()

@@ -18,6 +18,17 @@ offsets = st.floats(-720.0, 720.0, allow_nan=False)
 # symmetry / periodicity assertions stay meaningful
 dyadic_offsets = st.integers(-5760, 5760).map(lambda k: k / 8.0)
 
+ALL_KINDS = [
+    cb.synth_3gpp(10.0, 30.0),
+    cb.synth_ula(4),
+    cb.synth_ula(8),
+    cb.TabulatedPattern(
+        np.array([-170.0, -30.0, 0.0, 45.0, 175.0]),
+        np.array([-25.0, -8.0, 0.0, -6.0, -20.0]),
+    ),
+]
+ALL_KIND_IDS = ["gpp3", "ula4", "ula8", "tabulated"]
+
 
 class TestGpp3:
     def test_peak_is_zero_db(self, gpp3_10):
@@ -190,24 +201,28 @@ class TestKernelBitIdentity:
     def test_offset_just_above_180_wraps_to_minus_180(self):
         assert float(wrap_offset_deg(np.nextafter(180.0, 200.0))) == -180.0
 
-    @pytest.mark.parametrize(
-        "pattern",
-        [
-            cb.synth_3gpp(10.0, 30.0),
-            cb.synth_ula(4),
-            cb.synth_ula(8),
-            cb.TabulatedPattern(
-                np.array([-170.0, -30.0, 0.0, 45.0, 175.0]),
-                np.array([-25.0, -8.0, 0.0, -6.0, -20.0]),
-            ),
-        ],
-        ids=["gpp3", "ula4", "ula8", "tabulated"],
-    )
+    @pytest.mark.parametrize("pattern", ALL_KINDS, ids=ALL_KIND_IDS)
     def test_both_ends_of_the_wrap_give_one_gain(self, pattern):
         # -180 and 180 are one direction, whichever end the wrap lands on
         edge = np.nextafter(180.0, 200.0)
         gains = [float(pattern.gain(x)) for x in (-180.0, 180.0, edge, -edge)]
         assert gains == [gains[0]] * 4
+
+
+class TestNonFiniteOffsets:
+    @pytest.mark.parametrize("pattern", ALL_KINDS, ids=ALL_KIND_IDS)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_gain_rejects(self, pattern, bad):
+        for evaluate in (pattern.gain, pattern.gain_db):
+            with pytest.raises(ValueError, match="finite"):
+                evaluate(bad)
+            with pytest.raises(ValueError, match="finite"):
+                evaluate(np.array([[0.0, 10.0], [bad, 20.0]]))
+
+    def test_beam_cfr_rejects_nan_steering(self, ula4):
+        channel = cb.BandChannel(28.0, (cb.Ray(1.0, 10e-9, 30.0),))
+        with pytest.raises(ValueError, match="finite"):
+            cb.beam_cfr(channel, ula4, math.nan)
 
 
 class TestTabulated:

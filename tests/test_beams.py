@@ -23,6 +23,7 @@ from oracles import (
 )
 
 FLOOR = 1e-6
+PSP = cb.PspResult(d_tv=0.25, psp_percent=75.0)
 
 
 def spectrum(grid, bumps, floor=FLOOR):
@@ -30,7 +31,7 @@ def spectrum(grid, bumps, floor=FLOOR):
     values = np.full(grid.n_points, floor)
     for idx, val in bumps.items():
         values[idx] = val
-    return cb.FilteredPas(grid, values, 28.0)
+    return cb.FilteredPas(grid, values)
 
 
 def directions(*angles):
@@ -80,20 +81,20 @@ class TestDirectionSet:
 
 class TestSimilarityReport:
     def test_round_trip_dict(self):
-        rep = cb.SimilarityReport(power_ratio_db=-2.5, n_false=1, card_low=3, card_high=2)
+        rep = cb.SimilarityReport(power_ratio_db=-2.5, n_false=1, card_low=3, card_high=2, psp=PSP)
         d = rep.to_dict()
         assert d["power_ratio_db"] == -2.5
-        assert d["psp"] is None
+        assert d["psp"] == {"d_tv": 0.25, "psp_percent": 75.0}
 
     def test_false_count_bounded_by_low_cardinality(self):
         with pytest.raises(ValueError):
-            cb.SimilarityReport(power_ratio_db=0.0, n_false=4, card_low=3, card_high=1)
+            cb.SimilarityReport(power_ratio_db=0.0, n_false=4, card_low=3, card_high=1, psp=PSP)
         with pytest.raises(ValueError):
-            cb.SimilarityReport(power_ratio_db=0.0, n_false=-1, card_low=3, card_high=1)
+            cb.SimilarityReport(power_ratio_db=0.0, n_false=-1, card_low=3, card_high=1, psp=PSP)
 
     def test_empty_sets_rejected(self):
         with pytest.raises(ValueError):
-            cb.SimilarityReport(power_ratio_db=0.0, n_false=0, card_low=0, card_high=1)
+            cb.SimilarityReport(power_ratio_db=0.0, n_false=0, card_low=0, card_high=1, psp=PSP)
 
 
 class TestSelectM1:
@@ -123,7 +124,7 @@ class TestSelectM1:
         assert cb.select_m1(pas, 10.0).angles == (359.0,)
 
     def test_constant_spectrum_collapses_to_zero(self, grid):
-        pas = cb.FilteredPas(grid, np.full(grid.n_points, 0.3), 28.0)
+        pas = cb.FilteredPas(grid, np.full(grid.n_points, 0.3))
         assert cb.select_m1(pas, 10.0).angles == (0.0,)
 
     def test_tied_global_maxima_both_kept(self, grid):
@@ -138,8 +139,8 @@ class TestSelectM1:
         values = np.full(grid.n_points, FLOOR)
         rng = np.random.default_rng(3)
         values[rng.integers(0, 360, 12)] = rng.uniform(0.05, 1.0, 12)
-        a = cb.select_m1(cb.FilteredPas(grid, values, 28.0), 10.0)
-        b = cb.select_m1(cb.FilteredPas(grid, 4.0 * values, 28.0), 10.0)
+        a = cb.select_m1(cb.FilteredPas(grid, values), 10.0)
+        b = cb.select_m1(cb.FilteredPas(grid, 4.0 * values), 10.0)
         assert a.angles == b.angles
 
     def test_matches_reference_walk(self, grid):
@@ -147,7 +148,7 @@ class TestSelectM1:
         for _ in range(50):
             # quantized values force plateaus and ties
             values = rng.integers(1, 12, grid.n_points).astype(float)
-            pas = cb.FilteredPas(grid, values, 28.0)
+            pas = cb.FilteredPas(grid, values)
             got = cb.select_m1(pas, 6.0)
             expected = select_directions(values.tolist(), 6.0)
             assert [grid.index_of(a) for a in got.angles] == expected
@@ -298,7 +299,7 @@ class TestPowerRatio:
     def test_matches_reference_loop(self, grid):
         rng = np.random.default_rng(23)
         values = rng.uniform(0.01, 1.0, grid.n_points)
-        pas = cb.FilteredPas(grid, values, 28.0)
+        pas = cb.FilteredPas(grid, values)
         low = sorted(rng.choice(360, 5, replace=False).tolist())
         high = sorted(rng.choice(360, 3, replace=False).tolist())
         got = cb.power_ratio(
@@ -324,7 +325,7 @@ class TestFalseDirections:
     def test_monotone_in_threshold(self, grid):
         rng = np.random.default_rng(5)
         values = 10.0 ** rng.uniform(-6.0, 0.0, grid.n_points)
-        pas = cb.FilteredPas(grid, values, 28.0)
+        pas = cb.FilteredPas(grid, values)
         low = directions(*[float(a) for a in range(0, 360, 45)])
         high = directions(17.0)
         counts = [
@@ -346,7 +347,7 @@ class TestFalseDirections:
     def test_matches_reference_loop(self, grid):
         rng = np.random.default_rng(29)
         values = 10.0 ** rng.uniform(-5.0, 0.0, grid.n_points)
-        pas = cb.FilteredPas(grid, values, 28.0)
+        pas = cb.FilteredPas(grid, values)
         low = sorted(rng.choice(360, 6, replace=False).tolist())
         high = sorted(rng.choice(360, 4, replace=False).tolist())
         got = cb.false_directions(
@@ -376,12 +377,19 @@ class TestAnalyzePair:
         assert rep.card_low == rep.card_high
         assert rep.psp.psp_percent == 100.0
 
-    def test_psp_optional(self, grid, gpp3_10):
-        rep = cb.analyze_pair(
-            self._self_pair(), gpp3_10, gpp3_10, grid,
-            cb.SimilarityConfig(), include_psp=False,
+    def test_band_specific_patterns_in_overlap(self, grid, gpp3_10, ula8):
+        # the overlap filters each band through its own pattern
+        ch = cb.BandChannel(15.0, (cb.Ray(1.0, 0.0, 40.0),), "z")
+        pair = cb.LinkPair(low=ch, high=cb.BandChannel(28.0, ch.rays))
+        cfg = cb.SimilarityConfig()
+        wide = cb.analyze_pair(pair, gpp3_10, gpp3_10, grid, cfg).psp
+        mixed = cb.analyze_pair(pair, gpp3_10, ula8, grid, cfg).psp
+        assert wide.psp_percent == 100.0
+        assert mixed.psp_percent < wide.psp_percent
+        assert mixed == cb.psp(
+            cb.normalize_pas(cb.filter_pas(pair.low, gpp3_10, grid)),
+            cb.normalize_pas(cb.filter_pas(pair.high, ula8, grid)),
         )
-        assert rep.psp is None
 
     def test_method_m2_changes_cardinalities(self, grid, ula4):
         ch = TestSelectM2.CH

@@ -1,9 +1,8 @@
-"""Channel types and the elementary gain utilities."""
+"""Channel types: rays, single-band channels and link pairs."""
 
 from __future__ import annotations
 
 import math
-import random
 
 import pytest
 from hypothesis import given
@@ -14,11 +13,6 @@ import crossband as cb
 
 def ray(power=1.0, delay=0.0, aoa=0.0, aod=None):
     return cb.Ray(power=power, delay=delay, aoa_azimuth=aoa, aod_azimuth=aod)
-
-
-def channel(*powers, frequency=15.0):
-    rays = tuple(ray(power=p, aoa=i * 10.0) for i, p in enumerate(powers))
-    return cb.BandChannel(frequency=frequency, rays=rays)
 
 
 class TestRay:
@@ -90,59 +84,3 @@ class TestLinkPair:
         high = cb.BandChannel(28.0, (ray(),), "b")
         with pytest.raises(ValueError):
             cb.LinkPair(low=low, high=high)
-
-
-class TestTotalGain:
-    def test_single_ray(self):
-        assert cb.total_gain(channel(1.0)) == 1.0
-
-    def test_three_rays(self):
-        assert cb.total_gain(channel(0.5, 0.25, 0.25)) == 1.0
-
-    def test_many_tiny_rays(self):
-        ch = channel(*([1e-13] * 100))
-        total = cb.total_gain(ch)
-        assert total == pytest.approx(1e-11, rel=1e-12)
-        assert 10.0 * math.log10(total) == pytest.approx(-110.0, abs=1e-9)
-
-    @given(st.lists(st.floats(1e-9, 1e6), min_size=1, max_size=40), st.randoms())
-    def test_invariant_under_reordering(self, powers, rnd):
-        shuffled = list(powers)
-        rnd.shuffle(shuffled)
-        assert cb.total_gain(channel(*powers)) == cb.total_gain(channel(*shuffled))
-
-
-class TestCullDynamicRange:
-    def test_all_within_range_kept(self):
-        ch = channel(1.0, 0.1, 1e-4)
-        assert cb.cull_dynamic_range(ch, 40.0).rays == ch.rays
-
-    def test_below_range_dropped(self):
-        culled = cb.cull_dynamic_range(channel(1.0, 1e-4), 30.0)
-        assert [r.power for r in culled.rays] == [1.0]
-
-    def test_boundary_ray_kept(self):
-        # 10*log10(1e-3) is exactly -30 within float eval, not strictly below
-        culled = cb.cull_dynamic_range(channel(1.0, 1e-3), 30.0)
-        assert len(culled.rays) == 2
-
-    def test_nonpositive_range_rejected(self):
-        with pytest.raises(ValueError):
-            cb.cull_dynamic_range(channel(1.0), 0.0)
-
-    def test_matches_threshold_scan(self):
-        rnd = random.Random(7)
-        powers = [10.0 ** rnd.uniform(-4.0, 0.0) for _ in range(50)]
-        ch = channel(*powers)
-        culled = cb.cull_dynamic_range(ch, 20.0)
-        peak = max(powers)
-        expected = [p for p in powers if 10.0 * math.log10(p / peak) >= -20.0]
-        assert [r.power for r in culled.rays] == expected
-
-    @given(st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=30), st.floats(1.0, 60.0))
-    def test_idempotent_and_never_empty(self, powers, range_db):
-        once = cb.cull_dynamic_range(channel(*powers), range_db)
-        twice = cb.cull_dynamic_range(once, range_db)
-        assert once.rays == twice.rays
-        assert len(once.rays) >= 1
-        assert cb.total_gain(once) <= cb.total_gain(channel(*powers))

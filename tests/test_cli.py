@@ -48,7 +48,7 @@ def analysis_argv(data, extra=()):
 class TestPatternSpec:
     def test_gpp3(self):
         pat = parse_pattern_spec("gpp3:hpbw=10,amax=25")
-        assert pat.kind == "gpp3"
+        assert isinstance(pat, cb.Gpp3Pattern)
         assert (pat.hpbw_deg, pat.a_max_db) == (10.0, 25.0)
 
     def test_gpp3_default_floor(self):
@@ -56,7 +56,7 @@ class TestPatternSpec:
 
     def test_ula(self):
         pat = parse_pattern_spec("ula:n=8,spacing=0.5,floor=-50")
-        assert pat.kind == "ula"
+        assert isinstance(pat, cb.UlaPattern)
         assert pat.n_elements == 8
         assert pat.backplane_floor_db == -50.0
 
@@ -67,7 +67,7 @@ class TestPatternSpec:
     def test_file(self, tmp_path, gpp3_10):
         path = tmp_path / "pat.csv"
         cb.pattern_to_csv(gpp3_10, path, step_deg=1.0)
-        assert parse_pattern_spec(f"file:{path}").kind == "tabulated"
+        assert isinstance(parse_pattern_spec(f"file:{path}"), cb.TabulatedPattern)
 
     @pytest.mark.parametrize(
         "spec",

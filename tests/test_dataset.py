@@ -166,6 +166,21 @@ class TestBandPairing:
         assert "l2" in caplog.text
         assert "28" in caplog.text
 
+    def test_skipped_links_summarized_in_one_warning(self, tmp_path, caplog):
+        doc = minimal_doc()
+        low_only = {"freq_ghz": 15.0, "paths": [{"power_db": 0.0, "delay_ns": 0.0, "aoa_deg": 0.0}]}
+        high_only = {"freq_ghz": 28.0, "paths": [{"power_db": 0.0, "delay_ns": 0.0, "aoa_deg": 0.0}]}
+        doc["links"] += [{"link_id": f"m{i}", "bands": [low_only]} for i in range(7)]
+        doc["links"].append({"link_id": "n0", "bands": [high_only]})
+        with caplog.at_level(logging.WARNING):
+            pairs = cb.load_dataset(write_json(tmp_path, doc), 15.0, 28.0)
+        assert [p.link_id for p in pairs] == ["l1"]
+        assert len(caplog.records) == 1
+        message = caplog.records[0].getMessage()
+        assert "skipped 8 of 9 links" in message
+        assert "7 with no band at 28 GHz (first: m0, m1, m2, m3, m4)" in message
+        assert "1 with no band at 15 GHz (first: n0)" in message
+
     def test_frequency_tolerance(self, tmp_path):
         doc = minimal_doc()
         doc["links"][0]["bands"][0]["freq_ghz"] = 15.0000005

@@ -121,12 +121,6 @@ class TestPairPsp:
         res = cb.pair_psp(pair, gpp3_10, grid)
         assert res.psp_percent == 100.0
 
-    def test_single_pattern_is_the_default(self, grid, gpp3_10):
-        pair = self._pair(10.0, 17.0)
-        assert cb.pair_psp(pair, gpp3_10, grid) == cb.pair_psp(
-            pair, gpp3_10, grid, pattern_high=gpp3_10
-        )
-
     def test_matches_direct_density_computation(self, grid, gpp3_10):
         pair = self._pair(0.0, 180.0)
         res = cb.pair_psp(pair, gpp3_10, grid)
@@ -138,10 +132,3 @@ class TestPairPsp:
         expected = 0.5 * float(np.abs(dens(0.0) - dens(180.0)).sum()) * grid.step_deg
         assert res.d_tv == pytest.approx(expected, abs=1e-12)
         assert res.psp_percent < 10.0
-
-    def test_band_specific_patterns(self, grid, gpp3_10, ula8):
-        pair = self._pair(40.0, 40.0)
-        wide = cb.pair_psp(pair, gpp3_10, grid)
-        mixed = cb.pair_psp(pair, gpp3_10, grid, pattern_high=ula8)
-        assert wide.psp_percent == 100.0
-        assert mixed.psp_percent < wide.psp_percent

@@ -47,18 +47,18 @@ class TestAngularGrid:
 class TestFilteredPas:
     def test_length_must_match_grid(self, grid):
         with pytest.raises(ValueError):
-            cb.FilteredPas(grid, np.ones(100), 15.0)
+            cb.FilteredPas(grid, np.ones(100))
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
     def test_nonpositive_values_rejected(self, grid, bad):
         values = np.ones(grid.n_points)
         values[7] = bad
         with pytest.raises(ValueError):
-            cb.FilteredPas(grid, values, 15.0)
+            cb.FilteredPas(grid, values)
 
     def test_values_copied_and_frozen(self, grid):
         src = np.ones(grid.n_points)
-        pas = cb.FilteredPas(grid, src, 15.0)
+        pas = cb.FilteredPas(grid, src)
         src[0] = 99.0
         assert pas.values[0] == 1.0
         with pytest.raises(ValueError):
@@ -69,7 +69,6 @@ class TestFilterPas:
     def test_single_ray_peak_and_shoulders(self, grid, gpp3_10):
         ch = cb.BandChannel(15.0, (ray(power=2.0, aoa=40.0),))
         pas = cb.filter_pas(ch, gpp3_10, grid)
-        assert pas.source_frequency == 15.0
         assert pas.values[40] == 2.0
         assert pas.values[45] == pytest.approx(2.0 * 10.0 ** -0.3, rel=1e-12)
         assert pas.values[35] == pytest.approx(2.0 * 10.0 ** -0.3, rel=1e-12)
