@@ -137,6 +137,11 @@ def percentiles(cdf, levels=(10, 50, 90)) -> dict[int, float]:
     return out
 
 
+def float_faults_raise() -> np.errstate:
+    """Numpy divide, overflow and invalid faults raise; tiny gains may underflow."""
+    return np.errstate(divide="raise", over="raise", invalid="raise")
+
+
 def analyze_dataset(
     dataset: list[LinkPair],
     pattern_low,
@@ -147,10 +152,8 @@ def analyze_dataset(
     """Run the similarity pipeline over every link and aggregate.
 
     Links are processed independently; a link whose analysis raises is
-    recorded under ``failures`` and excluded from the aggregates. Numpy
-    division by zero, overflow and invalid operations raise inside the
-    analysis, so such a link fails with numpy's message; underflow stays
-    quiet, as tiny pattern gains underflow in normal use.
+    recorded under ``failures`` and excluded from the aggregates; under
+    ``float_faults_raise``, a numpy float fault fails its link with its message.
     """
     if not dataset:
         raise ValueError("dataset is empty")
@@ -161,7 +164,7 @@ def analyze_dataset(
         seen.add(pair.link_id)
     reports: dict[str, SimilarityReport] = {}
     failures: dict[str, str] = {}
-    with np.errstate(divide="raise", over="raise", invalid="raise"):
+    with float_faults_raise():
         for pair in dataset:
             try:
                 reports[pair.link_id] = analyze_pair(pair, pattern_low, pattern_high, grid, config)

@@ -1,25 +1,26 @@
 """Best beam direction selection and cross-band direction usability metrics.
 
-Two selectors produce a set of candidate steering angles from a filtered
-spectrum:
+Two selectors pick a set of beam directions, indices into the steering grid,
+from a filtered spectrum:
 
 * method ``m1`` keeps every circular local maximum within a relative power
   threshold of the global maximum;
-* method ``m2`` considers all grid angles within the threshold and accepts
+* method ``m2`` considers all grid directions within the threshold and accepts
   them greedily, strongest first, skipping any candidate whose synthesized
   channel frequency response correlates too strongly with an already accepted
   direction. Distinct path delays decorrelate responses, so ``m2`` can split
   directions that merge into a single lobe of the spectrum.
 
-Given a low-band and a high-band direction set, ``power_ratio`` measures how
-much high-band power the low-band directions would collect relative to the
-high band's own choice, and ``false_directions`` counts low-band directions
-that are useless at the high band.
+Given a low-band and a high-band direction set on the high band's grid,
+``power_ratio`` measures how much high-band power the low-band directions
+would collect relative to the high band's own choice, and ``false_directions``
+counts low-band directions that are useless at the high band.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,19 +56,28 @@ class SimilarityConfig:
 
 @dataclass(frozen=True)
 class DirectionSet:
-    """Selected steering angles for one band."""
+    """Selected beam directions for one band, as indices into a steering grid."""
 
-    angles: tuple[float, ...]
+    grid: AngularGrid
+    indices: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "angles", tuple(float(a) for a in self.angles))
-        if len(self.angles) == 0:
+        indices = tuple(operator.index(k) for k in self.indices)
+        object.__setattr__(self, "indices", indices)
+        if len(indices) == 0:
             raise ValueError("a direction set cannot be empty")
-        if len(set(self.angles)) != len(self.angles):
-            raise ValueError("direction set contains duplicate angles")
+        if len(set(indices)) != len(indices):
+            raise ValueError(f"direction set contains duplicate indices: {indices}")
+        if not all(0 <= k < self.grid.n_points for k in indices):
+            raise ValueError(f"direction indices {indices} not all in [0, {self.grid.n_points})")
+
+    @property
+    def angles(self) -> tuple[float, ...]:
+        """Steering angles in degrees, read from the grid in index order."""
+        return tuple(float(self.grid.angles[k]) for k in self.indices)
 
     def __len__(self) -> int:
-        return len(self.angles)
+        return len(self.indices)
 
 
 @dataclass(frozen=True)
@@ -144,38 +154,29 @@ def select_m1(pas: FilteredPas, delta_th_db: float) -> DirectionSet:
         k for k in _plateau_maxima(v)
         if 10.0 * math.log10(float(v[k]) / vmax) >= -delta_th_db
     ]
-    return DirectionSet(angles=tuple(float(pas.grid.angles[k]) for k in kept))
+    return DirectionSet(pas.grid, tuple(kept))
 
 
-def beam_cfr(
-    channel: BandChannel,
-    pattern,
-    steer_deg: float,
-    freq_points: int = M2_FREQUENCY_POINTS,
-    bandwidth_ghz: float = M2_BANDWIDTH_GHZ,
-) -> np.ndarray:
+def beam_cfr(channel: BandChannel, pattern, steer_deg: float) -> np.ndarray:
     """Synthesized channel frequency response of a steered beam.
 
     Tap amplitudes are ``sqrt(power * gain)`` with the pattern steered to
-    ``steer_deg``; tap phases rotate with the path delays over ``freq_points``
-    frequencies spanning the carrier plus/minus half of ``bandwidth_ghz``.
+    ``steer_deg``; tap phases rotate with the path delays over the fixed
+    ``m2`` gate's ``M2_FREQUENCY_POINTS`` frequencies, spanning the carrier
+    plus/minus half of ``M2_BANDWIDTH_GHZ``.
     """
-    if freq_points < 2:
-        raise ValueError(f"freq_points must be >= 2, got {freq_points!r}")
-    if not bandwidth_ghz > 0.0:
-        raise ValueError(f"bandwidth_ghz must be > 0, got {bandwidth_ghz!r}")
-    return _cfr_matrix(channel, pattern, np.array([float(steer_deg)]), freq_points, bandwidth_ghz)[0]
+    return _cfr_matrix(channel, pattern, np.array([float(steer_deg)]))[0]
 
 
-def _cfr_matrix(channel, pattern, steer_deg, freq_points, bandwidth_ghz):
+def _cfr_matrix(channel, pattern, steer_deg):
     """Rows of beam responses, one per steering angle, columns over frequency."""
     powers = np.array([ray.power for ray in channel.rays])
     aoas = np.array([ray.aoa_azimuth for ray in channel.rays])
     delays = np.array([ray.delay for ray in channel.rays])
     f_hz = np.linspace(
-        (channel.frequency - 0.5 * bandwidth_ghz) * 1e9,
-        (channel.frequency + 0.5 * bandwidth_ghz) * 1e9,
-        freq_points,
+        (channel.frequency - 0.5 * M2_BANDWIDTH_GHZ) * 1e9,
+        (channel.frequency + 0.5 * M2_BANDWIDTH_GHZ) * 1e9,
+        M2_FREQUENCY_POINTS,
     )
     amplitudes = np.sqrt(powers * pattern.gain(steer_deg[:, None] - aoas))
     phasors = np.exp(-2j * np.pi * delays[:, None] * f_hz)
@@ -212,9 +213,7 @@ def select_m2(channel: BandChannel, pattern, grid: AngularGrid, delta_th_db: flo
     vmax = float(v.max())
     candidates = np.flatnonzero(10.0 * np.log10(v / vmax) >= -delta_th_db)
     order = candidates[np.lexsort((grid.angles[candidates], -v[candidates]))]
-    responses = _cfr_matrix(
-        channel, pattern, grid.angles[order], M2_FREQUENCY_POINTS, M2_BANDWIDTH_GHZ
-    )
+    responses = _cfr_matrix(channel, pattern, grid.angles[order])
     norms = np.linalg.norm(responses, axis=1)
     alive = np.ones(len(order), dtype=bool)
     i = 0
@@ -225,21 +224,22 @@ def select_m2(channel: BandChannel, pattern, grid: AngularGrid, delta_th_db: flo
         if later.size == 0:
             break
         i += 1 + int(later[0])
-    kept = sorted(int(k) for k in order[alive])
-    return DirectionSet(angles=tuple(float(grid.angles[k]) for k in kept))
+    return DirectionSet(grid, tuple(sorted(order[alive].tolist())))
 
 
 def _gather(pas: FilteredPas, directions: DirectionSet) -> np.ndarray:
-    indices = [pas.grid.index_of(a) for a in directions.angles]
-    return pas.values[indices]
+    """Spectrum values at a direction set's indices; the set must be on its grid."""
+    if directions.grid != pas.grid:
+        raise ValueError(f"direction set grid {directions.grid} is not the spectrum's {pas.grid}")
+    return pas.values[list(directions.indices)]
 
 
 def power_ratio(a_low: DirectionSet, a_high: DirectionSet, pas_high: FilteredPas) -> float:
     """High-band power collected at low-band directions vs its own, in dB.
 
     Ratio of the summed high-band spectrum values over the two direction
-    sets; identical sets give exactly 0 dB. All angles must lie on the grid
-    of the high-band spectrum.
+    sets; identical sets give exactly 0 dB. Both sets must be on the grid of
+    the high-band spectrum.
     """
     num = float(_gather(pas_high, a_low).sum())
     den = float(_gather(pas_high, a_high).sum())
@@ -252,7 +252,10 @@ def false_directions(
     pas_high: FilteredPas,
     delta_p_db: float,
 ) -> int:
-    """Count low-band directions below ``delta_p_db`` of the best high-band one."""
+    """Count low-band directions below ``delta_p_db`` of the best high-band one.
+
+    Both sets must be on the grid of the high-band spectrum.
+    """
     if not delta_p_db < 0.0:
         raise ValueError(f"delta_p_db must be < 0, got {delta_p_db!r}")
     best = float(_gather(pas_high, a_high).max())

@@ -8,6 +8,7 @@ between threads and links processed in parallel.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .units import wrap_azimuth_deg
@@ -20,7 +21,7 @@ class Ray:
     Attributes
     ----------
     power : float
-        Linear channel gain, strictly positive.
+        Linear channel gain, at least ``sys.float_info.min`` (no subnormals).
     delay : float
         Propagation delay in seconds, non-negative.
     aoa_azimuth : float
@@ -38,8 +39,8 @@ class Ray:
     def __post_init__(self):
         # plain floats, not numpy scalars: reprs of field values end up in
         # dataset files verbatim
-        if not (math.isfinite(self.power) and self.power > 0.0):
-            raise ValueError(f"ray power must be finite and > 0, got {self.power!r}")
+        if not (math.isfinite(self.power) and self.power >= sys.float_info.min):
+            raise ValueError(f"ray power must be a finite normal float > 0, got {self.power!r}")
         object.__setattr__(self, "power", float(self.power))
         if not (math.isfinite(self.delay) and self.delay >= 0.0):
             raise ValueError(f"ray delay must be finite and >= 0, got {self.delay!r}")

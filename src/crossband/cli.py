@@ -20,7 +20,7 @@ import logging
 import sys
 from pathlib import Path
 
-from .batch import BatchReport, analyze_dataset, empirical_cdf, write_curve_csv
+from .batch import BatchReport, analyze_dataset, empirical_cdf, float_faults_raise, write_curve_csv
 from .beampattern import pattern_from_csv, pattern_to_csv, synth_3gpp, synth_ula
 from .beams import SimilarityConfig, analyze_pair
 from .channel import LinkPair
@@ -203,13 +203,14 @@ def _select_pair(pairs: list[LinkPair], link_id: str | None) -> LinkPair:
 
 def _cmd_analyze(args) -> int:
     pair = _select_pair(_load_pairs(args), args.link)
-    report = analyze_pair(
-        pair,
-        parse_pattern_spec(args.pattern_low),
-        parse_pattern_spec(args.pattern_high),
-        AngularGrid(args.grid_step_deg),
-        _similarity_config(args),
-    )
+    with float_faults_raise():
+        report = analyze_pair(
+            pair,
+            parse_pattern_spec(args.pattern_low),
+            parse_pattern_spec(args.pattern_high),
+            AngularGrid(args.grid_step_deg),
+            _similarity_config(args),
+        )
     out = {"link_id": pair.link_id}
     out.update(report.to_dict())
     sys.stdout.write(dumps(out, sig_digits=REPORT_SIG_DIGITS))
@@ -257,10 +258,11 @@ def _cmd_psp(args) -> int:
     pattern = synth_3gpp(args.hpbw_deg, args.amax_db)
     grid = AngularGrid(args.grid_step_deg)
     per_link = {}
-    for pair in sorted(pairs, key=lambda p: p.link_id):
-        low = normalize_pas(filter_pas(pair.low, pattern, grid))
-        high = normalize_pas(filter_pas(pair.high, pattern, grid))
-        per_link[pair.link_id] = psp(low, high).psp_percent
+    with float_faults_raise():
+        for pair in sorted(pairs, key=lambda p: p.link_id):
+            low = normalize_pas(filter_pas(pair.low, pattern, grid))
+            high = normalize_pas(filter_pas(pair.high, pattern, grid))
+            per_link[pair.link_id] = psp(low, high).psp_percent
     out = {"hpbw_deg": args.hpbw_deg, "amax_db": args.amax_db, "per_link": per_link}
     sys.stdout.write(dumps(out, sig_digits=REPORT_SIG_DIGITS))
     if args.out:
@@ -289,7 +291,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except ValueError as exc:
+    except (ValueError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

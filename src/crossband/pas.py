@@ -42,15 +42,6 @@ class AngularGrid:
     def angles(self) -> np.ndarray:
         return self._angles
 
-    def index_of(self, angle_deg: float) -> int:
-        """Index of a grid angle; rejects angles not on the grid."""
-        wrapped = angle_deg % 360.0
-        k = round(wrapped / self.step_deg) % self._n
-        delta = abs(self._angles[k] - wrapped)
-        if min(delta, 360.0 - delta) > 1e-9:
-            raise ValueError(f"{angle_deg!r} is not a grid angle for step {self.step_deg}")
-        return k
-
 
 @dataclass(frozen=True, eq=False)
 class FilteredPas:

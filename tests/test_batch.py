@@ -18,6 +18,12 @@ def one_ray_pair(link_id, low_aoa, high_aoa):
     return cb.LinkPair(low=low, high=high)
 
 
+def hot_pair(link_id):
+    # two 1e308 rays overflow the high band's filtered spectrum
+    hot = cb.BandChannel(28.0, (cb.Ray(1e308, 0.0, 10.0), cb.Ray(1e308, 0.0, 10.0)))
+    return cb.LinkPair(low=cb.BandChannel(15.0, (cb.Ray(1.0, 0.0, 10.0),), link_id), high=hot)
+
+
 def three_link_dataset():
     # high-band offsets 0 / 5 / 60 degrees under a 10 deg beam with a
     # -30 dB floor give power ratios of exactly 0, -3 and -30 dB
@@ -200,14 +206,7 @@ class TestAnalyzeDataset:
             self.run([])
 
     def test_failing_link_recorded_not_fatal(self):
-        # a denormal ray power underflows to zero through the pattern floor,
-        # which the spectrum constructor rejects
-        bad = one_ray_pair("bad", 0.0, 0.0)
-        bad = cb.LinkPair(
-            low=cb.BandChannel(15.0, (cb.Ray(5e-324, 0.0, 0.0),), "bad"),
-            high=bad.high,
-        )
-        rep = self.run([one_ray_pair("good", 0.0, 0.0), bad])
+        rep = self.run([one_ray_pair("good", 0.0, 0.0), hot_pair("bad")])
         assert list(rep.per_link) == ["good"]
         assert set(rep.failures) == {"bad"}
         assert rep.failures["bad"]
@@ -215,12 +214,8 @@ class TestAnalyzeDataset:
         assert rep.r_cdf == ((0.0, 1.0),)
 
     def test_all_links_failing_raises(self):
-        bad = cb.LinkPair(
-            low=cb.BandChannel(15.0, (cb.Ray(5e-324, 0.0, 0.0),), "bad"),
-            high=cb.BandChannel(28.0, (cb.Ray(1.0, 0.0, 0.0),)),
-        )
         with pytest.raises(ValueError, match="every link failed"):
-            self.run([bad])
+            self.run([hot_pair("bad")])
 
     def test_psp_always_included(self):
         rep = self.run(three_link_dataset())
@@ -228,11 +223,8 @@ class TestAnalyzeDataset:
         assert all(r.psp.psp_percent < 100.0 for k, r in rep.per_link.items() if k != "a")
 
     def test_float_fault_fails_its_link_only(self):
-        # two 1e308 rays overflow the high band's filtered spectrum
-        hot = cb.BandChannel(28.0, (cb.Ray(1e308, 0.0, 10.0), cb.Ray(1e308, 0.0, 10.0)))
-        bad = cb.LinkPair(low=cb.BandChannel(15.0, (cb.Ray(1.0, 0.0, 10.0),), "bad"), high=hot)
         before = np.geterr()
-        rep = self.run([bad, one_ray_pair("good", 0.0, 0.0)])
+        rep = self.run([hot_pair("bad"), one_ray_pair("good", 0.0, 0.0)])
         assert list(rep.per_link) == ["good"]
         assert "overflow" in rep.failures["bad"]
         assert np.geterr() == before

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -34,8 +36,9 @@ def spectrum(grid, bumps, floor=FLOOR):
     return cb.FilteredPas(grid, values)
 
 
-def directions(*angles):
-    return cb.DirectionSet(angles=tuple(angles))
+def directions(*indices):
+    """Direction set on the 1 degree grid, where index k is the angle k."""
+    return cb.DirectionSet(cb.AngularGrid(1.0), indices)
 
 
 class TestSimilarityConfig:
@@ -65,18 +68,42 @@ class TestSimilarityConfig:
 
 
 class TestDirectionSet:
-    def test_angles_coerced_to_floats(self):
-        ds = cb.DirectionSet(angles=(0, 90))
-        assert ds.angles == (0.0, 90.0)
+    def test_angles_coerced_to_floats(self, grid):
+        ds = cb.DirectionSet(grid, (np.int64(90), 0))
+        assert ds.indices == (90, 0)
+        assert all(type(k) is int for k in ds.indices)
+        assert ds.angles == (90.0, 0.0)
+        assert all(type(a) is float for a in ds.angles)
         assert len(ds) == 2
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            cb.DirectionSet(angles=())
+    def test_angles_read_from_a_fine_grid(self):
+        fine = cb.AngularGrid(0.1)
+        ds = cb.DirectionSet(fine, (0, 1, 3, 3599))
+        assert ds.angles == tuple(float(fine.angles[k]) for k in (0, 1, 3, 3599))
+        assert ds.angles == (0.0, 0.1, 0.30000000000000004, 359.90000000000003)
 
-    def test_duplicates_rejected(self):
-        with pytest.raises(ValueError):
-            cb.DirectionSet(angles=(10.0, 10))
+    def test_fields_are_grid_and_indices(self, grid):
+        assert [f.name for f in dataclasses.fields(cb.DirectionSet)] == ["grid", "indices"]
+        with pytest.raises(AttributeError):
+            cb.DirectionSet(grid, (1,)).angles = (2.0,)
+
+    def test_empty_rejected(self, grid):
+        with pytest.raises(ValueError, match="empty"):
+            cb.DirectionSet(grid, ())
+
+    def test_duplicates_rejected(self, grid):
+        with pytest.raises(ValueError, match="duplicate"):
+            cb.DirectionSet(grid, (10, 10))
+
+    @pytest.mark.parametrize("index", [3.0, 3.5, "3", None])
+    def test_non_integer_index_rejected(self, grid, index):
+        with pytest.raises(TypeError):
+            cb.DirectionSet(grid, (1, index))
+
+    @pytest.mark.parametrize("index", [-1, 360, 3600])
+    def test_index_outside_the_grid_rejected(self, grid, index):
+        with pytest.raises(ValueError, match=r"\[0, 360\)"):
+            cb.DirectionSet(grid, (0, index))
 
 
 class TestSimilarityReport:
@@ -151,7 +178,7 @@ class TestSelectM1:
             pas = cb.FilteredPas(grid, values)
             got = cb.select_m1(pas, 6.0)
             expected = select_directions(values.tolist(), 6.0)
-            assert [grid.index_of(a) for a in got.angles] == expected
+            assert got.indices == tuple(expected)
             assert local_maxima(values.tolist()) == sorted(
                 set(local_maxima(values.tolist()))
             )
@@ -177,35 +204,31 @@ class TestPlateauMaxima:
 class TestBeamCfr:
     def test_zero_delay_gives_flat_response(self, gpp3_10):
         ch = cb.BandChannel(15.0, (cb.Ray(4.0, 0.0, 30.0),))
-        h = cb.beam_cfr(ch, gpp3_10, steer_deg=30.0, freq_points=11)
-        assert h.shape == (11,)
+        h = cb.beam_cfr(ch, gpp3_10, steer_deg=30.0)
+        assert h.shape == (beams.M2_FREQUENCY_POINTS,)
         np.testing.assert_allclose(np.abs(h), 2.0, rtol=1e-12)
 
     def test_gain_scales_tap_amplitude(self, gpp3_10):
         ch = cb.BandChannel(15.0, (cb.Ray(1.0, 0.0, 5.0),))
-        h = cb.beam_cfr(ch, gpp3_10, steer_deg=0.0, freq_points=5)
+        h = cb.beam_cfr(ch, gpp3_10, steer_deg=0.0)
+        assert h.shape == (beams.M2_FREQUENCY_POINTS,)
         np.testing.assert_allclose(np.abs(h), math.sqrt(10.0 ** -0.3), rtol=1e-12)
 
     def test_two_tap_interference_null(self, gpp3_10):
         # equal taps, 0.5 ns apart: phase difference 15*pi at 15 GHz
         ch = cb.BandChannel(15.0, (cb.Ray(1.0, 0.0, 0.0), cb.Ray(1.0, 0.5e-9, 0.0)))
-        h = cb.beam_cfr(ch, gpp3_10, steer_deg=0.0, freq_points=101, bandwidth_ghz=2.0)
+        h = cb.beam_cfr(ch, gpp3_10, steer_deg=0.0)
+        assert h.shape == (beams.M2_FREQUENCY_POINTS,)
         assert abs(h[50]) < 1e-12
         # one bin off the null: 20 MHz shifts the tap phase by 0.02*pi
         expected = 2.0 * math.sin(0.01 * math.pi)
         assert abs(h[49]) == pytest.approx(expected, rel=1e-9)
         assert abs(h[51]) == pytest.approx(expected, rel=1e-9)
 
-    def test_too_few_frequency_points_rejected(self, gpp3_10):
-        ch = cb.BandChannel(15.0, (cb.Ray(1.0, 0.0, 0.0),))
-        with pytest.raises(ValueError):
-            cb.beam_cfr(ch, gpp3_10, steer_deg=0.0, freq_points=1)
-
-    @pytest.mark.parametrize("bandwidth_ghz", [0.0, -2.0, float("nan")])
-    def test_non_positive_bandwidth_rejected(self, gpp3_10, bandwidth_ghz):
-        ch = cb.BandChannel(15.0, (cb.Ray(1.0, 0.0, 0.0),))
-        with pytest.raises(ValueError):
-            cb.beam_cfr(ch, gpp3_10, steer_deg=0.0, bandwidth_ghz=bandwidth_ghz)
+    def test_takes_no_frequency_options(self):
+        assert list(inspect.signature(cb.beam_cfr).parameters) == [
+            "channel", "pattern", "steer_deg",
+        ]
 
 
 class TestSelectM2:
@@ -278,23 +301,34 @@ class TestSelectM2:
 class TestPowerRatio:
     def test_identical_sets_give_exact_zero(self, grid):
         pas = spectrum(grid, {10: 1.0, 40: 0.5})
-        ds = directions(10.0, 40.0)
+        ds = directions(10, 40)
         assert cb.power_ratio(ds, ds, pas) == 0.0
 
     def test_hand_computed_ratio(self, grid):
         pas = spectrum(grid, {0: 0.5, 10: 1.0})
-        r = cb.power_ratio(directions(0.0), directions(10.0), pas)
+        r = cb.power_ratio(directions(0), directions(10), pas)
         assert r == pytest.approx(10.0 * math.log10(0.5), abs=1e-12)
 
     def test_extra_low_directions_raise_the_ratio(self, grid):
         pas = spectrum(grid, {0: 0.5, 10: 1.0})
-        r = cb.power_ratio(directions(0.0, 10.0), directions(10.0), pas)
+        r = cb.power_ratio(directions(0, 10), directions(10), pas)
         assert r == pytest.approx(10.0 * math.log10(1.5), abs=1e-12)
 
     def test_off_grid_angle_rejected(self, grid):
+        # 0.5 degrees, index 1 of a 0.5 degree grid, is not on the 1 degree grid
         pas = spectrum(grid, {0: 1.0})
-        with pytest.raises(ValueError):
-            cb.power_ratio(directions(0.5), directions(0.0), pas)
+        half = cb.DirectionSet(cb.AngularGrid(0.5), (1,))
+        with pytest.raises(ValueError, match="spectrum"):
+            cb.power_ratio(half, directions(0), pas)
+        with pytest.raises(ValueError, match="spectrum"):
+            cb.power_ratio(directions(0), half, pas)
+
+    def test_set_from_a_coarser_grid_rejected(self):
+        # 10 degrees lies on the 0.5 degree grid too, but the set's grid differs
+        pas = spectrum(cb.AngularGrid(0.5), {20: 1.0})
+        coarse = cb.DirectionSet(cb.AngularGrid(1.0), (10,))
+        with pytest.raises(ValueError, match="spectrum"):
+            cb.power_ratio(coarse, coarse, pas)
 
     def test_matches_reference_loop(self, grid):
         rng = np.random.default_rng(23)
@@ -302,11 +336,7 @@ class TestPowerRatio:
         pas = cb.FilteredPas(grid, values)
         low = sorted(rng.choice(360, 5, replace=False).tolist())
         high = sorted(rng.choice(360, 3, replace=False).tolist())
-        got = cb.power_ratio(
-            directions(*[float(a) for a in low]),
-            directions(*[float(a) for a in high]),
-            pas,
-        )
+        got = cb.power_ratio(directions(*low), directions(*high), pas)
         assert got == pytest.approx(power_ratio_db(low, high, values.tolist()), rel=1e-12)
 
 
@@ -315,8 +345,8 @@ class TestFalseDirections:
 
     def test_strictly_below_threshold_counts(self, grid):
         pas = spectrum(grid, self.PAS_BUMPS)
-        low = directions(0.0, 40.0)
-        high = directions(10.0)
+        low = directions(0, 40)
+        high = directions(10)
         assert cb.false_directions(low, high, pas, -30.0) == 1
         # -40 dB exactly is not strictly below -40
         assert cb.false_directions(low, high, pas, -40.0) == 0
@@ -326,8 +356,8 @@ class TestFalseDirections:
         rng = np.random.default_rng(5)
         values = 10.0 ** rng.uniform(-6.0, 0.0, grid.n_points)
         pas = cb.FilteredPas(grid, values)
-        low = directions(*[float(a) for a in range(0, 360, 45)])
-        high = directions(17.0)
+        low = directions(*range(0, 360, 45))
+        high = directions(17)
         counts = [
             cb.false_directions(low, high, pas, d) for d in (-40.0, -30.0, -20.0)
         ]
@@ -336,13 +366,21 @@ class TestFalseDirections:
     def test_reference_is_best_of_high_set(self, grid):
         # global max at 50 is deliberately outside the high set
         pas = spectrum(grid, {50: 10.0, 10: 1.0, 40: 0.0011})
-        n = cb.false_directions(directions(40.0), directions(10.0), pas, -30.0)
+        n = cb.false_directions(directions(40), directions(10), pas, -30.0)
         assert n == 0
+
+    def test_set_from_another_grid_rejected(self, grid):
+        pas = spectrum(grid, {0: 1.0})
+        half = cb.DirectionSet(cb.AngularGrid(0.5), (2,))
+        with pytest.raises(ValueError, match="spectrum"):
+            cb.false_directions(half, directions(0), pas, -30.0)
+        with pytest.raises(ValueError, match="spectrum"):
+            cb.false_directions(directions(0), half, pas, -30.0)
 
     def test_nonnegative_threshold_rejected(self, grid):
         pas = spectrum(grid, {0: 1.0})
         with pytest.raises(ValueError):
-            cb.false_directions(directions(0.0), directions(0.0), pas, 0.0)
+            cb.false_directions(directions(0), directions(0), pas, 0.0)
 
     def test_matches_reference_loop(self, grid):
         rng = np.random.default_rng(29)
@@ -350,12 +388,7 @@ class TestFalseDirections:
         pas = cb.FilteredPas(grid, values)
         low = sorted(rng.choice(360, 6, replace=False).tolist())
         high = sorted(rng.choice(360, 4, replace=False).tolist())
-        got = cb.false_directions(
-            directions(*[float(a) for a in low]),
-            directions(*[float(a) for a in high]),
-            pas,
-            -25.0,
-        )
+        got = cb.false_directions(directions(*low), directions(*high), pas, -25.0)
         assert got == count_false(low, high, values.tolist(), -25.0)
 
 

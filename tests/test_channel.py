@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import re
+import sys
 
 import pytest
 from hypothesis import given
@@ -43,6 +45,15 @@ class TestRay:
     def test_nonpositive_power_rejected(self, power):
         with pytest.raises(ValueError):
             ray(power=power)
+
+    @pytest.mark.parametrize("power", [5e-324, 1e-310, math.nextafter(sys.float_info.min, 0.0)])
+    def test_subnormal_power_rejected(self, power):
+        # a subnormal power underflows to 0 through a pattern floor
+        with pytest.raises(ValueError, match=re.escape(repr(power))):
+            ray(power=power)
+
+    def test_smallest_normal_power_accepted(self):
+        assert ray(power=sys.float_info.min).power == sys.float_info.min
 
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError):

@@ -253,6 +253,33 @@ class TestPsp:
         assert code == EXIT_IO
 
 
+class TestFloatFaults:
+    # two 1e308 rays overflow the 28 GHz band's filtered spectrum
+    @pytest.fixture()
+    def hot_path(self, tmp_path):
+        low = cb.BandChannel(15.0, (cb.Ray(1.0, 0.0, 10.0),), "hot")
+        high = cb.BandChannel(28.0, (cb.Ray(1e308, 0.0, 10.0), cb.Ray(1e308, 0.0, 10.0)))
+        path = tmp_path / "hot.json"
+        cb.write_dataset([cb.LinkPair(low=low, high=high)], path)
+        return path
+
+    @pytest.mark.parametrize("command", ["analyze", "psp"])
+    def test_overflow_is_one_error_line(self, hot_path, capsys, command):
+        if command == "analyze":
+            argv = ["analyze", *analysis_argv(hot_path)]
+        else:
+            argv = ["psp", "--data", str(hot_path), "--low-ghz", "15",
+                    "--high-ghz", "28", "--hpbw-deg", "10"]
+        assert main(argv) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ")
+        assert "overflow" in lines[0]
+        assert "RuntimeWarning" not in captured.err
+
+
 class TestPattern:
     def test_tabulates_to_csv(self, tmp_path):
         out = tmp_path / "pat.csv"

@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import json
 import logging
+import re
+import sys
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 import crossband as cb
+from crossband.units import linear_to_db
 
 
 def small_dataset(n=4):
@@ -98,14 +101,21 @@ class TestWriteRefusesWhatLoadRejects:
         ],
     )
     def test_subnormal_power_refused_and_located(self, tmp_path, power, name, where):
-        # Ray accepts a subnormal power, but its dB value reloads as 0 or a
-        # subnormal, which load_dataset rejects
+        # Ray refuses a subnormal power, so no writer is handed one; a file
+        # that holds its dB value is refused by the loader at that path
+        with pytest.raises(ValueError, match=re.escape(repr(power))):
+            cb.Ray(power, 0.0, 20.0)
         low = cb.BandChannel(15.0, (cb.Ray(1.0, 0.0, 0.0), cb.Ray(0.5, 0.0, 5.0)), "l")
-        high = cb.BandChannel(28.0, (cb.Ray(1.0, 0.0, 0.0), cb.Ray(power, 0.0, 20.0)), "l")
+        high = cb.BandChannel(28.0, (cb.Ray(1.0, 0.0, 0.0), cb.Ray(0.25, 0.0, 20.0)), "l")
         path = tmp_path / name
-        with pytest.raises(cb.DatasetFormatError, match=where):
-            cb.write_dataset([cb.LinkPair(low=low, high=high)], path)
-        assert not path.exists()
+        cb.write_dataset([cb.LinkPair(low=low, high=high)], path)
+        placeholder = repr(float(linear_to_db(0.25)))
+        text = path.read_text()
+        assert text.count(placeholder) == 1
+        path.write_text(text.replace(placeholder, repr(float(linear_to_db(power)))))
+        # the loader locates the field; only the writer prefixes the link id
+        with pytest.raises(cb.DatasetFormatError, match=where.replace("link 'l': ", "")):
+            cb.load_dataset(path, 15.0, 28.0)
 
     @given(st.floats(min_value=5e-324, allow_infinity=False))
     @example(2.2250738585072014e-308)
@@ -113,6 +123,10 @@ class TestWriteRefusesWhatLoadRejects:
     @example(1e300)
     @example(1.7976931348623157e308)
     def test_written_power_reloads_or_is_refused(self, tmp_path_factory, power):
+        if power < sys.float_info.min:
+            with pytest.raises(ValueError, match="normal"):
+                cb.Ray(power, 0.0, 0.0)
+            return
         ch = cb.BandChannel(15.0, (cb.Ray(power, 0.0, 0.0),), "l")
         path = tmp_path_factory.mktemp("power") / "links.json"
         try:

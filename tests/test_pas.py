@@ -28,17 +28,6 @@ class TestAngularGrid:
         with pytest.raises(ValueError):
             cb.AngularGrid(step_deg=step)
 
-    def test_index_of_wraps(self, grid):
-        assert grid.index_of(0.0) == 0
-        assert grid.index_of(359.0) == 359
-        assert grid.index_of(-1.0) == 359
-        assert grid.index_of(360.0) == 0
-        assert grid.index_of(10.0 + 5e-10) == 10
-
-    def test_index_of_rejects_off_grid(self, grid):
-        with pytest.raises(ValueError):
-            grid.index_of(0.5)
-
     def test_angles_are_read_only(self, grid):
         with pytest.raises(ValueError):
             grid.angles[0] = 5.0
