@@ -151,9 +151,20 @@ def analyze_dataset(
 ) -> BatchReport:
     """Run the similarity pipeline over every link and aggregate.
 
-    Links are processed independently; a link whose analysis raises is
-    recorded under ``failures`` and excluded from the aggregates; under
-    ``float_faults_raise``, a numpy float fault fails its link with its message.
+    Links are processed independently by ``map_links``; a link whose
+    analysis raises is recorded under ``failures`` and excluded from the
+    aggregates.
+    """
+    return BatchReport(*map_links(
+        dataset, lambda pair: analyze_pair(pair, pattern_low, pattern_high, grid, config)
+    ))
+
+
+def map_links(dataset: list[LinkPair], analyze) -> tuple[dict, dict[str, str]]:
+    """``(results, failures)`` of ``analyze`` per link_id, under ``float_faults_raise``.
+
+    A link whose analysis raises maps to its error message in ``failures``.
+    ``ValueError`` for an empty dataset, a repeated link_id, or if every link fails.
     """
     if not dataset:
         raise ValueError("dataset is empty")
@@ -162,17 +173,18 @@ def analyze_dataset(
         if pair.link_id in seen:
             raise ValueError(f"duplicate link_id {pair.link_id!r} in dataset")
         seen.add(pair.link_id)
-    reports: dict[str, SimilarityReport] = {}
+    results = {}
     failures: dict[str, str] = {}
     with float_faults_raise():
         for pair in dataset:
             try:
-                reports[pair.link_id] = analyze_pair(pair, pattern_low, pattern_high, grid, config)
+                results[pair.link_id] = analyze(pair)
             except (ValueError, ZeroDivisionError, FloatingPointError) as exc:
                 failures[pair.link_id] = str(exc)
-    if not reports:
-        raise ValueError(f"every link failed analysis; first error: {failures[min(failures)]}")
-    return BatchReport(per_link=reports, failures=failures)
+    if not results:
+        first = min(failures)
+        raise ValueError(f"every link failed analysis; first error: link {first!r}: {failures[first]}")
+    return results, failures
 
 
 def write_curve_csv(path, header: str, rows) -> None:

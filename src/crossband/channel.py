@@ -1,8 +1,9 @@
 """Discrete multipath channel types: rays, single-band channels and link pairs.
 
 Powers are linear channel gains, delays are in seconds, angles in degrees.
-All types are immutable once constructed, so channels can be shared freely
-between threads and links processed in parallel.
+Only a ``LinkPair`` carries a link id. All types are immutable once
+constructed, so channels can be shared freely between threads and links
+processed in parallel.
 """
 
 from __future__ import annotations
@@ -64,13 +65,10 @@ class BandChannel:
         Carrier frequency in GHz, strictly positive.
     rays : tuple of Ray
         At least one multipath component, order preserved.
-    link_id : str
-        Opaque identifier of the transmitter-receiver combination.
     """
 
     frequency: float
     rays: tuple[Ray, ...]
-    link_id: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "rays", tuple(self.rays))
@@ -86,7 +84,8 @@ class LinkPair:
     """Co-located lower-band and upper-band channels for one link.
 
     Equal frequencies are allowed; comparing a channel against itself is the
-    calibration case of every similarity metric.
+    calibration case of every similarity metric. ``link_id`` is an opaque
+    identifier of the transmitter-receiver combination.
     """
 
     low: BandChannel
@@ -99,11 +98,4 @@ class LinkPair:
                 f"low band frequency {self.low.frequency} GHz exceeds "
                 f"high band frequency {self.high.frequency} GHz"
             )
-        if not self.link_id:
-            object.__setattr__(self, "link_id", self.low.link_id or self.high.link_id)
-        for member in (self.low, self.high):
-            if member.link_id and self.link_id and member.link_id != self.link_id:
-                raise ValueError(
-                    f"band link_id {member.link_id!r} does not match pair link_id {self.link_id!r}"
-                )
 

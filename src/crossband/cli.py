@@ -20,7 +20,8 @@ import logging
 import sys
 from pathlib import Path
 
-from .batch import BatchReport, analyze_dataset, empirical_cdf, float_faults_raise, write_curve_csv
+from .batch import (BatchReport, analyze_dataset, empirical_cdf, float_faults_raise, map_links,
+                    write_curve_csv)
 from .beampattern import pattern_from_csv, pattern_to_csv, synth_3gpp, synth_ula
 from .beams import SimilarityConfig, analyze_pair
 from .channel import LinkPair
@@ -203,14 +204,15 @@ def _select_pair(pairs: list[LinkPair], link_id: str | None) -> LinkPair:
 
 def _cmd_analyze(args) -> int:
     pair = _select_pair(_load_pairs(args), args.link)
-    with float_faults_raise():
-        report = analyze_pair(
-            pair,
-            parse_pattern_spec(args.pattern_low),
-            parse_pattern_spec(args.pattern_high),
-            AngularGrid(args.grid_step_deg),
-            _similarity_config(args),
-        )
+    pattern_low = parse_pattern_spec(args.pattern_low)
+    pattern_high = parse_pattern_spec(args.pattern_high)
+    grid = AngularGrid(args.grid_step_deg)
+    config = _similarity_config(args)
+    try:
+        with float_faults_raise():
+            report = analyze_pair(pair, pattern_low, pattern_high, grid, config)
+    except (ValueError, ZeroDivisionError, FloatingPointError) as exc:
+        raise ValueError(f"link {pair.link_id!r}: {exc}") from exc
     out = {"link_id": pair.link_id}
     out.update(report.to_dict())
     sys.stdout.write(dumps(out, sig_digits=REPORT_SIG_DIGITS))
@@ -257,13 +259,15 @@ def _cmd_psp(args) -> int:
     pairs = _load_pairs(args)
     pattern = synth_3gpp(args.hpbw_deg, args.amax_db)
     grid = AngularGrid(args.grid_step_deg)
-    per_link = {}
-    with float_faults_raise():
-        for pair in sorted(pairs, key=lambda p: p.link_id):
-            low = normalize_pas(filter_pas(pair.low, pattern, grid))
-            high = normalize_pas(filter_pas(pair.high, pattern, grid))
-            per_link[pair.link_id] = psp(low, high).psp_percent
+
+    def overlap(pair: LinkPair) -> float:
+        low = normalize_pas(filter_pas(pair.low, pattern, grid))
+        high = normalize_pas(filter_pas(pair.high, pattern, grid))
+        return psp(low, high).psp_percent
+    per_link, failures = map_links(sorted(pairs, key=lambda p: p.link_id), overlap)
     out = {"hpbw_deg": args.hpbw_deg, "amax_db": args.amax_db, "per_link": per_link}
+    if failures:
+        out["failures"] = failures
     sys.stdout.write(dumps(out, sig_digits=REPORT_SIG_DIGITS))
     if args.out:
         cdf = empirical_cdf(list(per_link.values()))

@@ -17,9 +17,12 @@ Angles are degrees in [0, 360), powers dB, delays ns; the in-memory model
 uses linear power and seconds. A CSV mirror holds one path per row
 (``link_id,freq_ghz,power_db,delay_ns,aoa_deg``); it drops metadata and
 departure angles and cannot represent two same-frequency bands of one link.
+Link ids are nonempty and unique in both formats.
 
-A file may carry more bands than any one analysis uses, so loading takes the
-two band frequencies explicitly instead of guessing from the file.
+Both readers build each checked path straight into a ``Ray`` and each band
+into a ``BandChannel``. A file may carry more bands than any one analysis
+uses, so loading takes the two band frequencies explicitly instead of
+guessing from the file.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ SCHEMA_VERSION = "1"
 FREQ_MATCH_TOLERANCE_GHZ = 1e-6
 _SKIPPED_IDS_SHOWN = 5  # link ids named in the skip warning, per missing band
 _CSV_HEADER = ["link_id", "freq_ghz", "power_db", "delay_ns", "aoa_deg"]
+_PATH_KEYS = ("power_db", "delay_ns", "aoa_deg", "aod_deg")  # aod_deg is optional, JSON only
 
 logger = logging.getLogger(__name__)
 
@@ -47,20 +51,27 @@ class DatasetFormatError(ValueError):
     """A dataset file failed structural validation.
 
     The message names the offending location: a JSON field path such as
-    ``links[2].bands[0].paths[1].aoa_deg``, or a CSV line number. Writing
-    raises it, naming the link, when the CSV mirror cannot hold a pair or a
-    value would fail these checks on reload.
+    ``links[2].bands[0].paths[1].aoa_deg``, or a CSV line and field such as
+    ``links.csv:7.freq_ghz``. Writing raises it, naming the link, when the
+    CSV mirror cannot hold a pair or a value would fail these checks on
+    reload.
     """
 
 
 def write_dataset(pairs: list[LinkPair], path, metadata: dict | None = None) -> None:
     """Write link pairs as a dataset file; format chosen by extension.
 
-    Raises ``DatasetFormatError`` naming the link and the path entry, before
-    anything is written, when a value would not load back: a power whose
-    ``power_db`` is zero, infinite or subnormal as a linear power, or (CSV
-    only) a pair whose bands share a frequency.
+    Raises ``DatasetFormatError`` naming the link, and the path entry where
+    there is one, before anything is written, when a value would not load
+    back: an empty or repeated link id, a power whose ``power_db`` is zero,
+    infinite or subnormal as a linear power, or (CSV only) a pair whose bands
+    share a frequency or whose link id holds a carriage return or a surrogate.
     """
+    seen_ids = set()
+    for pair in pairs:
+        if not isinstance(pair.link_id, str) or not pair.link_id or pair.link_id in seen_ids:
+            raise DatasetFormatError(f"link {pair.link_id!r}: link ids must be nonempty and unique")
+        seen_ids.add(pair.link_id)
     if Path(path).suffix.lower() == ".csv":
         _write_csv(pairs, path)
     else:
@@ -86,15 +97,13 @@ def load_dataset(path, low_freq_ghz: float, high_freq_ghz: float) -> list[LinkPa
     pairs = []
     skipped: dict[float, list[str]] = {}
     for link_id, bands in links:
-        low_matches = [b for b in bands if abs(b[0] - low_freq_ghz) <= FREQ_MATCH_TOLERANCE_GHZ]
-        high_matches = [b for b in bands if abs(b[0] - high_freq_ghz) <= FREQ_MATCH_TOLERANCE_GHZ]
+        low_matches = [b for b in bands if abs(b.frequency - low_freq_ghz) <= FREQ_MATCH_TOLERANCE_GHZ]
+        high_matches = [b for b in bands if abs(b.frequency - high_freq_ghz) <= FREQ_MATCH_TOLERANCE_GHZ]
         if not low_matches or not high_matches:
             missing = low_freq_ghz if not low_matches else high_freq_ghz
             skipped.setdefault(missing, []).append(link_id)
             continue
-        low = _build_channel(low_matches[0], link_id)
-        high = low if high_matches[-1] is low_matches[0] else _build_channel(high_matches[-1], link_id)
-        pairs.append(LinkPair(low=low, high=high, link_id=link_id))
+        pairs.append(LinkPair(low=low_matches[0], high=high_matches[-1], link_id=link_id))
     if skipped:
         groups = "; ".join(
             f"{len(ids)} with no band at {freq:.6g} GHz (first: {', '.join(ids[:_SKIPPED_IDS_SHOWN])})"
@@ -102,20 +111,6 @@ def load_dataset(path, low_freq_ghz: float, high_freq_ghz: float) -> list[LinkPa
         )
         logger.warning("%s: skipped %d of %d links: %s", path, len(links) - len(pairs), len(links), groups)
     return pairs
-
-
-def _build_channel(band, link_id: str) -> BandChannel:
-    freq_ghz, paths = band
-    rays = tuple(
-        Ray(
-            power=db_to_linear(p["power_db"]),
-            delay=p["delay_ns"] * 1e-9,
-            aoa_azimuth=p["aoa_deg"],
-            aod_azimuth=p.get("aod_deg"),
-        )
-        for p in paths
-    )
-    return BandChannel(frequency=freq_ghz, rays=rays, link_id=link_id)
 
 
 def _check_written_power(ray: Ray, link_id: str, where: str, *where_args) -> None:
@@ -161,6 +156,12 @@ def _write_csv(pairs: list[LinkPair], path) -> None:
             raise DatasetFormatError(
                 f"link {pair.link_id!r}: CSV cannot hold two bands at one frequency "
                 f"({pair.low.frequency!r} and {pair.high.frequency!r} GHz); write JSON instead"
+            )
+        # csv.writer leaves "\r" unquoted under a "\n" terminator; UTF-8 has no surrogates
+        if any(c == "\r" or "\ud800" <= c <= "\udfff" for c in pair.link_id):
+            raise DatasetFormatError(
+                f"link {pair.link_id!r}: CSV cannot hold a carriage return or a surrogate "
+                "in a link_id; write JSON instead"
             )
         for channel in (pair.low, pair.high):
             for ray in channel.rays:
@@ -209,26 +210,22 @@ def _check_power_db(value, where: str) -> float:
     return value
 
 
-def _validate_path_entry(entry, where: str) -> dict:
-    if not isinstance(entry, dict):
-        _fail(where, "expected an object")
-    unknown = set(entry) - {"power_db", "delay_ns", "aoa_deg", "aod_deg"}
-    if unknown:
-        _fail(where, f"unknown keys {sorted(unknown)}")
-    for key in ("power_db", "delay_ns", "aoa_deg"):
-        if key not in entry:
-            _fail(where, f"missing key {key!r}")
-    out = {
-        "power_db": _check_power_db(entry["power_db"], f"{where}.power_db"),
-        "delay_ns": _check_number(entry["delay_ns"], f"{where}.delay_ns", minimum=0.0),
-        "aoa_deg": _check_number(entry["aoa_deg"], f"{where}.aoa_deg", minimum=0.0, below=360.0),
-    }
-    if "aod_deg" in entry:
-        out["aod_deg"] = _check_number(entry["aod_deg"], f"{where}.aod_deg", minimum=0.0, below=360.0)
-    return out
+def _check_freq(value, where: str) -> float:
+    freq = _check_number(value, where)
+    if freq <= 0.0:
+        _fail(where, f"must be > 0, got {freq!r}")
+    return freq
 
 
-def _read_links_json(path) -> list[tuple[str, list[tuple[float, list[dict]]]]]:
+def _read_path(where: str, power_db, delay_ns, aoa_deg, *aod_deg) -> Ray:
+    power_db = _check_power_db(power_db, f"{where}.power_db")
+    delay_ns = _check_number(delay_ns, f"{where}.delay_ns", minimum=0.0)
+    aoa_deg = _check_number(aoa_deg, f"{where}.aoa_deg", minimum=0.0, below=360.0)
+    aod = [_check_number(a, f"{where}.aod_deg", minimum=0.0, below=360.0) for a in aod_deg]
+    return Ray(db_to_linear(power_db), delay_ns * 1e-9, aoa_deg, *aod)
+
+
+def _read_links_json(path) -> list[tuple[str, list[BandChannel]]]:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
@@ -259,21 +256,27 @@ def _read_links_json(path) -> list[tuple[str, list[tuple[float, list[dict]]]]]:
             bwhere = f"{where}.bands[{j}]"
             if not isinstance(band, dict) or set(band) != {"freq_ghz", "paths"}:
                 _fail(bwhere, "expected an object with keys freq_ghz, paths")
-            freq = _check_number(band["freq_ghz"], f"{bwhere}.freq_ghz")
-            if freq <= 0.0:
-                _fail(f"{bwhere}.freq_ghz", f"must be > 0, got {freq!r}")
+            freq = _check_freq(band["freq_ghz"], f"{bwhere}.freq_ghz")
             if not isinstance(band["paths"], list) or not band["paths"]:
                 _fail(f"{bwhere}.paths", "must be a nonempty array")
-            paths = [
-                _validate_path_entry(p, f"{bwhere}.paths[{k}]")
-                for k, p in enumerate(band["paths"])
-            ]
-            bands.append((freq, paths))
+            rays = []
+            for k, entry in enumerate(band["paths"]):
+                pwhere = f"{bwhere}.paths[{k}]"
+                if not isinstance(entry, dict):
+                    _fail(pwhere, "expected an object")
+                unknown = entry.keys() - _PATH_KEYS
+                if unknown:
+                    _fail(pwhere, f"unknown keys {sorted(unknown)}")
+                for key in _PATH_KEYS[:3]:
+                    if key not in entry:
+                        _fail(pwhere, f"missing key {key!r}")
+                rays.append(_read_path(pwhere, *(entry[key] for key in _PATH_KEYS if key in entry)))
+            bands.append(BandChannel(freq, rays))
         links.append((link_id, bands))
     return links
 
 
-def _read_links_csv(path) -> list[tuple[str, list[tuple[float, list[dict]]]]]:
+def _read_links_csv(path) -> list[tuple[str, list[BandChannel]]]:
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         try:
@@ -282,9 +285,9 @@ def _read_links_csv(path) -> list[tuple[str, list[tuple[float, list[dict]]]]]:
             _fail(f"{path}:1", "empty file")
         if header != _CSV_HEADER:
             _fail(f"{path}:1", f"header must be {','.join(_CSV_HEADER)!r}")
-        # Bands keyed by (link_id, frequency); rows may arrive in any order
+        # Rays keyed by (link_id, frequency); rows may arrive in any order
         # but first appearance fixes link and band order.
-        links: dict[str, dict[float, list[dict]]] = {}
+        links: dict[str, dict[float, list[Ray]]] = {}
         for lineno, row in enumerate(reader, start=2):
             where = f"{path}:{lineno}"
             if len(row) != len(_CSV_HEADER):
@@ -296,22 +299,11 @@ def _read_links_csv(path) -> list[tuple[str, list[tuple[float, list[dict]]]]]:
                 numbers = [float(cell) for cell in row[1:]]
             except ValueError:
                 _fail(where, f"non-numeric field in {row[1:]!r}")
-            entry = {
-                "freq_ghz": numbers[0],
-                "power_db": numbers[1],
-                "delay_ns": numbers[2],
-                "aoa_deg": numbers[3],
-            }
-            freq = _check_number(entry["freq_ghz"], f"{where} freq_ghz")
-            if freq <= 0.0:
-                _fail(f"{where} freq_ghz", f"must be > 0, got {freq!r}")
-            validated = _validate_path_entry(
-                {k: entry[k] for k in ("power_db", "delay_ns", "aoa_deg")}, where
-            )
-            links.setdefault(link_id, {}).setdefault(freq, []).append(validated)
+            freq = _check_freq(numbers[0], f"{where}.freq_ghz")
+            links.setdefault(link_id, {}).setdefault(freq, []).append(_read_path(where, *numbers[1:]))
     if not links:
         _fail(str(path), "no data rows")
     return [
-        (link_id, [(freq, paths) for freq, paths in bands.items()])
+        (link_id, [BandChannel(freq, rays) for freq, rays in bands.items()])
         for link_id, bands in links.items()
     ]

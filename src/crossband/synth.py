@@ -13,6 +13,8 @@ can be regenerated alone and datasets are reproducible bit for bit.
 
 from __future__ import annotations
 
+import numbers
+import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -46,32 +48,30 @@ class GenConfig:
     def __post_init__(self):
         for name in ("n_shared_paths", "n_low_only_paths", "n_high_only_paths", "seed"):
             value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.n_shared_paths < 0 or self.n_low_only_paths < 0 or self.n_high_only_paths < 0:
-            raise ValueError("path counts must be >= 0")
+            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+                raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
+        for name in ("shared_power_decay_db", "angle_jitter_deg", "power_jitter_db",
+                     "delay_spread_ns", "low_freq_ghz", "high_freq_ghz"):
+            value = getattr(self, name)
+            # a comparison: math.isfinite raises OverflowError on a huge int
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not 0.0 <= value <= sys.float_info.max):
+                raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
         if self.n_shared_paths + self.n_low_only_paths < 1:
             raise ValueError("the low band needs at least one path")
         if self.n_shared_paths + self.n_high_only_paths < 1:
             raise ValueError("the high band needs at least one path")
-        if self.shared_power_decay_db < 0.0:
-            raise ValueError("shared_power_decay_db must be >= 0")
-        if self.angle_jitter_deg < 0.0 or self.power_jitter_db < 0.0:
-            raise ValueError("jitter magnitudes must be >= 0")
-        if self.delay_spread_ns < 0.0:
-            raise ValueError("delay_spread_ns must be >= 0")
         if not 0.0 < self.low_freq_ghz <= self.high_freq_ghz:
             raise ValueError("need 0 < low_freq_ghz <= high_freq_ghz")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> GenConfig:
-        known = set(cls.__dataclass_fields__)
-        unknown = set(data) - known
+        if not isinstance(data, dict):
+            raise ValueError(f"generator config must be an object, got {type(data).__name__}")
+        unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown generator config keys: {sorted(unknown)}")
         return cls(**data)
@@ -109,10 +109,9 @@ def generate_link(config: GenConfig, link_index: int) -> LinkPair:
         ]
         return tuple(rays)
 
-    link_id = f"link-{link_index:05d}"
-    low = BandChannel(config.low_freq_ghz, band_rays(config.n_low_only_paths), link_id)
-    high = BandChannel(config.high_freq_ghz, band_rays(config.n_high_only_paths), link_id)
-    return LinkPair(low=low, high=high, link_id=link_id)
+    low = BandChannel(config.low_freq_ghz, band_rays(config.n_low_only_paths))
+    high = BandChannel(config.high_freq_ghz, band_rays(config.n_high_only_paths))
+    return LinkPair(low=low, high=high, link_id=f"link-{link_index:05d}")
 
 
 def generate_dataset(config: GenConfig, n_links: int) -> list[LinkPair]:

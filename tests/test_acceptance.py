@@ -88,7 +88,7 @@ def test_criterion_01_pattern_calibration():
 
 def test_criterion_02_equal_band_calibration(fixed_dataset):
     start = time.perf_counter()
-    self_pairs = [cb.LinkPair(low=p.low, high=p.low) for p in fixed_dataset]
+    self_pairs = [cb.LinkPair(low=p.low, high=p.low, link_id=p.link_id) for p in fixed_dataset]
     report = cb.analyze_dataset(self_pairs, GPP3, GPP3, GRID, cb.SimilarityConfig())
     assert not report.failures
     assert report.n_links == N_LINKS
@@ -256,7 +256,7 @@ def test_criterion_08_response_gate_splits_fused_paths():
 
 def test_criterion_09_floor_bounds_singleton_loss(fixed_dataset):
     # worst case first: disjoint single-ray bands land exactly on the floor
-    low = cb.BandChannel(15.0, (cb.Ray(1.0, 0.0, 0.0),), "w")
+    low = cb.BandChannel(15.0, (cb.Ray(1.0, 0.0, 0.0),))
     high = cb.BandChannel(28.0, (cb.Ray(1.0, 0.0, 180.0),))
     worst = cb.analyze_pair(
         cb.LinkPair(low=low, high=high), GPP3, GPP3, GRID, cb.SimilarityConfig()

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
+import pytest
+
 import crossband as cb
+from crossband import beams, dataset, jsonio, pas
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -30,3 +35,25 @@ def test_benchmark_trace_sites_resolve():
         if not callable(owner):
             unresolved.append(f"{module_name}.{dotted}")
     assert unresolved == []
+
+
+@pytest.mark.parametrize(
+    "func, position, name",
+    [
+        (pas.filter_pas, 0, "channel"),
+        (pas.filter_pas, 2, "grid"),
+        (beams._cfr_matrix, 2, "steer_deg"),
+        (dataset.load_dataset, 0, "path"),
+        (dataset.write_dataset, 1, "path"),
+        (jsonio.dump, 1, "path"),
+    ],
+)
+def test_benchmark_count_hooks_read_the_right_arguments(func, position, name):
+    # the count hooks in perfbench/spans.py read these arguments by position,
+    # or by name when passed as keywords
+    assert list(inspect.signature(func).parameters)[position] == name
+
+
+def test_benchmark_count_hook_reads_band_rays():
+    # perfbench/spans.py counts gain evaluations as len(channel.rays)
+    assert "rays" in [field.name for field in dataclasses.fields(cb.BandChannel)]

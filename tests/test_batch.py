@@ -13,15 +13,15 @@ import crossband as cb
 
 
 def one_ray_pair(link_id, low_aoa, high_aoa):
-    low = cb.BandChannel(15.0, (cb.Ray(1.0, 0.0, low_aoa),), link_id)
+    low = cb.BandChannel(15.0, (cb.Ray(1.0, 0.0, low_aoa),))
     high = cb.BandChannel(28.0, (cb.Ray(1.0, 0.0, high_aoa),))
-    return cb.LinkPair(low=low, high=high)
+    return cb.LinkPair(low=low, high=high, link_id=link_id)
 
 
 def hot_pair(link_id):
     # two 1e308 rays overflow the high band's filtered spectrum
     hot = cb.BandChannel(28.0, (cb.Ray(1e308, 0.0, 10.0), cb.Ray(1e308, 0.0, 10.0)))
-    return cb.LinkPair(low=cb.BandChannel(15.0, (cb.Ray(1.0, 0.0, 10.0),), link_id), high=hot)
+    return cb.LinkPair(low=cb.BandChannel(15.0, (cb.Ray(1.0, 0.0, 10.0),)), high=hot, link_id=link_id)
 
 
 def three_link_dataset():
@@ -214,7 +214,7 @@ class TestAnalyzeDataset:
         assert rep.r_cdf == ((0.0, 1.0),)
 
     def test_all_links_failing_raises(self):
-        with pytest.raises(ValueError, match="every link failed"):
+        with pytest.raises(ValueError, match="every link failed analysis; first error: link 'bad': "):
             self.run([hot_pair("bad")])
 
     def test_psp_always_included(self):

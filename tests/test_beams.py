@@ -397,9 +397,8 @@ class TestAnalyzePair:
         ch = cb.BandChannel(
             15.0,
             (cb.Ray(1.0, 0.0, 20.0), cb.Ray(0.3, 40e-9, 200.0), cb.Ray(0.1, 90e-9, 310.0)),
-            "self",
         )
-        return cb.LinkPair(low=ch, high=ch)
+        return cb.LinkPair(low=ch, high=ch, link_id="self")
 
     def test_equal_bands_are_a_fixed_point(self, grid, gpp3_10):
         rep = cb.analyze_pair(
@@ -412,7 +411,7 @@ class TestAnalyzePair:
 
     def test_band_specific_patterns_in_overlap(self, grid, gpp3_10, ula8):
         # the overlap filters each band through its own pattern
-        ch = cb.BandChannel(15.0, (cb.Ray(1.0, 0.0, 40.0),), "z")
+        ch = cb.BandChannel(15.0, (cb.Ray(1.0, 0.0, 40.0),))
         pair = cb.LinkPair(low=ch, high=cb.BandChannel(28.0, ch.rays))
         cfg = cb.SimilarityConfig()
         wide = cb.analyze_pair(pair, gpp3_10, gpp3_10, grid, cfg).psp
@@ -434,7 +433,7 @@ class TestAnalyzePair:
         assert m2.power_ratio_db == 0.0
 
     def test_mismatched_bands_report_negative_ratio(self, grid, gpp3_10):
-        low = cb.BandChannel(15.0, (cb.Ray(1.0, 0.0, 0.0),), "y")
+        low = cb.BandChannel(15.0, (cb.Ray(1.0, 0.0, 0.0),))
         high = cb.BandChannel(28.0, (cb.Ray(1.0, 0.0, 30.0),))
         rep = cb.analyze_pair(
             cb.LinkPair(low=low, high=high), gpp3_10, gpp3_10, grid,

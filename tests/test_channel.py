@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import re
 import sys
@@ -86,12 +87,9 @@ class TestLinkPair:
             cb.LinkPair(low=low, high=high)
 
     def test_equal_frequencies_allowed(self):
-        ch = cb.BandChannel(15.0, (ray(),), "x")
-        pair = cb.LinkPair(low=ch, high=ch)
+        ch = cb.BandChannel(15.0, (ray(),))
+        pair = cb.LinkPair(low=ch, high=ch, link_id="x")
         assert pair.link_id == "x"
 
-    def test_link_id_conflict_rejected(self):
-        low = cb.BandChannel(15.0, (ray(),), "a")
-        high = cb.BandChannel(28.0, (ray(),), "b")
-        with pytest.raises(ValueError):
-            cb.LinkPair(low=low, high=high)
+    def test_band_holds_frequency_and_rays_only(self):
+        assert [f.name for f in dataclasses.fields(cb.BandChannel)] == ["frequency", "rays"]

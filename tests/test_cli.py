@@ -23,9 +23,9 @@ def dataset_path(tmp_path):
     # high-band offsets 0 / 5 / 60 degrees: power ratios 0, -3, -30 dB
     # under gpp3:hpbw=10,amax=30
     def pair(link_id, low_aoa, high_aoa):
-        low = cb.BandChannel(15.0, (cb.Ray(1.0, 0.0, low_aoa),), link_id)
+        low = cb.BandChannel(15.0, (cb.Ray(1.0, 0.0, low_aoa),))
         high = cb.BandChannel(28.0, (cb.Ray(1.0, 0.0, high_aoa),))
-        return cb.LinkPair(low=low, high=high)
+        return cb.LinkPair(low=low, high=high, link_id=link_id)
 
     path = tmp_path / "links.json"
     cb.write_dataset(
@@ -131,6 +131,27 @@ class TestGenerate:
         assert code == EXIT_VALIDATION
         assert "unknown" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ("[]", "object"),
+            ('{"angle_jitter_deg": "5"}', "angle_jitter_deg"),
+            ('{"low_freq_ghz": null}', "low_freq_ghz"),
+            ('{"power_jitter_db": NaN}', "power_jitter_db"),
+            ('{"delay_spread_ns": Infinity}', "delay_spread_ns"),
+        ],
+    )
+    def test_malformed_config_is_one_error_line(self, tmp_path, capsys, text, named):
+        cfg = tmp_path / "gen.json"
+        cfg.write_text(text)
+        code = main(["generate", "--config", str(cfg), "--n-links", "1",
+                     "--out", str(tmp_path / "x.json")])
+        assert code == EXIT_VALIDATION
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ")
+        assert named in lines[0]
+
     def test_unreadable_config_is_io_error(self, tmp_path):
         code = main(["generate", "--config", str(tmp_path / "none.json"),
                      "--n-links", "1", "--out", str(tmp_path / "x.json")])
@@ -235,6 +256,7 @@ class TestPsp:
         assert doc["per_link"]["a"] == 100.0
         assert doc["per_link"]["b"] < 100.0
         assert doc["per_link"]["c"] < doc["per_link"]["b"]
+        assert "failures" not in doc
 
     def test_optional_cdf_export(self, dataset_path, tmp_path, capsys):
         out = tmp_path / "psp_cdf.csv"
@@ -255,12 +277,16 @@ class TestPsp:
 
 class TestFloatFaults:
     # two 1e308 rays overflow the 28 GHz band's filtered spectrum
+    HOT = cb.LinkPair(
+        low=cb.BandChannel(15.0, (cb.Ray(1.0, 0.0, 10.0),)),
+        high=cb.BandChannel(28.0, (cb.Ray(1e308, 0.0, 10.0), cb.Ray(1e308, 0.0, 10.0))),
+        link_id="hot",
+    )
+
     @pytest.fixture()
     def hot_path(self, tmp_path):
-        low = cb.BandChannel(15.0, (cb.Ray(1.0, 0.0, 10.0),), "hot")
-        high = cb.BandChannel(28.0, (cb.Ray(1e308, 0.0, 10.0), cb.Ray(1e308, 0.0, 10.0)))
         path = tmp_path / "hot.json"
-        cb.write_dataset([cb.LinkPair(low=low, high=high)], path)
+        cb.write_dataset([self.HOT], path)
         return path
 
     @pytest.mark.parametrize("command", ["analyze", "psp"])
@@ -276,8 +302,25 @@ class TestFloatFaults:
         lines = captured.err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("error: ")
-        assert "overflow" in lines[0]
+        assert "link 'hot': overflow" in lines[0]
         assert "RuntimeWarning" not in captured.err
+
+    def test_psp_isolates_a_failing_link(self, tmp_path, capsys):
+        good = cb.BandChannel(15.0, (cb.Ray(1.0, 0.0, 10.0),))
+        path = tmp_path / "mixed.json"
+        cb.write_dataset(
+            [cb.LinkPair(low=good, high=self.HOT.high, link_id="bad"),
+             cb.LinkPair(low=good, high=cb.BandChannel(28.0, good.rays), link_id="good")],
+            path,
+        )
+        code = main(["psp", "--data", str(path), "--low-ghz", "15",
+                     "--high-ghz", "28", "--hpbw-deg", "10"])
+        captured = capsys.readouterr()
+        assert code == EXIT_OK
+        assert captured.err == ""
+        doc = json.loads(captured.out)
+        assert doc["per_link"] == {"good": 100.0}
+        assert doc["failures"] == {"bad": "overflow encountered in reduce"}
 
 
 class TestPattern:

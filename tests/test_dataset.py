@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 import sys
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import crossband as cb
@@ -71,9 +72,9 @@ class TestJsonRoundTrip:
         assert doc["schema_version"] == "1"
 
     def test_departure_angles_survive(self, tmp_path):
-        ch = cb.BandChannel(15.0, (cb.Ray(1.0, 0.0, 10.0, aod_azimuth=33.0),), "l")
+        ch = cb.BandChannel(15.0, (cb.Ray(1.0, 0.0, 10.0, aod_azimuth=33.0),))
         path = tmp_path / "links.json"
-        cb.write_dataset([cb.LinkPair(low=ch, high=ch)], path)
+        cb.write_dataset([cb.LinkPair(low=ch, high=ch, link_id="l")], path)
         loaded = cb.load_dataset(path, 15.0, 15.0)
         assert loaded[0].low.rays[0].aod_azimuth == 33.0
 
@@ -83,10 +84,10 @@ class TestWriteRefusesWhatLoadRejects:
 
     @pytest.mark.parametrize("name", ["links.json", "links.csv"])
     def test_tiny_negative_angles_round_trip(self, tmp_path, name):
-        low = cb.BandChannel(15.0, (cb.Ray(1.0, 0.0, -1e-20, aod_azimuth=-1e-20),), "l")
-        high = cb.BandChannel(28.0, (cb.Ray(1.0, 0.0, 10.0),), "l")
+        low = cb.BandChannel(15.0, (cb.Ray(1.0, 0.0, -1e-20, aod_azimuth=-1e-20),))
+        high = cb.BandChannel(28.0, (cb.Ray(1.0, 0.0, 10.0),))
         path = tmp_path / name
-        cb.write_dataset([cb.LinkPair(low=low, high=high)], path)
+        cb.write_dataset([cb.LinkPair(low=low, high=high, link_id="l")], path)
         loaded = cb.load_dataset(path, 15.0, 28.0)
         assert loaded[0].low.rays[0].aoa_azimuth == 0.0
 
@@ -101,11 +102,24 @@ class TestWriteRefusesWhatLoadRejects:
         # Ray accepts the smallest normal power, but its dB value reloads as a
         # subnormal, which load_dataset rejects
         power = sys.float_info.min
-        low = cb.BandChannel(15.0, (cb.Ray(1.0, 0.0, 0.0), cb.Ray(0.5, 0.0, 5.0)), "l")
-        high = cb.BandChannel(28.0, (cb.Ray(1.0, 0.0, 0.0), cb.Ray(power, 0.0, 20.0)), "l")
+        low = cb.BandChannel(15.0, (cb.Ray(1.0, 0.0, 0.0), cb.Ray(0.5, 0.0, 5.0)))
+        high = cb.BandChannel(28.0, (cb.Ray(1.0, 0.0, 0.0), cb.Ray(power, 0.0, 20.0)))
         path = tmp_path / name
         with pytest.raises(cb.DatasetFormatError, match=where):
-            cb.write_dataset([cb.LinkPair(low=low, high=high)], path)
+            cb.write_dataset([cb.LinkPair(low=low, high=high, link_id="l")], path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("name", ["links.json", "links.csv"])
+    @pytest.mark.parametrize("ids", [("",), ("x", "x")], ids=["empty", "duplicate"])
+    def test_empty_or_duplicate_link_id_refused(self, tmp_path, name, ids):
+        # the loader refuses both, and the CSV mirror would silently merge
+        # two same-id links into one
+        low = cb.BandChannel(15.0, (cb.Ray(1.0, 0.0, 0.0),))
+        high = cb.BandChannel(28.0, (cb.Ray(1.0, 0.0, 10.0),))
+        pairs = [cb.LinkPair(low=low, high=high, link_id=link_id) for link_id in ids]
+        path = tmp_path / name
+        with pytest.raises(cb.DatasetFormatError, match=f"^link {ids[-1]!r}: "):
+            cb.write_dataset(pairs, path)
         assert not path.exists()
 
     @given(st.floats(min_value=5e-324, allow_infinity=False))
@@ -118,10 +132,10 @@ class TestWriteRefusesWhatLoadRejects:
             with pytest.raises(ValueError, match="normal"):
                 cb.Ray(power, 0.0, 0.0)
             return
-        ch = cb.BandChannel(15.0, (cb.Ray(power, 0.0, 0.0),), "l")
+        ch = cb.BandChannel(15.0, (cb.Ray(power, 0.0, 0.0),))
         path = tmp_path_factory.mktemp("power") / "links.json"
         try:
-            cb.write_dataset([cb.LinkPair(low=ch, high=ch)], path)
+            cb.write_dataset([cb.LinkPair(low=ch, high=ch, link_id="l")], path)
         except cb.DatasetFormatError:
             assert not path.exists()
         else:
@@ -341,6 +355,13 @@ class TestCsv:
         with pytest.raises(cb.DatasetFormatError, match="360"):
             cb.load_dataset(path, 15.0, 28.0)
 
+    @pytest.mark.parametrize("freq_ghz", ["0", "-1", "nan"])
+    def test_bad_frequency_located_by_line_and_field(self, tmp_path, freq_ghz):
+        path = tmp_path / "freq.csv"
+        path.write_text(f"link_id,freq_ghz,power_db,delay_ns,aoa_deg\na,{freq_ghz},0,1,10\n")
+        with pytest.raises(cb.DatasetFormatError, match=r"freq\.csv:2\.freq_ghz: "):
+            cb.load_dataset(path, 15.0, 28.0)
+
     @pytest.mark.parametrize("power_db", ["-4000", "4000", "-3100"])
     def test_power_outside_the_normal_float_range_located_by_line(self, tmp_path, power_db):
         path = tmp_path / "power.csv"
@@ -356,21 +377,95 @@ class TestCsv:
         # the CSV mirror keys bands by frequency, so an equal-frequency pair
         # would merge into one band on reload and double every path
         rays = (cb.Ray(1.0, 0.0, 0.0), cb.Ray(0.5, 1e-9, 10.0))
-        same = cb.BandChannel(15.0, rays, "x")
-        near = cb.BandChannel(15.0 + 0.5e-6, rays, "y")
+        same = cb.BandChannel(15.0, rays)
+        near = cb.BandChannel(15.0 + 0.5e-6, rays)
         path = tmp_path / "self.csv"
         for pair in (
-            cb.LinkPair(low=same, high=same),
-            cb.LinkPair(low=cb.BandChannel(15.0, rays, "y"), high=near),
+            cb.LinkPair(low=same, high=same, link_id="x"),
+            cb.LinkPair(low=same, high=near, link_id="y"),
         ):
             with pytest.raises(cb.DatasetFormatError, match=f"link {pair.link_id!r}"):
                 cb.write_dataset([pair], path)
         assert not path.exists()
 
+    @pytest.mark.parametrize("link_id", ["a\rb", "\ud800"])
+    def test_link_id_the_csv_cannot_hold_refused(self, tmp_path, link_id):
+        # JSON escapes both; CSV would split the row at the carriage return,
+        # or fail to encode the surrogate halfway through the file
+        low = cb.BandChannel(15.0, (cb.Ray(1.0, 0.0, 0.0),))
+        pair = cb.LinkPair(low=low, high=cb.BandChannel(28.0, low.rays), link_id=link_id)
+        path = tmp_path / "ids.csv"
+        with pytest.raises(cb.DatasetFormatError, match=f"^link {re.escape(repr(link_id))}: "):
+            cb.write_dataset([pair], path)
+        assert not path.exists()
+        cb.write_dataset([pair], tmp_path / "ids.json")
+        assert cb.load_dataset(tmp_path / "ids.json", 15.0, 28.0)[0].link_id == link_id
+
     def test_equal_frequency_pair_kept_by_json(self, tmp_path):
-        ch = cb.BandChannel(15.0, (cb.Ray(1.0, 0.0, 0.0), cb.Ray(0.5, 1e-9, 10.0)), "x")
+        ch = cb.BandChannel(15.0, (cb.Ray(1.0, 0.0, 0.0), cb.Ray(0.5, 1e-9, 10.0)))
         path = tmp_path / "self.json"
-        cb.write_dataset([cb.LinkPair(low=ch, high=ch)], path)
+        cb.write_dataset([cb.LinkPair(low=ch, high=ch, link_id="x")], path)
         loaded = cb.load_dataset(path, 15.0, 15.0)
         assert len(loaded[0].low.rays) == 2
         assert len(loaded[0].high.rays) == 2
+
+
+ANGLES = st.floats(min_value=0.0, max_value=360.0, exclude_max=True)
+
+
+@st.composite
+def link_pairs(draw, csv: bool):
+    """Pairs with unique ids at one random frequency pair; ``aod`` only for JSON.
+
+    Powers stay inside (1e-300, 1e300), where every dB value reloads as a
+    normal float; CSV bands are at least 1e-3 GHz apart.
+    """
+    ray = st.builds(
+        cb.Ray,
+        power=st.floats(min_value=1e-300, max_value=1e300),
+        delay=st.floats(min_value=0.0, max_value=1e-3),
+        aoa_azimuth=ANGLES,
+        aod_azimuth=st.none() if csv else st.none() | ANGLES,
+    )
+    rays = st.lists(ray, min_size=1, max_size=5)
+    low = draw(st.floats(min_value=0.5, max_value=100.0))
+    high = low + draw(st.floats(min_value=1e-3 if csv else 0.0, max_value=100.0))
+    ids = draw(st.lists(st.text(min_size=1, max_size=6), min_size=1, max_size=4, unique=True))
+    return [
+        cb.LinkPair(cb.BandChannel(low, draw(rays)), cb.BandChannel(high, draw(rays)), link_id)
+        for link_id in ids
+    ]
+
+
+class TestRoundTrip:
+    @pytest.mark.parametrize("name", ["links.json", "links.csv"])
+    @settings(deadline=None)  # file I/O time is not under test
+    @given(data=st.data())
+    def test_written_links_load_back_or_are_refused(self, tmp_path_factory, name, data):
+        pairs = data.draw(link_pairs(csv=name.endswith(".csv")))
+        path = tmp_path_factory.mktemp("round") / name
+        try:
+            cb.write_dataset(pairs, path)
+        except cb.DatasetFormatError:
+            assert not path.exists()
+            return
+        loaded = cb.load_dataset(path, pairs[0].low.frequency, pairs[0].high.frequency)
+        assert [p.link_id for p in loaded] == [p.link_id for p in pairs]
+        for got, exp in zip(loaded, pairs):
+            assert (got.low.frequency, got.high.frequency) == (exp.low.frequency, exp.high.frequency)
+            assert_rays_close(got.low.rays, exp.low.rays)
+            assert_rays_close(got.high.rays, exp.high.rays)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="a delay crosses delay * 1e9 on write and delay_ns * 1e-9 on load, and "
+        "often comes back one ulp off: 12.5 ns rewrites as 12.500000000000002",
+    )
+    @pytest.mark.parametrize("name", ["links.json", "links.csv"])
+    def test_rewrite_is_byte_identical(self, tmp_path, name):
+        low = cb.BandChannel(15.0, (cb.Ray(1.0, 12.5e-9, 10.0),))
+        pair = cb.LinkPair(low=low, high=cb.BandChannel(28.0, low.rays), link_id="l")
+        first, second = tmp_path / f"first_{name}", tmp_path / f"second_{name}"
+        cb.write_dataset([pair], first)
+        cb.write_dataset(cb.load_dataset(first, 15.0, 28.0), second)
+        assert second.read_bytes() == first.read_bytes()

@@ -111,7 +111,7 @@ class TestPsp:
 
 class TestPairPsp:
     def _pair(self, low_aoa, high_aoa):
-        low = cb.BandChannel(15.0, (cb.Ray(1.0, 0.0, low_aoa),), "x")
+        low = cb.BandChannel(15.0, (cb.Ray(1.0, 0.0, low_aoa),))
         high = cb.BandChannel(28.0, (cb.Ray(1.0, 0.0, high_aoa),))
         return cb.LinkPair(low=low, high=high)
 

@@ -23,11 +23,22 @@ class TestGenConfig:
             {"low_freq_ghz": 30.0, "high_freq_ghz": 15.0},
             {"low_freq_ghz": 0.0},
             {"seed": -1},
+            {"angle_jitter_deg": "5"},
+            {"power_jitter_db": True},
+            {"low_freq_ghz": None},
+            {"delay_spread_ns": float("nan")},
+            {"high_freq_ghz": float("inf")},
+            {"angle_jitter_deg": 10**400},
         ],
     )
     def test_bad_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             cb.GenConfig(**kwargs)
+
+    def test_integer_settings_kept_as_given(self):
+        # written verbatim into the dataset metadata
+        data = cb.GenConfig.from_dict({"angle_jitter_deg": 5}).to_dict()
+        assert type(data["angle_jitter_deg"]) is int
 
     def test_equal_band_frequencies_allowed(self):
         cfg = cb.GenConfig(low_freq_ghz=15.0, high_freq_ghz=15.0)
@@ -40,6 +51,10 @@ class TestGenConfig:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
             cb.GenConfig.from_dict({"seed": 1, "n_paths": 4})
+
+    def test_non_object_rejected(self):
+        with pytest.raises(ValueError, match="object"):
+            cb.GenConfig.from_dict([])
 
 
 class TestGenerateLink:
