@@ -18,8 +18,8 @@ import crossband as cb
 
 
 def build_configurations(delta_p_db: float):
-    ula4 = cb.synth_ula(4)
-    ula8 = cb.synth_ula(8)
+    ula4 = cb.UlaPattern(4)
+    ula8 = cb.UlaPattern(8)
     return [
         ("ula4-ula4 th10", ula4, ula4, cb.SimilarityConfig(delta_th_db=10.0, delta_p_db=delta_p_db)),
         ("ula4-ula8 th10", ula4, ula8, cb.SimilarityConfig(delta_th_db=10.0, delta_p_db=delta_p_db)),

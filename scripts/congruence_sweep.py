@@ -25,7 +25,7 @@ def main() -> int:
     args = parser.parse_args()
 
     grid = cb.AngularGrid(1.0)
-    pattern = cb.synth_3gpp(args.hpbw_deg, 30.0)
+    pattern = cb.Gpp3Pattern(args.hpbw_deg)
     sim = cb.SimilarityConfig()
 
     header = f"{'jitter':>8} {'median overlap':>15} {'median loss':>12}"

@@ -17,8 +17,6 @@ from .beampattern import (
     hpbw,
     pattern_from_csv,
     pattern_to_csv,
-    synth_3gpp,
-    synth_ula,
 )
 from .beams import (
     DirectionSet,
@@ -73,8 +71,6 @@ __all__ = [
     "psp",
     "select_m1",
     "select_m2",
-    "synth_3gpp",
-    "synth_ula",
     "total_variation",
     "write_curve_csv",
     "write_dataset",

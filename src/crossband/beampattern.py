@@ -5,14 +5,16 @@ for arbitrary offsets, which are wrapped into (-180, 180] first. Absolute gain
 is irrelevant to the similarity metrics (they are ratios of filtered powers),
 so only the normalized shape matters.
 
-Three kinds are provided:
+Three kinds are provided. Each is built through its class alone, and each
+default lives only in a class field; the command-line spec grammar
+(``cli.parse_pattern_spec``) maps its keys onto those fields.
 
 * ``Gpp3Pattern`` - parabolic main lobe with a hard floor,
   ``gain_db = -min(12 * (offset / hpbw)^2, a_max)``.
 * ``UlaPattern`` - bore-sight array factor of an N-element uniform linear
   array inside the front half plane, constant floor behind it.
 * ``TabulatedPattern`` - sampled gain table, interpolated linearly in the
-  dB domain around the circle.
+  dB domain around the circle; ``pattern_from_csv`` loads one.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ class Gpp3Pattern(_Pattern):
     """Synthetic sector pattern: parabolic roll-off clipped at a floor."""
 
     hpbw_deg: float
-    a_max_db: float
+    a_max_db: float = 30.0
 
     def __post_init__(self):
         if not 0.0 < self.hpbw_deg <= 180.0:
@@ -95,11 +97,14 @@ class UlaPattern(_Pattern):
     backplane_floor_db: float = -60.0
 
     def __post_init__(self):
-        if int(self.n_elements) != self.n_elements or self.n_elements < 2:
+        # % 1 is nan for inf and nan, where int() would raise
+        if not (self.n_elements >= 2 and self.n_elements % 1 == 0):
             raise ValueError(f"n_elements must be an integer >= 2, got {self.n_elements!r}")
         object.__setattr__(self, "n_elements", int(self.n_elements))
-        if not self.spacing_wavelengths > 0.0:
-            raise ValueError(f"spacing_wavelengths must be > 0, got {self.spacing_wavelengths!r}")
+        if not 0.0 < self.spacing_wavelengths < np.inf:
+            raise ValueError(
+                f"spacing_wavelengths must be finite and > 0, got {self.spacing_wavelengths!r}"
+            )
         if not self.backplane_floor_db < 0.0:
             raise ValueError(f"backplane_floor_db must be < 0, got {self.backplane_floor_db!r}")
 
@@ -190,28 +195,7 @@ class TabulatedPattern(_Pattern):
         return np.interp(off, self.offsets_deg, self.gains_db, period=360.0)
 
 
-Beampattern = Gpp3Pattern | UlaPattern | TabulatedPattern
-
-
-def synth_3gpp(hpbw_deg: float, a_max_db: float) -> Gpp3Pattern:
-    """Synthesize the parabolic sector pattern; -3 dB at exactly +-hpbw/2."""
-    return Gpp3Pattern(hpbw_deg=float(hpbw_deg), a_max_db=float(a_max_db))
-
-
-def synth_ula(
-    n_elements: int,
-    spacing_wavelengths: float = 0.5,
-    backplane_floor_db: float = -60.0,
-) -> UlaPattern:
-    """Synthesize a bore-sight uniform linear array pattern."""
-    return UlaPattern(
-        n_elements=n_elements,
-        spacing_wavelengths=float(spacing_wavelengths),
-        backplane_floor_db=float(backplane_floor_db),
-    )
-
-
-def hpbw(pattern: Beampattern) -> float:
+def hpbw(pattern) -> float:
     """Half-power beamwidth of the main lobe at 0 deg.
 
     Full width between the two -3 dB crossings nearest zero offset, each
@@ -238,7 +222,7 @@ def _crossing_distance(pattern, direction):
     return 0.5 * (lo + hi)
 
 
-def pattern_to_csv(pattern: Beampattern, path, step_deg: float = 0.1) -> None:
+def pattern_to_csv(pattern, path, step_deg: float = 0.1) -> None:
     """Tabulate a pattern to a two-column CSV (offset_deg, gain_db).
 
     The step must divide 360; offsets run from -180 to +180 inclusive.

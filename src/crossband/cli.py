@@ -5,11 +5,10 @@ Exit codes: 0 success, 2 usage errors (bad flags or pattern-spec grammar),
 deterministic: rerunning a command on the same inputs yields byte-identical
 files and stdout.
 
-Pattern specs follow a small grammar::
-
-    gpp3:hpbw=10,amax=30      synthetic main-lobe pattern
-    ula:n=8,spacing=0.5,floor=-60
-    file:/path/to/pattern.csv tabulated offsets/gains
+A pattern spec is ``file:path`` or ``kind:key=value,...``, such as
+``gpp3:hpbw=10,amax=25`` or ``ula:n=8,floor=-50``. ``_SPEC_KINDS`` maps each
+key onto a field of the kind's pattern class; a key left out takes the
+field's class default.
 """
 
 from __future__ import annotations
@@ -18,14 +17,15 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 from .batch import (BatchReport, analyze_dataset, empirical_cdf, float_faults_raise, map_links,
                     write_curve_csv)
-from .beampattern import pattern_from_csv, pattern_to_csv, synth_3gpp, synth_ula
+from .beampattern import Gpp3Pattern, UlaPattern, pattern_from_csv, pattern_to_csv
 from .beams import SimilarityConfig, analyze_pair
 from .channel import LinkPair
-from .dataset import DatasetFormatError, load_dataset, write_dataset
+from .dataset import load_dataset, write_dataset
 from .jsonio import dump, dumps
 from .metrics import psp
 from .pas import AngularGrid, filter_pas, normalize_pas
@@ -43,6 +43,15 @@ class PatternSpecError(ValueError):
     """The --spec / --pattern-* grammar was violated."""
 
 
+# Each kind's pattern class and the field each spec key sets. A key is
+# required when its field has no default.
+_SPEC_KINDS = {
+    "gpp3": (Gpp3Pattern, {"hpbw": "hpbw_deg", "amax": "a_max_db"}),
+    "ula": (UlaPattern, {"n": "n_elements", "spacing": "spacing_wavelengths",
+                         "floor": "backplane_floor_db"}),
+}
+
+
 def parse_pattern_spec(text: str):
     """Build a beampattern from its command-line spec string."""
     kind, _, rest = text.partition(":")
@@ -50,49 +59,30 @@ def parse_pattern_spec(text: str):
         if not rest:
             raise PatternSpecError("file: spec needs a path, e.g. file:pattern.csv")
         return pattern_from_csv(rest)
+    if kind not in _SPEC_KINDS:
+        raise PatternSpecError(f"unknown pattern kind {kind!r} (expected gpp3, ula, or file)")
+    cls, field_of = _SPEC_KINDS[kind]
     params = {}
-    if rest:
-        for item in rest.split(","):
-            key, sep, value = item.partition("=")
-            if not sep or not key or not value:
-                raise PatternSpecError(f"malformed parameter {item!r} in spec {text!r}")
-            if key in params:
-                raise PatternSpecError(f"duplicate parameter {key!r} in spec {text!r}")
-            try:
-                params[key] = float(value)
-            except ValueError:
-                raise PatternSpecError(f"non-numeric value {value!r} in spec {text!r}") from None
+    for item in rest.split(",") if rest else ():
+        key, sep, value = item.partition("=")
+        if not sep or not key or not value:
+            raise PatternSpecError(f"malformed parameter {item!r} in spec {text!r}")
+        if key not in field_of:
+            raise PatternSpecError(f"unknown {kind} parameter {key!r} in spec {text!r}")
+        if field_of[key] in params:
+            raise PatternSpecError(f"duplicate parameter {key!r} in spec {text!r}")
+        try:
+            params[field_of[key]] = float(value)
+        except ValueError:
+            raise PatternSpecError(f"non-numeric value {value!r} in spec {text!r}") from None
+    required = {f.name for f in fields(cls) if f.default is MISSING}
+    for key, name in field_of.items():
+        if name in required and name not in params:
+            raise PatternSpecError(f"{kind} spec needs {key}=<value>: {text!r}")
     try:
-        if kind == "gpp3":
-            return _build_gpp3(text, params)
-        if kind == "ula":
-            return _build_ula(text, params)
-    except PatternSpecError:
-        raise
+        return cls(**params)
     except ValueError as exc:
         raise PatternSpecError(f"invalid spec {text!r}: {exc}") from exc
-    raise PatternSpecError(f"unknown pattern kind {kind!r} (expected gpp3, ula, or file)")
-
-
-def _build_gpp3(text, params):
-    unknown = set(params) - {"hpbw", "amax"}
-    if unknown:
-        raise PatternSpecError(f"unknown gpp3 parameters {sorted(unknown)} in {text!r}")
-    if "hpbw" not in params:
-        raise PatternSpecError(f"gpp3 spec needs hpbw=<deg>: {text!r}")
-    return synth_3gpp(params["hpbw"], params.get("amax", 30.0))
-
-
-def _build_ula(text, params):
-    unknown = set(params) - {"n", "spacing", "floor"}
-    if unknown:
-        raise PatternSpecError(f"unknown ula parameters {sorted(unknown)} in {text!r}")
-    if "n" not in params:
-        raise PatternSpecError(f"ula spec needs n=<elements>: {text!r}")
-    n = params["n"]
-    if n != int(n):
-        raise PatternSpecError(f"ula element count must be an integer, got {n!r}")
-    return synth_ula(int(n), params.get("spacing", 0.5), params.get("floor", -60.0))
 
 
 def _add_analysis_flags(sub, with_link: bool):
@@ -139,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     psc.add_argument("--high-ghz", required=True, type=float)
     psc.add_argument("--hpbw-deg", required=True, type=float,
                      help="half-power beamwidth of the filtering pattern, both bands")
-    psc.add_argument("--amax-db", type=float, default=30.0)
+    psc.add_argument("--amax-db", type=float, default=Gpp3Pattern.a_max_db)
     psc.add_argument("--grid-step-deg", type=float, default=1.0)
     psc.add_argument("--out", help="optional CDF CSV path")
     psc.set_defaults(func=_cmd_psp)
@@ -257,7 +247,7 @@ def _cmd_batch(args) -> int:
 
 def _cmd_psp(args) -> int:
     pairs = _load_pairs(args)
-    pattern = synth_3gpp(args.hpbw_deg, args.amax_db)
+    pattern = Gpp3Pattern(args.hpbw_deg, args.amax_db)
     grid = AngularGrid(args.grid_step_deg)
 
     def overlap(pair: LinkPair) -> float:
@@ -289,13 +279,10 @@ def main(argv=None) -> int:
     except PatternSpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except DatasetFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ValueError, FloatingPointError) as exc:
+    except (ValueError, FloatingPointError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

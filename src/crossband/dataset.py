@@ -64,8 +64,9 @@ def write_dataset(pairs: list[LinkPair], path, metadata: dict | None = None) -> 
     Raises ``DatasetFormatError`` naming the link, and the path entry where
     there is one, before anything is written, when a value would not load
     back: an empty or repeated link id, a power whose ``power_db`` is zero,
-    infinite or subnormal as a linear power, or (CSV only) a pair whose bands
-    share a frequency or whose link id holds a carriage return or a surrogate.
+    infinite or subnormal as a linear power, a delay infinite in ns, or (CSV
+    only) a pair whose bands share a frequency or whose link id holds a
+    carriage return or a surrogate.
     """
     seen_ids = set()
     for pair in pairs:
@@ -113,17 +114,16 @@ def load_dataset(path, low_freq_ghz: float, high_freq_ghz: float) -> list[LinkPa
     return pairs
 
 
-def _check_written_power(ray: Ray, link_id: str, where: str, *where_args) -> None:
-    """Refuse a ray whose ``power_db`` would not load back.
+def _check_written_path(ray: Ray, link_id: str, where: str, *where_args) -> None:
+    """Refuse a ray whose ``power_db`` or ``delay_ns`` would not load back.
 
     Names the link and ``where.format(*where_args)``, built only on failure.
-    A linear power inside (1e-300, 1e300) reloads from its dB value as a
-    normal, finite float, so only powers outside it run the loader's check.
+    A power inside (1e-300, 1e300) reloads as a normal float and a delay
+    below 1e290 s as a finite one, so only other rays run the loader's checks.
     """
-    if not 1e-300 < ray.power < 1e300:
-        _check_power_db(
-            float(linear_to_db(ray.power)), f"link {link_id!r}: " + where.format(*where_args)
-        )
+    if not (1e-300 < ray.power < 1e300 and ray.delay < 1e290):
+        _read_path(f"link {link_id!r}: " + where.format(*where_args),
+                   float(linear_to_db(ray.power)), ray.delay * 1e9, ray.aoa_azimuth)
 
 
 def _to_file_dict(pairs: list[LinkPair], metadata: dict | None) -> dict:
@@ -133,9 +133,7 @@ def _to_file_dict(pairs: list[LinkPair], metadata: dict | None) -> dict:
         for j, channel in enumerate((pair.low, pair.high)):
             paths = []
             for k, ray in enumerate(channel.rays):
-                _check_written_power(
-                    ray, pair.link_id, "links[{}].bands[{}].paths[{}].power_db", i, j, k
-                )
+                _check_written_path(ray, pair.link_id, "links[{}].bands[{}].paths[{}]", i, j, k)
                 entry = {
                     "power_db": float(linear_to_db(ray.power)),
                     "delay_ns": ray.delay * 1e9,
@@ -166,7 +164,7 @@ def _write_csv(pairs: list[LinkPair], path) -> None:
         for channel in (pair.low, pair.high):
             for ray in channel.rays:
                 line += 1
-                _check_written_power(ray, pair.link_id, "{}:{}.power_db", path, line)
+                _check_written_path(ray, pair.link_id, "{}:{}", path, line)
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(_CSV_HEADER)
@@ -199,17 +197,6 @@ def _check_number(value, where: str, minimum=None, below=None) -> float:
     return value
 
 
-def _check_power_db(value, where: str) -> float:
-    value = _check_number(value, where)
-    try:
-        linear = db_to_linear(value)
-    except OverflowError:
-        linear = math.inf
-    if not sys.float_info.min <= linear < math.inf:
-        _fail(where, f"{value!r} dB is zero, infinite or subnormal as a linear power")
-    return value
-
-
 def _check_freq(value, where: str) -> float:
     freq = _check_number(value, where)
     if freq <= 0.0:
@@ -218,11 +205,17 @@ def _check_freq(value, where: str) -> float:
 
 
 def _read_path(where: str, power_db, delay_ns, aoa_deg, *aod_deg) -> Ray:
-    power_db = _check_power_db(power_db, f"{where}.power_db")
+    power_db = _check_number(power_db, f"{where}.power_db")
+    try:
+        power = db_to_linear(power_db)
+    except OverflowError:
+        power = math.inf
+    if not sys.float_info.min <= power < math.inf:
+        _fail(f"{where}.power_db", f"{power_db!r} dB is zero, infinite or subnormal as a linear power")
     delay_ns = _check_number(delay_ns, f"{where}.delay_ns", minimum=0.0)
     aoa_deg = _check_number(aoa_deg, f"{where}.aoa_deg", minimum=0.0, below=360.0)
     aod = [_check_number(a, f"{where}.aod_deg", minimum=0.0, below=360.0) for a in aod_deg]
-    return Ray(db_to_linear(power_db), delay_ns * 1e-9, aoa_deg, *aod)
+    return Ray(power, delay_ns * 1e-9, aoa_deg, *aod)
 
 
 def _read_links_json(path) -> list[tuple[str, list[BandChannel]]]:

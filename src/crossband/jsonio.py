@@ -31,5 +31,7 @@ def dumps(obj, sig_digits: int | None = None) -> str:
 
 
 def dump(obj, path, sig_digits: int | None = None) -> None:
+    """Write ``dumps(obj, sig_digits)`` to ``path``; a refused ``obj`` leaves it untouched."""
+    text = dumps(obj, sig_digits)
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(dumps(obj, sig_digits))
+        handle.write(text)

@@ -78,39 +78,57 @@ class GenConfig:
 
 
 def generate_link(config: GenConfig, link_index: int) -> LinkPair:
-    """Draw one two-band link; deterministic given (config.seed, link_index)."""
+    """Draw one two-band link; deterministic given (config.seed, link_index).
+
+    Raises ``ValueError`` naming the link index and the setting when a
+    setting is so extreme that a drawn angle, delay or power overflows.
+    """
     if link_index < 0:
         raise ValueError(f"link_index must be >= 0, got {link_index!r}")
     rng = np.random.Generator(
         np.random.PCG64(np.random.SeedSequence(entropy=config.seed, spawn_key=(link_index,)))
     )
     n = config.n_shared_paths
-    shared_aoa = rng.uniform(0.0, 360.0, n)
-    shared_delay_ns = rng.exponential(config.delay_spread_ns, n)
-    shared_power_db = -config.shared_power_decay_db * np.arange(n, dtype=float)
 
     def band_rays(extra_count: int) -> tuple[Ray, ...]:
         aoa = (shared_aoa + rng.normal(0.0, config.angle_jitter_deg, n)) % 360.0
         power_db = shared_power_db + rng.normal(0.0, config.power_jitter_db, n)
-        rays = [
-            Ray(power=db_to_linear(power_db[i]), delay=shared_delay_ns[i] * 1e-9,
-                aoa_azimuth=aoa[i])
-            for i in range(n)
-        ]
         extra_aoa = rng.uniform(0.0, 360.0, extra_count)
         extra_delay_ns = rng.exponential(config.delay_spread_ns, extra_count)
         # Exclusive paths sit 10-30 dB below the strongest shared path, whose
         # nominal power is 0 dB.
         extra_deficit_db = rng.uniform(10.0, 30.0, extra_count)
-        rays += [
-            Ray(power=db_to_linear(-extra_deficit_db[i]), delay=extra_delay_ns[i] * 1e-9,
-                aoa_azimuth=extra_aoa[i])
-            for i in range(extra_count)
-        ]
+        try:
+            rays = [
+                Ray(power=db_to_linear(power_db[i]), delay=shared_delay_ns[i] * 1e-9,
+                    aoa_azimuth=aoa[i])
+                for i in range(n)
+            ]
+            rays += [
+                Ray(power=db_to_linear(-extra_deficit_db[i]), delay=extra_delay_ns[i] * 1e-9,
+                    aoa_azimuth=extra_aoa[i])
+                for i in range(extra_count)
+            ]
+        except ValueError:  # only an extreme setting draws a value a Ray refuses
+            for ok, what, settings in (
+                (np.isfinite(aoa).all(), "angle is not finite", "angle_jitter_deg"),
+                (all(sys.float_info.min <= db_to_linear(p) < np.inf for p in power_db),
+                 "power is zero, infinite or subnormal as a linear power",
+                 "shared_power_decay_db or power_jitter_db"),
+                (np.isfinite(shared_delay_ns).all() and np.isfinite(extra_delay_ns).all(),
+                 "delay is not finite", "delay_spread_ns"),
+            ):
+                if not ok:
+                    raise ValueError(f"link {link_index}: a drawn {what}; lower {settings}")
+            raise
         return tuple(rays)
 
-    low = BandChannel(config.low_freq_ghz, band_rays(config.n_low_only_paths))
-    high = BandChannel(config.high_freq_ghz, band_rays(config.n_high_only_paths))
+    with np.errstate(all="ignore"):  # the checks above name the setting behind an overflow
+        shared_aoa = rng.uniform(0.0, 360.0, n)
+        shared_delay_ns = rng.exponential(config.delay_spread_ns, n)
+        shared_power_db = -config.shared_power_decay_db * np.arange(n, dtype=float)
+        low = BandChannel(config.low_freq_ghz, band_rays(config.n_low_only_paths))
+        high = BandChannel(config.high_freq_ghz, band_rays(config.n_high_only_paths))
     return LinkPair(low=low, high=high, link_id=f"link-{link_index:05d}")
 
 

@@ -12,14 +12,14 @@ def grid():
 
 @pytest.fixture(scope="session")
 def gpp3_10():
-    return cb.synth_3gpp(hpbw_deg=10.0, a_max_db=30.0)
+    return cb.Gpp3Pattern(hpbw_deg=10.0, a_max_db=30.0)
 
 
 @pytest.fixture(scope="session")
 def ula4():
-    return cb.synth_ula(n_elements=4)
+    return cb.UlaPattern(n_elements=4)
 
 
 @pytest.fixture(scope="session")
 def ula8():
-    return cb.synth_ula(n_elements=8)
+    return cb.UlaPattern(n_elements=8)

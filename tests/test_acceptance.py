@@ -26,9 +26,9 @@ from oracles import (
 )
 
 GRID = cb.AngularGrid(step_deg=1.0)
-GPP3 = cb.synth_3gpp(hpbw_deg=10.0, a_max_db=30.0)
-ULA4 = cb.synth_ula(n_elements=4)
-ULA8 = cb.synth_ula(n_elements=8)
+GPP3 = cb.Gpp3Pattern(hpbw_deg=10.0, a_max_db=30.0)
+ULA4 = cb.UlaPattern(n_elements=4)
+ULA8 = cb.UlaPattern(n_elements=8)
 
 # Frozen settings of the fixed evaluation dataset. The large power jitter
 # gives the two bands genuinely different power orderings, so a looser
@@ -154,7 +154,7 @@ def test_criterion_03_reference_equivalence():
             hpbw_deg = float(rng.uniform(5.0, 40.0))
             a_max = float(rng.uniform(15.0, 35.0))
             check_instance(
-                cb.synth_3gpp(hpbw_deg, a_max),
+                cb.Gpp3Pattern(hpbw_deg, a_max),
                 lambda off, h=hpbw_deg, a=a_max: gpp3_gain(off, h, a),
                 int(rng.integers(1, 51)),
                 int(rng.integers(1, 51)),
@@ -164,7 +164,7 @@ def test_criterion_03_reference_equivalence():
         else:
             n_el = int(rng.choice([4, 8]))
             check_instance(
-                cb.synth_ula(n_el),
+                cb.UlaPattern(n_el),
                 lambda off, n=n_el: ula_gain(off, n, 0.5, -60.0),
                 int(rng.integers(3, 21)),
                 int(rng.integers(3, 21)),
@@ -266,7 +266,7 @@ def test_criterion_09_floor_bounds_singleton_loss(fixed_dataset):
 
     singles = 0
     for hpbw_deg in (10.0, 20.0, 35.0):
-        pattern = cb.synth_3gpp(hpbw_deg, 30.0)
+        pattern = cb.Gpp3Pattern(hpbw_deg, 30.0)
         for pair in fixed_dataset[:200]:
             pas_low = cb.filter_pas(pair.low, pattern, GRID)
             pas_high = cb.filter_pas(pair.high, pattern, GRID)

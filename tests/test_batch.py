@@ -172,7 +172,7 @@ class TestBatchReportValidation:
 class TestAnalyzeDataset:
     def run(self, dataset):
         cfg = cb.SimilarityConfig()
-        pat = cb.synth_3gpp(hpbw_deg=10.0, a_max_db=30.0)
+        pat = cb.Gpp3Pattern(hpbw_deg=10.0, a_max_db=30.0)
         return cb.analyze_dataset(dataset, pat, pat, cb.AngularGrid(1.0), cfg)
 
     def test_three_link_fixture(self):

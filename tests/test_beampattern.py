@@ -19,9 +19,9 @@ offsets = st.floats(-720.0, 720.0, allow_nan=False)
 dyadic_offsets = st.integers(-5760, 5760).map(lambda k: k / 8.0)
 
 ALL_KINDS = [
-    cb.synth_3gpp(10.0, 30.0),
-    cb.synth_ula(4),
-    cb.synth_ula(8),
+    cb.Gpp3Pattern(10.0, 30.0),
+    cb.UlaPattern(4),
+    cb.UlaPattern(8),
     cb.TabulatedPattern(
         np.array([-170.0, -30.0, 0.0, 45.0, 175.0]),
         np.array([-25.0, -8.0, 0.0, -6.0, -20.0]),
@@ -50,20 +50,20 @@ class TestGpp3:
 
     @given(dyadic_offsets)
     def test_symmetric_and_periodic(self, x):
-        pat = cb.synth_3gpp(hpbw_deg=25.0, a_max_db=20.0)
+        pat = cb.Gpp3Pattern(hpbw_deg=25.0, a_max_db=20.0)
         assert float(pat.gain_db(x)) == float(pat.gain_db(-x))
         assert float(pat.gain_db(x)) == float(pat.gain_db(x + 360.0))
 
     @given(offsets)
     def test_nearly_symmetric_off_grid(self, x):
-        pat = cb.synth_3gpp(hpbw_deg=25.0, a_max_db=20.0)
+        pat = cb.Gpp3Pattern(hpbw_deg=25.0, a_max_db=20.0)
         assert float(pat.gain_db(x)) == pytest.approx(
             float(pat.gain_db(-x)), abs=1e-9
         )
 
     @given(offsets)
     def test_gain_matches_gain_db(self, x):
-        pat = cb.synth_3gpp(hpbw_deg=25.0, a_max_db=20.0)
+        pat = cb.Gpp3Pattern(hpbw_deg=25.0, a_max_db=20.0)
         assert float(pat.gain(x)) == pytest.approx(
             10.0 ** (float(pat.gain_db(x)) / 10.0), rel=1e-12
         )
@@ -74,11 +74,11 @@ class TestGpp3:
     @pytest.mark.parametrize("hpbw_deg", [0.0, -10.0, 181.0])
     def test_bad_beamwidth_rejected(self, hpbw_deg):
         with pytest.raises(ValueError):
-            cb.synth_3gpp(hpbw_deg=hpbw_deg, a_max_db=30.0)
+            cb.Gpp3Pattern(hpbw_deg=hpbw_deg, a_max_db=30.0)
 
     def test_bad_floor_rejected(self):
         with pytest.raises(ValueError):
-            cb.synth_3gpp(hpbw_deg=10.0, a_max_db=0.0)
+            cb.Gpp3Pattern(hpbw_deg=10.0, a_max_db=0.0)
 
 
 class TestUla:
@@ -108,25 +108,27 @@ class TestUla:
         assert cb.hpbw(ula8) == pytest.approx(12.78, abs=0.02)
 
     def test_narrows_with_more_elements(self):
-        widths = [cb.hpbw(cb.synth_ula(n)) for n in (2, 4, 8, 16)]
+        widths = [cb.hpbw(cb.UlaPattern(n)) for n in (2, 4, 8, 16)]
         assert widths == sorted(widths, reverse=True)
 
     @given(dyadic_offsets)
     def test_symmetric_and_periodic(self, x):
-        pat = cb.synth_ula(n_elements=4)
+        pat = cb.UlaPattern(n_elements=4)
         assert float(pat.gain(x)) == float(pat.gain(-x))
         assert float(pat.gain(x)) == float(pat.gain(x + 360.0))
 
-    @pytest.mark.parametrize("n", [1, 0, 2.5])
+    @pytest.mark.parametrize("n", [1, 0, 2.5, math.inf, math.nan])
     def test_bad_element_count_rejected(self, n):
         with pytest.raises(ValueError):
-            cb.synth_ula(n_elements=n)
+            cb.UlaPattern(n_elements=n)
 
     def test_bad_spacing_and_floor_rejected(self):
         with pytest.raises(ValueError):
-            cb.synth_ula(4, spacing_wavelengths=0.0)
+            cb.UlaPattern(4, spacing_wavelengths=0.0)
         with pytest.raises(ValueError):
-            cb.synth_ula(4, backplane_floor_db=0.0)
+            cb.UlaPattern(4, spacing_wavelengths=math.inf)
+        with pytest.raises(ValueError):
+            cb.UlaPattern(4, backplane_floor_db=0.0)
 
 
 def complex_exponential_ula_gain(offset_deg, n, spacing):
@@ -158,7 +160,7 @@ class TestKernelBitIdentity:
         x = np.concatenate([EDGE_OFFSETS, rng.uniform(-720.0, 720.0, 600)])
         mismatched = []
         for n in [*range(2, 131), 257]:
-            pat = cb.synth_ula(n, spacing_wavelengths=spacing)
+            pat = cb.UlaPattern(n, spacing_wavelengths=spacing)
             if not same_bits(pat.gain(x), complex_exponential_ula_gain(x, n, spacing)):
                 mismatched.append(n)
             for off in EDGE_OFFSETS:  # one offset per call: a 1-element row
@@ -300,7 +302,7 @@ class TestCsvRoundTrip:
 
 class TestHpbwEdgeCases:
     def test_shallow_pattern_has_no_half_power_width(self):
-        flat = cb.synth_3gpp(hpbw_deg=10.0, a_max_db=2.5)
+        flat = cb.Gpp3Pattern(hpbw_deg=10.0, a_max_db=2.5)
         with pytest.raises(ValueError):
             cb.hpbw(flat)
 

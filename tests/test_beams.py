@@ -282,7 +282,7 @@ class TestSelectM2:
                 for _ in range(int(rng.integers(2, 9)))
             ]
             ch = cb.BandChannel(f0, tuple(cb.Ray(p, d, a) for p, a, d in rays))
-            pattern = cb.synth_ula(n_elements)
+            pattern = cb.UlaPattern(n_elements)
             got = cb.select_m2(ch, pattern, grid, delta_th_db)
 
             values = cb.filter_pas(ch, pattern, grid).values

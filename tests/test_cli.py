@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import re
 
 import pytest
 
 import crossband as cb
 from crossband.cli import (
+    _SPEC_KINDS,
     EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
@@ -79,8 +82,12 @@ class TestPatternSpec:
             "gpp3:hpbw",                 # malformed item
             "gpp3:hpbw=wide",            # non-numeric
             "gpp3:hpbw=0",               # invalid parameter value
+            "gpp3:hpbw=10,n=4",          # another kind's key
             "ula:spacing=0.5",           # missing n
             "ula:n=2.5",                 # fractional element count
+            "ula:n=1",                   # too few elements
+            "ula:n=inf",                 # infinite element count
+            "ula:n=4,spacing=inf",       # infinite spacing
             "file:",                     # missing path
             "dish:d=1",                  # unknown kind
         ],
@@ -88,6 +95,26 @@ class TestPatternSpec:
     def test_bad_specs_rejected(self, spec):
         with pytest.raises(PatternSpecError):
             parse_pattern_spec(spec)
+
+    def test_spec_builds_the_class_with_its_defaults(self):
+        assert parse_pattern_spec("ula:n=4") == cb.UlaPattern(4)
+        assert parse_pattern_spec("gpp3:hpbw=10") == cb.Gpp3Pattern(10.0)
+
+    @pytest.mark.parametrize(
+        "spec, named",
+        [
+            ("gpp3:amax=20", "hpbw="),
+            ("ula:floor=-50", "n="),
+            ("gpp3:hpbw=10,slope=2", "gpp3 parameter 'slope'"),
+        ],
+    )
+    def test_error_names_the_spec_key(self, spec, named):
+        with pytest.raises(PatternSpecError, match=re.escape(named)):
+            parse_pattern_spec(spec)
+
+    def test_every_pattern_field_has_a_spec_key(self):
+        for cls, field_of in _SPEC_KINDS.values():
+            assert sorted(field_of.values()) == sorted(f.name for f in dataclasses.fields(cls))
 
 
 class TestGenerate:
@@ -151,6 +178,28 @@ class TestGenerate:
         assert len(lines) == 1
         assert lines[0].startswith("error: ")
         assert named in lines[0]
+
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ('{"power_jitter_db": 1e300}', "link 0: .*power_jitter_db"),
+            ('{"shared_power_decay_db": 1e300}', "link 0: .*shared_power_decay_db"),
+            ('{"delay_spread_ns": 1e308}', "link 0: .*delay_spread_ns"),
+            ('{"angle_jitter_deg": 1e308}', "link 2: .*angle_jitter_deg"),
+            # the array exceeds a 47-bit address space, so allocation fails at once
+            ('{"n_shared_paths": 1000000000000000}', "Unable to allocate"),
+        ],
+    )
+    def test_extreme_setting_is_one_located_error_line(self, tmp_path, capsys, text, named):
+        cfg = tmp_path / "gen.json"
+        cfg.write_text(text)
+        code = main(["generate", "--config", str(cfg), "--n-links", "5",
+                     "--out", str(tmp_path / "x.json")])
+        assert code == EXIT_VALIDATION
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert re.match(f"error: {named}", lines[0])
+        assert not (tmp_path / "x.json").exists()
 
     def test_unreadable_config_is_io_error(self, tmp_path):
         code = main(["generate", "--config", str(tmp_path / "none.json"),

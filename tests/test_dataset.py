@@ -109,6 +109,22 @@ class TestWriteRefusesWhatLoadRejects:
             cb.write_dataset([cb.LinkPair(low=low, high=high, link_id="l")], path)
         assert not path.exists()
 
+    @pytest.mark.parametrize(
+        "name, where",
+        [
+            ("links.json", r"link 'a': links\[0\]\.bands\[0\]\.paths\[0\]\.delay_ns: "),
+            ("links.csv", r"link 'a': .*links\.csv:2\.delay_ns: "),
+        ],
+    )
+    def test_delay_overflowing_in_ns_refused_and_located(self, tmp_path, name, where):
+        # 1e300 s is a finite delay, but 1e309 ns is not
+        low = cb.BandChannel(15.0, (cb.Ray(1.0, 1e300, 10.0),))
+        pair = cb.LinkPair(low=low, high=cb.BandChannel(28.0, low.rays), link_id="a")
+        path = tmp_path / name
+        with pytest.raises(cb.DatasetFormatError, match=where + "must be finite, got inf$"):
+            cb.write_dataset([pair], path)
+        assert not path.exists()
+
     @pytest.mark.parametrize("name", ["links.json", "links.csv"])
     @pytest.mark.parametrize("ids", [("",), ("x", "x")], ids=["empty", "duplicate"])
     def test_empty_or_duplicate_link_id_refused(self, tmp_path, name, ids):
@@ -418,12 +434,13 @@ def link_pairs(draw, csv: bool):
     """Pairs with unique ids at one random frequency pair; ``aod`` only for JSON.
 
     Powers stay inside (1e-300, 1e300), where every dB value reloads as a
-    normal float; CSV bands are at least 1e-3 GHz apart.
+    normal float; delays are any finite value >= 0; CSV bands are at least
+    1e-3 GHz apart.
     """
     ray = st.builds(
         cb.Ray,
         power=st.floats(min_value=1e-300, max_value=1e300),
-        delay=st.floats(min_value=0.0, max_value=1e-3),
+        delay=st.floats(min_value=0.0, allow_infinity=False),
         aoa_azimuth=ANGLES,
         aod_azimuth=st.none() if csv else st.none() | ANGLES,
     )

@@ -58,6 +58,13 @@ class TestDump:
         assert json.loads(path.read_text()) == {"x": [1.5, "y"]}
         assert path.read_text().endswith("\n")
 
+    def test_refused_dump_leaves_the_file_untouched(self, tmp_path):
+        path = tmp_path / "out.json"
+        path.write_text('{"kept": true}\n')
+        with pytest.raises(ValueError):
+            dump({"x": math.nan}, path)
+        assert path.read_bytes() == b'{"kept": true}\n'
+
     def test_reruns_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         payload = {"r": [math.pi, math.e], "n": 3}

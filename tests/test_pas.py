@@ -101,9 +101,9 @@ class TestFilterPas:
 
 
 KERNEL_PATTERNS = {
-    "gpp3": cb.synth_3gpp(hpbw_deg=10.0, a_max_db=30.0),
-    "ula4": cb.synth_ula(n_elements=4),
-    "ula8": cb.synth_ula(n_elements=8),
+    "gpp3": cb.Gpp3Pattern(hpbw_deg=10.0, a_max_db=30.0),
+    "ula4": cb.UlaPattern(n_elements=4),
+    "ula8": cb.UlaPattern(n_elements=8),
     "tabulated": cb.TabulatedPattern(
         np.array([-180.0, -40.0, -7.5, 0.0, 12.0, 90.0]),
         np.array([-35.0, -20.0, -3.0, 0.0, -6.5, -28.0]),
@@ -146,7 +146,7 @@ class TestNormalizePas:
     @given(st.floats(1e-6, 1e6))
     def test_invariant_under_power_scaling(self, scale):
         grid = cb.AngularGrid(2.0)
-        pat = cb.synth_3gpp(hpbw_deg=20.0, a_max_db=25.0)
+        pat = cb.Gpp3Pattern(hpbw_deg=20.0, a_max_db=25.0)
         ch1 = cb.BandChannel(15.0, (ray(power=1.0, aoa=30.0),))
         ch2 = cb.BandChannel(15.0, (ray(power=scale, aoa=30.0),))
         d1 = cb.normalize_pas(cb.filter_pas(ch1, pat, grid))
