@@ -29,7 +29,7 @@ from .beams import (
     select_m1,
     select_m2,
 )
-from .channel import BandChannel, LinkPair, Ray
+from .channel import BandChannel, LinkPair, Ray, RayTable
 from .dataset import DatasetFormatError, load_dataset, write_dataset
 from .metrics import PspResult, pair_psp, psp, total_variation
 from .pas import AngularGrid, FilteredPas, NormalizedPas, filter_pas, normalize_pas
@@ -48,6 +48,7 @@ __all__ = [
     "NormalizedPas",
     "PspResult",
     "Ray",
+    "RayTable",
     "SimilarityConfig",
     "SimilarityReport",
     "TabulatedPattern",

@@ -74,12 +74,23 @@ class Gpp3Pattern(_Pattern):
     def __post_init__(self):
         if not 0.0 < self.hpbw_deg <= 180.0:
             raise ValueError(f"hpbw_deg must be in (0, 180], got {self.hpbw_deg!r}")
-        if not self.a_max_db > 0.0:
-            raise ValueError(f"a_max_db must be > 0, got {self.a_max_db!r}")
+        if not 0.0 < self.a_max_db < np.inf:
+            raise ValueError(f"a_max_db must be finite and > 0, got {self.a_max_db!r}")
+        # the floor through the same array pow as the main lobe's gains
+        object.__setattr__(self, "_floor", db_to_linear(np.full(1, -self.a_max_db))[0])
 
     def _gain_db_vec(self, x):
         off = wrap_offset_deg(x)
         return -np.minimum(12.0 * (off / self.hpbw_deg) ** 2, self.a_max_db)
+
+    def _gain_vec(self, x):
+        """``db_to_linear(_gain_db_vec(x))`` bit for bit, with pow only inside the main lobe."""
+        off = wrap_offset_deg(x)
+        attenuation_db = 12.0 * (off / self.hpbw_deg) ** 2
+        lobe = attenuation_db < self.a_max_db
+        out = np.full(off.shape, self._floor)
+        out[lobe] = db_to_linear(-attenuation_db[lobe])
+        return out
 
 
 @dataclass(frozen=True)
@@ -105,8 +116,10 @@ class UlaPattern(_Pattern):
             raise ValueError(
                 f"spacing_wavelengths must be finite and > 0, got {self.spacing_wavelengths!r}"
             )
-        if not self.backplane_floor_db < 0.0:
-            raise ValueError(f"backplane_floor_db must be < 0, got {self.backplane_floor_db!r}")
+        if not -np.inf < self.backplane_floor_db < 0.0:
+            raise ValueError(
+                f"backplane_floor_db must be finite and < 0, got {self.backplane_floor_db!r}"
+            )
 
     def _gain_vec(self, x):
         off = wrap_offset_deg(x)

@@ -170,16 +170,14 @@ def beam_cfr(channel: BandChannel, pattern, steer_deg: float) -> np.ndarray:
 
 def _cfr_matrix(channel, pattern, steer_deg):
     """Rows of beam responses, one per steering angle, columns over frequency."""
-    powers = np.array([ray.power for ray in channel.rays])
-    aoas = np.array([ray.aoa_azimuth for ray in channel.rays])
-    delays = np.array([ray.delay for ray in channel.rays])
+    rays = channel.rays
     f_hz = np.linspace(
         (channel.frequency - 0.5 * M2_BANDWIDTH_GHZ) * 1e9,
         (channel.frequency + 0.5 * M2_BANDWIDTH_GHZ) * 1e9,
         M2_FREQUENCY_POINTS,
     )
-    amplitudes = np.sqrt(powers * pattern.gain(steer_deg[:, None] - aoas))
-    phasors = np.exp(-2j * np.pi * delays[:, None] * f_hz)
+    amplitudes = np.sqrt(rays.powers * pattern.gain(steer_deg[:, None] - rays.aoas))
+    phasors = np.exp(-2j * np.pi * rays.delays[:, None] * f_hz)
     return amplitudes.astype(complex) @ phasors
 
 

@@ -1,16 +1,21 @@
 """Discrete multipath channel types: rays, single-band channels and link pairs.
 
 Powers are linear channel gains, delays are in seconds, angles in degrees.
-Only a ``LinkPair`` carries a link id. All types are immutable once
-constructed, so channels can be shared freely between threads and links
-processed in parallel.
+A band keeps its paths as the columns of a ``RayTable``; a ``Ray`` is one
+path, and indexing or iterating a table yields them. Only a ``LinkPair``
+carries a link id. All types are immutable once constructed, so channels can
+be shared freely between threads and links processed in parallel.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
+from itertools import repeat
+
+import numpy as np
 
 from .units import wrap_azimuth_deg
 
@@ -55,6 +60,99 @@ class Ray:
             object.__setattr__(self, "aod_azimuth", wrap_azimuth_deg(self.aod_azimuth))
 
 
+class RayTable:
+    """The paths of one band as read-only float64 columns, in path order.
+
+    ``powers``, ``delays`` and ``aoas`` hold one value per path, checked as
+    ``Ray`` checks them; ``aods`` is None when no path has a departure angle,
+    else a tuple with one angle or None per path. ``RayTable(rays)`` builds
+    the columns from a sequence of ``Ray``. Indexing and iteration yield
+    ``Ray`` views of the rows; two tables, or a table and a tuple of ``Ray``,
+    are equal when their paths are.
+    """
+
+    __slots__ = ("powers", "delays", "aoas", "aods")
+
+    def __init__(self, rays):
+        rays = tuple(rays)
+        for ray in rays:
+            if not isinstance(ray, Ray):
+                raise TypeError(f"a ray table holds Ray instances, got {type(ray).__name__}")
+        powers, delays, aoas = (
+            _read_only(np.fromiter((getattr(ray, field) for ray in rays), float, len(rays)))
+            for field in ("power", "delay", "aoa_azimuth"))
+        self._set(powers, delays, aoas, tuple(ray.aod_azimuth for ray in rays))
+
+    @classmethod
+    def _split(cls, powers, delays, aoas, bounds, aods=None) -> list[RayTable]:
+        """Tables over the slices ``[bounds[b], bounds[b + 1])`` of float64 columns.
+
+        Skips the checks: every value must be one ``Ray`` accepts unchanged,
+        as the dataset readers and the generator check whole columns
+        themselves. The columns are made read-only and the tables hold
+        views of them; ``aods``, if given, is a list with one angle or None
+        per path.
+        """
+        for column in (powers, delays, aoas):
+            _read_only(column)
+        tables = []
+        for start, stop in zip(bounds, bounds[1:]):
+            table = object.__new__(cls)
+            table._set(powers[start:stop], delays[start:stop], aoas[start:stop],
+                       None if aods is None else tuple(aods[start:stop]))
+            tables.append(table)
+        return tables
+
+    def _set(self, powers, delays, aoas, aods):
+        object.__setattr__(self, "powers", powers)
+        object.__setattr__(self, "delays", delays)
+        object.__setattr__(self, "aoas", aoas)
+        object.__setattr__(self, "aods", aods if aods and any(a is not None for a in aods) else None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __len__(self):
+        return len(self.powers)
+
+    def __getitem__(self, index):
+        k = range(len(self.powers))[operator.index(index)]
+        return Ray(self.powers[k], self.delays[k], self.aoas[k],
+                   None if self.aods is None else self.aods[k])
+
+    def __iter__(self):
+        aods = repeat(None) if self.aods is None else self.aods
+        for row in zip(self.powers.tolist(), self.delays.tolist(), self.aoas.tolist(), aods):
+            yield Ray(*row)
+
+    def __eq__(self, other):
+        if isinstance(other, RayTable):
+            return (np.array_equal(self.powers, other.powers)
+                    and np.array_equal(self.delays, other.delays)
+                    and np.array_equal(self.aoas, other.aoas)
+                    and self.aods == other.aods)
+        if isinstance(other, tuple):
+            return tuple(self) == other
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __reduce__(self):
+        return (RayTable, (tuple(self),))
+
+    def __repr__(self):
+        return f"RayTable({list(self)!r})"
+
+
+def _read_only(column: np.ndarray) -> np.ndarray:
+    column.flags.writeable = False
+    return column
+
+
 @dataclass(frozen=True)
 class BandChannel:
     """A discrete power-angle-delay profile at one carrier frequency.
@@ -63,15 +161,17 @@ class BandChannel:
     ----------
     frequency : float
         Carrier frequency in GHz, strictly positive.
-    rays : tuple of Ray
-        At least one multipath component, order preserved.
+    rays : RayTable
+        At least one multipath component, order preserved. A sequence of
+        ``Ray`` is converted to a table.
     """
 
     frequency: float
-    rays: tuple[Ray, ...]
+    rays: RayTable
 
     def __post_init__(self):
-        object.__setattr__(self, "rays", tuple(self.rays))
+        if not isinstance(self.rays, RayTable):
+            object.__setattr__(self, "rays", RayTable(self.rays))
         if not (math.isfinite(self.frequency) and self.frequency > 0.0):
             raise ValueError(f"carrier frequency must be finite and > 0 GHz, got {self.frequency!r}")
         object.__setattr__(self, "frequency", float(self.frequency))

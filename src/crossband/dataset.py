@@ -19,10 +19,13 @@ uses linear power and seconds. A CSV mirror holds one path per row
 departure angles and cannot represent two same-frequency bands of one link.
 Link ids are nonempty and unique in both formats.
 
-Both readers build each checked path straight into a ``Ray`` and each band
-into a ``BandChannel``. A file may carry more bands than any one analysis
-uses, so loading takes the two band frequencies explicitly instead of
-guessing from the file.
+Both readers check a file's structure in file order while collecting its
+numbers into flat columns, then check the numbers as arrays, once per file;
+only a file that fails is walked again, entry by entry, to name the first
+bad entry. Each band becomes a ``BandChannel`` over slices of those columns.
+The writers work on the same columns. A file may carry more bands than any
+one analysis uses, so loading takes the two band frequencies explicitly
+instead of guessing from the file.
 """
 
 from __future__ import annotations
@@ -32,17 +35,23 @@ import json
 import logging
 import math
 import sys
+from array import array
+from itertools import repeat
 from pathlib import Path
+from typing import NoReturn
 
-from .channel import BandChannel, LinkPair, Ray
+import numpy as np
+
+from .channel import BandChannel, LinkPair, RayTable
 from .jsonio import dump
-from .units import db_to_linear, linear_to_db
+from .units import db_to_linear_each, linear_to_db, wrap_azimuths_deg
 
 SCHEMA_VERSION = "1"
 FREQ_MATCH_TOLERANCE_GHZ = 1e-6
 _SKIPPED_IDS_SHOWN = 5  # link ids named in the skip warning, per missing band
 _CSV_HEADER = ["link_id", "freq_ghz", "power_db", "delay_ns", "aoa_deg"]
 _PATH_KEYS = ("power_db", "delay_ns", "aoa_deg", "aod_deg")  # aod_deg is optional, JSON only
+_PATH_KEYS_REQUIRED = frozenset(_PATH_KEYS[:3])
 
 logger = logging.getLogger(__name__)
 
@@ -114,70 +123,99 @@ def load_dataset(path, low_freq_ghz: float, high_freq_ghz: float) -> list[LinkPa
     return pairs
 
 
-def _check_written_path(ray: Ray, link_id: str, where: str, *where_args) -> None:
-    """Refuse a ray whose ``power_db`` or ``delay_ns`` would not load back.
+def _written_columns(pairs: list[LinkPair], where, check_pair=None):
+    """``power_db`` and ``delay_ns`` arrays of every path in file order, checked to load back.
 
-    Names the link and ``where.format(*where_args)``, built only on failure.
-    A power inside (1e-300, 1e300) reloads as a normal float and a delay
-    below 1e290 s as a finite one, so only other rays run the loader's checks.
+    Refuses the first pair or path in file order that would not load back:
+    a pair ``check_pair`` raises for, or a path whose values the loader
+    would reject, named by its link and ``where(i, j, k, line)`` (path ``k``
+    of band ``j`` of link ``i``, which is CSV line ``line``). A power inside
+    (1e-300, 1e300) reloads as a normal float and a delay below 1e290 s as
+    a finite one, so only when a path falls outside do the paths run the
+    loader's checks, one by one.
     """
-    if not (1e-300 < ray.power < 1e300 and ray.delay < 1e290):
-        _read_path(f"link {link_id!r}: " + where.format(*where_args),
-                   float(linear_to_db(ray.power)), ray.delay * 1e9, ray.aoa_azimuth)
+    tables = [channel.rays for pair in pairs for channel in (pair.low, pair.high)]
+    powers = np.concatenate([t.powers for t in tables]) if tables else np.empty(0)
+    delays = np.concatenate([t.delays for t in tables]) if tables else np.empty(0)
+    in_range = ((powers > 1e-300) & (powers < 1e300) & (delays < 1e290)).all()
+    line = 1
+    for i, pair in enumerate(pairs):
+        if check_pair is not None:
+            check_pair(pair)
+        if in_range:
+            continue
+        for j, channel in enumerate((pair.low, pair.high)):
+            rays = channel.rays
+            for k, (power, delay, aoa) in enumerate(zip(rays.powers.tolist(), rays.delays.tolist(),
+                                                        rays.aoas.tolist())):
+                line += 1
+                if not (1e-300 < power < 1e300 and delay < 1e290):
+                    _check_path(f"link {pair.link_id!r}: {where(i, j, k, line)}",
+                                float(linear_to_db(power)), delay * 1e9, aoa)
+    return linear_to_db(powers), delays * 1e9
+
+
+def _link_columns(pairs: list[LinkPair], power_db: np.ndarray, delay_ns: np.ndarray):
+    """Each pair with its two bands as ``(channel, power_db, delay_ns, aoa_deg)``.
+
+    The columns are lists sliced from the file-order arrays one link at a
+    time, so no whole-file list of Python floats is ever held.
+    """
+    start = 0
+    for pair in pairs:
+        bands = []
+        for channel in (pair.low, pair.high):
+            stop = start + len(channel.rays)
+            bands.append((channel, power_db[start:stop].tolist(), delay_ns[start:stop].tolist(),
+                          channel.rays.aoas.tolist()))
+            start = stop
+        yield pair, bands
 
 
 def _to_file_dict(pairs: list[LinkPair], metadata: dict | None) -> dict:
+    power_db, delay_ns = _written_columns(
+        pairs, lambda i, j, k, line: f"links[{i}].bands[{j}].paths[{k}]")
     links = []
-    for i, pair in enumerate(pairs):
-        bands = []
-        for j, channel in enumerate((pair.low, pair.high)):
-            paths = []
-            for k, ray in enumerate(channel.rays):
-                _check_written_path(ray, pair.link_id, "links[{}].bands[{}].paths[{}]", i, j, k)
-                entry = {
-                    "power_db": float(linear_to_db(ray.power)),
-                    "delay_ns": ray.delay * 1e9,
-                    "aoa_deg": ray.aoa_azimuth,
-                }
-                if ray.aod_azimuth is not None:
-                    entry["aod_deg"] = ray.aod_azimuth
-                paths.append(entry)
-            bands.append({"freq_ghz": channel.frequency, "paths": paths})
-        links.append({"link_id": pair.link_id, "bands": bands})
+    for pair, bands in _link_columns(pairs, power_db, delay_ns):
+        file_bands = []
+        for channel, powers, delays, aoas in bands:
+            paths = [{"power_db": p, "delay_ns": d, "aoa_deg": a}
+                     for p, d, a in zip(powers, delays, aoas)]
+            if channel.rays.aods is not None:
+                for entry, aod in zip(paths, channel.rays.aods):
+                    if aod is not None:
+                        entry["aod_deg"] = aod
+            file_bands.append({"freq_ghz": channel.frequency, "paths": paths})
+        links.append({"link_id": pair.link_id, "bands": file_bands})
     return {"schema_version": SCHEMA_VERSION, "metadata": metadata or {}, "links": links}
 
 
+def _check_csv_pair(pair: LinkPair) -> None:
+    if abs(pair.low.frequency - pair.high.frequency) <= FREQ_MATCH_TOLERANCE_GHZ:
+        raise DatasetFormatError(
+            f"link {pair.link_id!r}: CSV cannot hold two bands at one frequency "
+            f"({pair.low.frequency!r} and {pair.high.frequency!r} GHz); write JSON instead"
+        )
+    # csv.writer leaves "\r" unquoted under a "\n" terminator; UTF-8 has no surrogates
+    if any(c == "\r" or "\ud800" <= c <= "\udfff" for c in pair.link_id):
+        raise DatasetFormatError(
+            f"link {pair.link_id!r}: CSV cannot hold a carriage return or a surrogate "
+            "in a link_id; write JSON instead"
+        )
+
+
 def _write_csv(pairs: list[LinkPair], path) -> None:
-    line = 1
-    for pair in pairs:
-        if abs(pair.low.frequency - pair.high.frequency) <= FREQ_MATCH_TOLERANCE_GHZ:
-            raise DatasetFormatError(
-                f"link {pair.link_id!r}: CSV cannot hold two bands at one frequency "
-                f"({pair.low.frequency!r} and {pair.high.frequency!r} GHz); write JSON instead"
-            )
-        # csv.writer leaves "\r" unquoted under a "\n" terminator; UTF-8 has no surrogates
-        if any(c == "\r" or "\ud800" <= c <= "\udfff" for c in pair.link_id):
-            raise DatasetFormatError(
-                f"link {pair.link_id!r}: CSV cannot hold a carriage return or a surrogate "
-                "in a link_id; write JSON instead"
-            )
-        for channel in (pair.low, pair.high):
-            for ray in channel.rays:
-                line += 1
-                _check_written_path(ray, pair.link_id, "{}:{}", path, line)
+    power_db, delay_ns = _written_columns(pairs, lambda i, j, k, line: f"{path}:{line}",
+                                          _check_csv_pair)
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(_CSV_HEADER)
-        for pair in pairs:
-            for channel in (pair.low, pair.high):
-                for ray in channel.rays:
-                    writer.writerow([
-                        pair.link_id,
-                        f"{float(channel.frequency)!r}",
-                        f"{float(linear_to_db(ray.power))!r}",
-                        f"{float(ray.delay * 1e9)!r}",
-                        f"{float(ray.aoa_azimuth)!r}",
-                    ])
+        # csv.writer writes a float as its repr
+        for pair, bands in _link_columns(pairs, power_db, delay_ns):
+            for channel, powers, delays, aoas in bands:
+                n = len(powers)
+                writer.writerows(zip(repeat(pair.link_id, n), repeat(repr(channel.frequency), n),
+                                     powers, delays, aoas))
 
 
 def _fail(path: str, reason: str):
@@ -187,7 +225,10 @@ def _fail(path: str, reason: str):
 def _check_number(value, where: str, minimum=None, below=None) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(where, f"expected a number, got {value!r}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        _fail(where, "must be finite, got an integer too large for a float")
     if not math.isfinite(value):
         _fail(where, f"must be finite, got {value!r}")
     if minimum is not None and value < minimum:
@@ -197,32 +238,53 @@ def _check_number(value, where: str, minimum=None, below=None) -> float:
     return value
 
 
-def _check_freq(value, where: str) -> float:
+def _check_freq(value, where: str) -> None:
     freq = _check_number(value, where)
     if freq <= 0.0:
         _fail(where, f"must be > 0, got {freq!r}")
-    return freq
 
 
-def _read_path(where: str, power_db, delay_ns, aoa_deg, *aod_deg) -> Ray:
+def _check_path(where: str, power_db, delay_ns, aoa_deg, *aod_deg) -> None:
     power_db = _check_number(power_db, f"{where}.power_db")
-    try:
-        power = db_to_linear(power_db)
-    except OverflowError:
-        power = math.inf
-    if not sys.float_info.min <= power < math.inf:
+    if not sys.float_info.min <= db_to_linear_each([power_db])[0] < math.inf:
         _fail(f"{where}.power_db", f"{power_db!r} dB is zero, infinite or subnormal as a linear power")
-    delay_ns = _check_number(delay_ns, f"{where}.delay_ns", minimum=0.0)
-    aoa_deg = _check_number(aoa_deg, f"{where}.aoa_deg", minimum=0.0, below=360.0)
-    aod = [_check_number(a, f"{where}.aod_deg", minimum=0.0, below=360.0) for a in aod_deg]
-    return Ray(power, delay_ns * 1e-9, aoa_deg, *aod)
+    _check_number(delay_ns, f"{where}.delay_ns", minimum=0.0)
+    _check_number(aoa_deg, f"{where}.aoa_deg", minimum=0.0, below=360.0)
+    for aod in aod_deg:
+        _check_number(aod, f"{where}.aod_deg", minimum=0.0, below=360.0)
+
+
+def _is_azimuth(angles: np.ndarray) -> bool:
+    return bool(((angles >= 0.0) & (angles < 360.0)).all())
+
+
+def _checked_powers(replay, freq_ghz, power_db, delay_ns, aoa_deg, aod_deg) -> np.ndarray:
+    """Linear powers of the collected paths, once every collected number passes.
+
+    The float64 columns are checked as arrays, accepting exactly what
+    ``_check_freq`` and ``_check_path`` accept. On a failure ``replay()``
+    runs those checks on the collected entries in file order, which raises
+    the first bad entry's error with its location.
+    """
+    powers = np.array(db_to_linear_each(power_db.tolist()), dtype=float)
+    if not (((freq_ghz > 0.0) & (freq_ghz < math.inf)).all()
+            and ((powers >= sys.float_info.min) & (powers < math.inf)).all()
+            and ((delay_ns >= 0.0) & (delay_ns < math.inf)).all()
+            and _is_azimuth(aoa_deg) and _is_azimuth(aod_deg)):
+        _raise_first_bad_entry(replay)
+    return powers
+
+
+def _raise_first_bad_entry(replay) -> NoReturn:
+    replay()
+    raise RuntimeError("a number failed the column checks but passed its entry checks")
 
 
 def _read_links_json(path) -> list[tuple[str, list[BandChannel]]]:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer of over 4300 digits, or bytes that are not UTF-8
         raise DatasetFormatError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         _fail(str(path), "top level must be an object")
@@ -230,46 +292,124 @@ def _read_links_json(path) -> list[tuple[str, list[BandChannel]]]:
         _fail(str(path), f"schema_version must be {SCHEMA_VERSION!r}, got {doc.get('schema_version')!r}")
     if not isinstance(doc.get("links"), list) or not doc["links"]:
         _fail(str(path), "links must be a nonempty array")
-    links = []
+    # The walk checks structure in file order and collects the numbers:
+    # each band's freq_ghz, located by (link, band) index, and its path
+    # entries, which start at entries[band_starts[b]].
+    link_ids, band_counts = [], []
+    freqs, band_index, band_starts, entries = [], [], [], []
+    has_aod = False
+
+    def columns():
+        """The collected numbers as checked float64 columns, and which paths have aod_deg."""
+        aod_paths = [n for n, entry in enumerate(entries) if len(entry) == 4] if has_aod else []
+        try:
+            freq_ghz = _float_column(freqs)
+            power_db, delay_ns, aoa_deg = (_float_column([entry[key] for entry in entries])
+                                           for key in _PATH_KEYS[:3])
+            aod_deg = _float_column([entries[n]["aod_deg"] for n in aod_paths])
+        except (TypeError, OverflowError):
+            _raise_first_bad_entry(replay)
+        powers = _checked_powers(replay, freq_ghz, power_db, delay_ns, aoa_deg, aod_deg)
+        return freq_ghz, powers, delay_ns, aoa_deg, aod_paths, aod_deg
+
+    def replay():
+        for b, (i, j) in enumerate(band_index):
+            bwhere = f"links[{i}].bands[{j}]"
+            _check_freq(freqs[b], f"{bwhere}.freq_ghz")
+            stop = band_starts[b + 1] if b + 1 < len(band_starts) else len(entries)
+            for k, entry in enumerate(entries[band_starts[b]:stop]):
+                _check_path(f"{bwhere}.paths[{k}]", *(entry[key] for key in _PATH_KEYS if key in entry))
+
     seen_ids = set()
-    for i, link in enumerate(doc["links"]):
-        where = f"links[{i}]"
-        if not isinstance(link, dict) or set(link) != {"link_id", "bands"}:
-            _fail(where, "expected an object with keys link_id, bands")
-        link_id = link["link_id"]
-        if not isinstance(link_id, str) or not link_id:
-            _fail(f"{where}.link_id", "must be a nonempty string")
-        if link_id in seen_ids:
-            _fail(f"{where}.link_id", f"duplicate link_id {link_id!r}")
-        seen_ids.add(link_id)
-        if not isinstance(link["bands"], list) or not link["bands"]:
-            _fail(f"{where}.bands", "must be a nonempty array")
-        bands = []
-        for j, band in enumerate(link["bands"]):
-            bwhere = f"{where}.bands[{j}]"
-            if not isinstance(band, dict) or set(band) != {"freq_ghz", "paths"}:
-                _fail(bwhere, "expected an object with keys freq_ghz, paths")
-            freq = _check_freq(band["freq_ghz"], f"{bwhere}.freq_ghz")
-            if not isinstance(band["paths"], list) or not band["paths"]:
-                _fail(f"{bwhere}.paths", "must be a nonempty array")
-            rays = []
-            for k, entry in enumerate(band["paths"]):
-                pwhere = f"{bwhere}.paths[{k}]"
-                if not isinstance(entry, dict):
-                    _fail(pwhere, "expected an object")
-                unknown = entry.keys() - _PATH_KEYS
-                if unknown:
-                    _fail(pwhere, f"unknown keys {sorted(unknown)}")
-                for key in _PATH_KEYS[:3]:
-                    if key not in entry:
-                        _fail(pwhere, f"missing key {key!r}")
-                rays.append(_read_path(pwhere, *(entry[key] for key in _PATH_KEYS if key in entry)))
-            bands.append(BandChannel(freq, rays))
-        links.append((link_id, bands))
-    return links
+    try:
+        for i, link in enumerate(doc["links"]):
+            where = f"links[{i}]"
+            if not isinstance(link, dict) or set(link) != {"link_id", "bands"}:
+                _fail(where, "expected an object with keys link_id, bands")
+            link_id = link["link_id"]
+            if not isinstance(link_id, str) or not link_id:
+                _fail(f"{where}.link_id", "must be a nonempty string")
+            if link_id in seen_ids:
+                _fail(f"{where}.link_id", f"duplicate link_id {link_id!r}")
+            seen_ids.add(link_id)
+            if not isinstance(link["bands"], list) or not link["bands"]:
+                _fail(f"{where}.bands", "must be a nonempty array")
+            for j, band in enumerate(link["bands"]):
+                bwhere = f"{where}.bands[{j}]"
+                if not isinstance(band, dict) or set(band) != {"freq_ghz", "paths"}:
+                    _fail(bwhere, "expected an object with keys freq_ghz, paths")
+                freqs.append(band["freq_ghz"])
+                band_index.append((i, j))
+                band_starts.append(len(entries))
+                paths = band["paths"]
+                if not isinstance(paths, list) or not paths:
+                    _fail(f"{bwhere}.paths", "must be a nonempty array")
+                if not all(isinstance(entry, dict) and entry.keys() == _PATH_KEYS_REQUIRED
+                           for entry in paths):
+                    has_aod = True
+                    for k, entry in enumerate(paths):
+                        problem = _path_entry_problem(entry)
+                        if problem:
+                            entries.extend(paths[:k])
+                            _fail(f"{bwhere}.paths[{k}]", problem)
+                entries.extend(paths)
+            link_ids.append(link_id)
+            band_counts.append(len(link["bands"]))
+    except DatasetFormatError:
+        columns()  # a bad number before the structural error comes first
+        raise
+    freq_ghz, powers, delay_ns, aoa_deg, aod_paths, aod_deg = columns()
+    aods = None
+    if aod_paths:
+        aods = [None] * len(entries)
+        for n, aod in zip(aod_paths, wrap_azimuths_deg(aod_deg).tolist()):
+            aods[n] = aod
+    tables = RayTable._split(powers, delay_ns * 1e-9, wrap_azimuths_deg(aoa_deg),
+                             band_starts + [len(entries)], aods)
+    channels = map(BandChannel, freq_ghz.tolist(), tables)
+    return [(link_id, [next(channels) for _ in range(count)])
+            for link_id, count in zip(link_ids, band_counts)]
+
+
+def _float_column(values: list) -> np.ndarray:
+    """A float64 array of JSON numbers; TypeError for any other value."""
+    if not set(map(type, values)) <= {int, float}:
+        raise TypeError("not a number")
+    return np.array(values, dtype=float)
+
+
+def _path_entry_problem(entry) -> str | None:
+    if not isinstance(entry, dict):
+        return "expected an object"
+    unknown = entry.keys() - _PATH_KEYS
+    if unknown:
+        return f"unknown keys {sorted(unknown)}"
+    for key in _PATH_KEYS[:3]:
+        if key not in entry:
+            return f"missing key {key!r}"
+    return None
 
 
 def _read_links_csv(path) -> list[tuple[str, list[BandChannel]]]:
+    # Rows may arrive in any order; first appearance fixes link and band
+    # order. Each row appends its four numbers to one flat array, in file
+    # order, and the index of its (link_id, freq_ghz) band to another.
+    bands: dict[tuple[str, float], int] = {}
+    link_bands: dict[str, list[int]] = {}
+    numbers, band_of_row = array("d"), array("q")
+
+    def columns():
+        """The collected numbers, one float64 column per field, and the checked linear powers."""
+        freq_ghz, power_db, delay_ns, aoa_deg = np.frombuffer(numbers, dtype=float).reshape(-1, 4).T
+        return delay_ns, aoa_deg, _checked_powers(replay, freq_ghz, power_db, delay_ns, aoa_deg,
+                                                  np.empty(0))
+
+    def replay():
+        for r in range(len(band_of_row)):
+            where = f"{path}:{r + 2}"
+            _check_freq(numbers[4 * r], f"{where}.freq_ghz")
+            _check_path(where, *numbers[4 * r + 1:4 * r + 4])
+
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         try:
@@ -278,25 +418,34 @@ def _read_links_csv(path) -> list[tuple[str, list[BandChannel]]]:
             _fail(f"{path}:1", "empty file")
         if header != _CSV_HEADER:
             _fail(f"{path}:1", f"header must be {','.join(_CSV_HEADER)!r}")
-        # Rays keyed by (link_id, frequency); rows may arrive in any order
-        # but first appearance fixes link and band order.
-        links: dict[str, dict[float, list[Ray]]] = {}
-        for lineno, row in enumerate(reader, start=2):
-            where = f"{path}:{lineno}"
-            if len(row) != len(_CSV_HEADER):
-                _fail(where, f"expected {len(_CSV_HEADER)} fields, got {len(row)}")
-            link_id = row[0]
-            if not link_id:
-                _fail(where, "link_id must be nonempty")
-            try:
-                numbers = [float(cell) for cell in row[1:]]
-            except ValueError:
-                _fail(where, f"non-numeric field in {row[1:]!r}")
-            freq = _check_freq(numbers[0], f"{where}.freq_ghz")
-            links.setdefault(link_id, {}).setdefault(freq, []).append(_read_path(where, *numbers[1:]))
-    if not links:
+        try:
+            for lineno, row in enumerate(reader, start=2):
+                if len(row) != len(_CSV_HEADER):
+                    _fail(f"{path}:{lineno}", f"expected {len(_CSV_HEADER)} fields, got {len(row)}")
+                link_id, freq, power_db, delay_ns, aoa_deg = row
+                if not link_id:
+                    _fail(f"{path}:{lineno}", "link_id must be nonempty")
+                try:
+                    freq = float(freq)
+                    numbers.extend((freq, float(power_db), float(delay_ns), float(aoa_deg)))
+                except ValueError:
+                    _fail(f"{path}:{lineno}", f"non-numeric field in {row[1:]!r}")
+                band = bands.get((link_id, freq))
+                if band is None:
+                    band = bands[link_id, freq] = len(bands)
+                    link_bands.setdefault(link_id, []).append(band)
+                band_of_row.append(band)
+        except DatasetFormatError:
+            columns()  # a bad number before the structural error comes first
+            raise
+    if not bands:
         _fail(str(path), "no data rows")
-    return [
-        (link_id, [BandChannel(freq, rays) for freq, rays in bands.items()])
-        for link_id, bands in links.items()
-    ]
+    delay_ns, aoa_deg, powers = columns()
+    # each band's rows together, in band order, keeping file order within a band
+    row_bands = np.frombuffer(band_of_row, dtype=np.int64)
+    order = np.argsort(row_bands, kind="stable")
+    starts = [0] + np.cumsum(np.bincount(row_bands, minlength=len(bands))).tolist()
+    tables = RayTable._split(powers[order], delay_ns[order] * 1e-9,
+                             wrap_azimuths_deg(aoa_deg[order]), starts)
+    channels = [BandChannel(freq, table) for (_, freq), table in zip(bands, tables)]
+    return [(link_id, [channels[b] for b in indices]) for link_id, indices in link_bands.items()]

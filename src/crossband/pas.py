@@ -93,10 +93,9 @@ def filter_pas(channel: BandChannel, pattern, grid: AngularGrid) -> FilteredPas:
     order at every grid point. The result is bit for bit that of a per-ray
     ``values += power * pattern.gain(angles - aoa)`` loop.
     """
-    powers = np.array([ray.power for ray in channel.rays])
-    aoas = np.array([ray.aoa_azimuth for ray in channel.rays])
-    gains = pattern.gain(grid.angles[None, :] - aoas[:, None])
-    values = (powers[:, None] * gains).sum(axis=0)
+    rays = channel.rays
+    gains = pattern.gain(grid.angles[None, :] - rays.aoas[:, None])
+    values = (rays.powers[:, None] * gains).sum(axis=0)
     return FilteredPas(grid=grid, values=values)
 
 

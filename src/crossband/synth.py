@@ -19,8 +19,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .channel import BandChannel, LinkPair, Ray
-from .units import db_to_linear
+from .channel import BandChannel, LinkPair, RayTable
+from .units import db_to_linear_each, wrap_azimuths_deg
 
 GENERATOR_NAME = "numpy-pcg64"
 
@@ -85,55 +85,62 @@ def generate_link(config: GenConfig, link_index: int) -> LinkPair:
     """
     if link_index < 0:
         raise ValueError(f"link_index must be >= 0, got {link_index!r}")
-    rng = np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(entropy=config.seed, spawn_key=(link_index,)))
-    )
-    n = config.n_shared_paths
-
-    def band_rays(extra_count: int) -> tuple[Ray, ...]:
-        aoa = (shared_aoa + rng.normal(0.0, config.angle_jitter_deg, n)) % 360.0
-        power_db = shared_power_db + rng.normal(0.0, config.power_jitter_db, n)
-        extra_aoa = rng.uniform(0.0, 360.0, extra_count)
-        extra_delay_ns = rng.exponential(config.delay_spread_ns, extra_count)
-        # Exclusive paths sit 10-30 dB below the strongest shared path, whose
-        # nominal power is 0 dB.
-        extra_deficit_db = rng.uniform(10.0, 30.0, extra_count)
-        try:
-            rays = [
-                Ray(power=db_to_linear(power_db[i]), delay=shared_delay_ns[i] * 1e-9,
-                    aoa_azimuth=aoa[i])
-                for i in range(n)
-            ]
-            rays += [
-                Ray(power=db_to_linear(-extra_deficit_db[i]), delay=extra_delay_ns[i] * 1e-9,
-                    aoa_azimuth=extra_aoa[i])
-                for i in range(extra_count)
-            ]
-        except ValueError:  # only an extreme setting draws a value a Ray refuses
-            for ok, what, settings in (
-                (np.isfinite(aoa).all(), "angle is not finite", "angle_jitter_deg"),
-                (all(sys.float_info.min <= db_to_linear(p) < np.inf for p in power_db),
-                 "power is zero, infinite or subnormal as a linear power",
-                 "shared_power_decay_db or power_jitter_db"),
-                (np.isfinite(shared_delay_ns).all() and np.isfinite(extra_delay_ns).all(),
-                 "delay is not finite", "delay_spread_ns"),
-            ):
-                if not ok:
-                    raise ValueError(f"link {link_index}: a drawn {what}; lower {settings}")
-            raise
-        return tuple(rays)
-
-    with np.errstate(all="ignore"):  # the checks above name the setting behind an overflow
-        shared_aoa = rng.uniform(0.0, 360.0, n)
-        shared_delay_ns = rng.exponential(config.delay_spread_ns, n)
-        shared_power_db = -config.shared_power_decay_db * np.arange(n, dtype=float)
-        low = BandChannel(config.low_freq_ghz, band_rays(config.n_low_only_paths))
-        high = BandChannel(config.high_freq_ghz, band_rays(config.n_high_only_paths))
-    return LinkPair(low=low, high=high, link_id=f"link-{link_index:05d}")
+    return _generate(config, range(link_index, link_index + 1))[0]
 
 
 def generate_dataset(config: GenConfig, n_links: int) -> list[LinkPair]:
-    """Links 0..n_links-1 from ``generate_link``; order carries no information."""
+    """Links 0..n_links-1, each as ``generate_link`` draws it; order carries no information."""
     if n_links < 1:
         raise ValueError(f"n_links must be >= 1, got {n_links!r}")
-    return [generate_link(config, i) for i in range(n_links)]
+    return [pair for start in range(0, n_links, _LINKS_PER_BLOCK)
+            for pair in _generate(config, range(start, min(start + _LINKS_PER_BLOCK, n_links)))]
+
+
+# Links drawn before their columns are checked: an extreme setting fails
+# after at most this many links.
+_LINKS_PER_BLOCK = 256
+
+
+def _generate(config: GenConfig, link_indices: range) -> list[LinkPair]:
+    """Draw the links one by one, then build and check their columns together."""
+    n = config.n_shared_paths
+    extra_counts = (config.n_low_only_paths, config.n_high_only_paths)
+    aoa, power_db, delay_ns = [], [], []
+    with np.errstate(all="ignore"):  # the checks below name the setting behind an overflow
+        shared_power_db = -config.shared_power_decay_db * np.arange(n, dtype=float)
+        for link_index in link_indices:
+            rng = np.random.Generator(np.random.PCG64(
+                np.random.SeedSequence(entropy=config.seed, spawn_key=(link_index,))))
+            shared_aoa = rng.uniform(0.0, 360.0, n)
+            shared_delay_ns = rng.exponential(config.delay_spread_ns, n)
+            for extra_count in extra_counts:  # the low band's paths, then the high band's
+                aoa.append((shared_aoa + rng.normal(0.0, config.angle_jitter_deg, n)) % 360.0)
+                power_db.append(shared_power_db + rng.normal(0.0, config.power_jitter_db, n))
+                aoa.append(rng.uniform(0.0, 360.0, extra_count))
+                delay_ns += [shared_delay_ns, rng.exponential(config.delay_spread_ns, extra_count)]
+                # Exclusive paths sit 10-30 dB below the strongest shared
+                # path, whose nominal power is 0 dB.
+                power_db.append(-rng.uniform(10.0, 30.0, extra_count))
+        aoas = np.concatenate(aoa)
+        delays_ns = np.concatenate(delay_ns)
+        # one scalar pow per path: see db_to_linear
+        powers = np.array(db_to_linear_each(np.concatenate(power_db).tolist()))
+    bounds = np.cumsum([0] + [n + extra for _ in link_indices for extra in extra_counts]).tolist()
+    checks = (  # only an extreme setting draws a value a Ray would refuse
+        (np.isfinite(aoas), "angle is not finite", "angle_jitter_deg"),
+        ((powers >= sys.float_info.min) & (powers < np.inf),
+         "power is zero, infinite or subnormal as a linear power",
+         "shared_power_decay_db or power_jitter_db"),
+        (np.isfinite(delays_ns), "delay is not finite", "delay_spread_ns"),
+    )
+    if not all(ok.all() for ok, _, _ in checks):
+        for band, (start, stop) in enumerate(zip(bounds, bounds[1:])):
+            for ok, what, settings in checks:
+                if not ok[start:stop].all():
+                    raise ValueError(f"link {link_indices[band // 2]}: a drawn {what}; lower {settings}")
+    tables = RayTable._split(powers, delays_ns * 1e-9, wrap_azimuths_deg(aoas), bounds)
+    return [
+        LinkPair(low=BandChannel(config.low_freq_ghz, low), high=BandChannel(config.high_freq_ghz, high),
+                 link_id=f"link-{link_index:05d}")
+        for link_index, low, high in zip(link_indices, tables[::2], tables[1::2])
+    ]

@@ -2,12 +2,36 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
 def db_to_linear(value_db):
-    """Power quantity from dB to linear scale; works on scalars and arrays."""
+    """Power quantity from dB to linear scale; works on scalars and arrays.
+
+    On an array, ``**`` is numpy's vectorized power, which is not libm's
+    scalar ``pow`` bit for bit: on this package's dB ranges about one value
+    in twenty comes out one ulp apart. Ray powers therefore go through
+    ``db_to_linear_each``, one scalar at a time, so that dataset files and
+    generated links keep their bits.
+    """
     return 10.0 ** (value_db / 10.0)
+
+
+def db_to_linear_each(values_db) -> list[float]:
+    """``db_to_linear`` of each Python float, one scalar at a time; overflow gives inf."""
+    try:
+        return [db_to_linear(x) for x in values_db]
+    except OverflowError:
+        return [_db_to_linear_or_inf(x) for x in values_db]
+
+
+def _db_to_linear_or_inf(value_db: float) -> float:
+    try:
+        return db_to_linear(value_db)
+    except OverflowError:
+        return math.inf
 
 
 def linear_to_db(value):
@@ -40,3 +64,14 @@ def wrap_azimuth_deg(angle_deg: float) -> float:
     """
     wrapped = float(angle_deg) % 360.0
     return wrapped if wrapped < 360.0 else 0.0
+
+
+def wrap_azimuths_deg(angles_deg) -> np.ndarray:
+    """``wrap_azimuth_deg`` of each finite angle, bit for bit, as a new array.
+
+    ``np.remainder`` is Python's float ``%``, but leaves the 360.0 that a
+    tiny negative angle rounds to.
+    """
+    wrapped = np.remainder(angles_deg, 360.0)
+    wrapped[wrapped >= 360.0] = 0.0
+    return wrapped

@@ -10,7 +10,10 @@ cannot hide in shared code.
 from __future__ import annotations
 
 import cmath
+import csv
+import json
 import math
+import sys
 
 
 def wrap_offset(offset_deg: float) -> float:
@@ -157,3 +160,150 @@ def count_false(low_indices, high_indices, values, delta_p_db: float) -> int:
         if 10.0 * math.log10(values[i] / best) < delta_p_db:
             count += 1
     return count
+
+
+class DatasetRefused(ValueError):
+    """A dataset file the reference loader refuses; the message is the loader's."""
+
+
+def _refuse(where: str, reason: str):
+    raise DatasetRefused(f"{where}: {reason}")
+
+
+def _number(value, where: str, minimum=None, below=None) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        _refuse(where, f"expected a number, got {value!r}")
+    try:
+        value = float(value)
+    except OverflowError:
+        _refuse(where, "must be finite, got an integer too large for a float")
+    if not math.isfinite(value):
+        _refuse(where, f"must be finite, got {value!r}")
+    if minimum is not None and value < minimum:
+        _refuse(where, f"must be >= {minimum}, got {value!r}")
+    if below is not None and not value < below:
+        _refuse(where, f"must be < {below}, got {value!r}")
+    return value
+
+
+def _frequency(value, where: str) -> float:
+    freq = _number(value, where)
+    if freq <= 0.0:
+        _refuse(where, f"must be > 0, got {freq!r}")
+    return freq
+
+
+def _azimuth(angle: float) -> float:
+    wrapped = angle % 360.0
+    return wrapped if wrapped < 360.0 else 0.0
+
+
+def _path(where: str, power_db, delay_ns, aoa_deg, *aod_deg) -> tuple:
+    """One checked path as (linear power, delay in s, aoa, aod or None)."""
+    power_db = _number(power_db, f"{where}.power_db")
+    try:
+        power = 10.0 ** (power_db / 10.0)
+    except OverflowError:
+        power = math.inf
+    if not sys.float_info.min <= power < math.inf:
+        _refuse(f"{where}.power_db", f"{power_db!r} dB is zero, infinite or subnormal as a linear power")
+    delay_ns = _number(delay_ns, f"{where}.delay_ns", minimum=0.0)
+    aoa = _number(aoa_deg, f"{where}.aoa_deg", minimum=0.0, below=360.0)
+    aods = [_number(a, f"{where}.aod_deg", minimum=0.0, below=360.0) for a in aod_deg]
+    return (power, delay_ns * 1e-9, _azimuth(aoa), _azimuth(aods[0]) if aods else None)
+
+
+def _links_json(path) -> list:
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            doc = json.load(handle)
+    except ValueError as exc:
+        raise DatasetRefused(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        _refuse(str(path), "top level must be an object")
+    if doc.get("schema_version") != "1":
+        _refuse(str(path), f"schema_version must be '1', got {doc.get('schema_version')!r}")
+    if not isinstance(doc.get("links"), list) or not doc["links"]:
+        _refuse(str(path), "links must be a nonempty array")
+    keys = ("power_db", "delay_ns", "aoa_deg", "aod_deg")
+    links = []
+    seen = set()
+    for i, link in enumerate(doc["links"]):
+        where = f"links[{i}]"
+        if not isinstance(link, dict) or set(link) != {"link_id", "bands"}:
+            _refuse(where, "expected an object with keys link_id, bands")
+        link_id = link["link_id"]
+        if not isinstance(link_id, str) or not link_id:
+            _refuse(f"{where}.link_id", "must be a nonempty string")
+        if link_id in seen:
+            _refuse(f"{where}.link_id", f"duplicate link_id {link_id!r}")
+        seen.add(link_id)
+        if not isinstance(link["bands"], list) or not link["bands"]:
+            _refuse(f"{where}.bands", "must be a nonempty array")
+        bands = []
+        for j, band in enumerate(link["bands"]):
+            bwhere = f"{where}.bands[{j}]"
+            if not isinstance(band, dict) or set(band) != {"freq_ghz", "paths"}:
+                _refuse(bwhere, "expected an object with keys freq_ghz, paths")
+            freq = _frequency(band["freq_ghz"], f"{bwhere}.freq_ghz")
+            if not isinstance(band["paths"], list) or not band["paths"]:
+                _refuse(f"{bwhere}.paths", "must be a nonempty array")
+            paths = []
+            for k, entry in enumerate(band["paths"]):
+                pwhere = f"{bwhere}.paths[{k}]"
+                if not isinstance(entry, dict):
+                    _refuse(pwhere, "expected an object")
+                unknown = set(entry) - set(keys)
+                if unknown:
+                    _refuse(pwhere, f"unknown keys {sorted(unknown)}")
+                for key in keys[:3]:
+                    if key not in entry:
+                        _refuse(pwhere, f"missing key {key!r}")
+                paths.append(_path(pwhere, *(entry[key] for key in keys if key in entry)))
+            bands.append((freq, paths))
+        links.append((link_id, bands))
+    return links
+
+
+def _links_csv(path) -> list:
+    header = ["link_id", "freq_ghz", "power_db", "delay_ns", "aoa_deg"]
+    links = {}
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        rows = csv.reader(handle)
+        first = next(rows, None)
+        if first is None:
+            _refuse(f"{path}:1", "empty file")
+        if first != header:
+            _refuse(f"{path}:1", f"header must be {','.join(header)!r}")
+        for lineno, row in enumerate(rows, start=2):
+            where = f"{path}:{lineno}"
+            if len(row) != len(header):
+                _refuse(where, f"expected {len(header)} fields, got {len(row)}")
+            if not row[0]:
+                _refuse(where, "link_id must be nonempty")
+            try:
+                numbers = [float(cell) for cell in row[1:]]
+            except ValueError:
+                _refuse(where, f"non-numeric field in {row[1:]!r}")
+            freq = _frequency(numbers[0], f"{where}.freq_ghz")
+            links.setdefault(row[0], {}).setdefault(freq, []).append(_path(where, *numbers[1:]))
+    if not links:
+        _refuse(str(path), "no data rows")
+    return [(link_id, list(bands.items())) for link_id, bands in links.items()]
+
+
+def load_dataset(path, low_freq_ghz: float, high_freq_ghz: float) -> list:
+    """Row-by-row reference of the dataset loader.
+
+    Returns ``(link_id, low, high)`` per paired link, each band a
+    ``(freq_ghz, paths)`` pair whose paths are ``_path`` tuples, or raises
+    ``DatasetRefused`` with the message of the first bad entry in file order.
+    """
+    links = _links_csv(path) if str(path).lower().endswith(".csv") else _links_json(path)
+    pairs = []
+    for link_id, bands in links:
+        low = [b for b in bands if abs(b[0] - low_freq_ghz) <= 1e-6]
+        high = [b for b in bands if abs(b[0] - high_freq_ghz) <= 1e-6]
+        if low and high:
+            pairs.append((link_id, low[0], high[-1]))
+    return pairs

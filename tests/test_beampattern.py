@@ -80,6 +80,25 @@ class TestGpp3:
         with pytest.raises(ValueError):
             cb.Gpp3Pattern(hpbw_deg=10.0, a_max_db=0.0)
 
+    @pytest.mark.parametrize("a_max_db", [math.inf, math.nan])
+    def test_non_finite_floor_rejected_by_name(self, a_max_db):
+        with pytest.raises(ValueError, match="a_max_db must be finite"):
+            cb.Gpp3Pattern(hpbw_deg=10.0, a_max_db=a_max_db)
+
+    @pytest.mark.parametrize("hpbw_deg, a_max_db", [(10, 30), (20, 25), (3, 30), (65, 20), (180, 30)])
+    def test_gain_is_the_linear_gain_db_bit_for_bit(self, hpbw_deg, a_max_db):
+        # the gain evaluates pow inside the main lobe only; the floor value
+        # must still be the one db_to_linear gives inside a whole array
+        pat = cb.Gpp3Pattern(hpbw_deg, a_max_db)
+        edge = hpbw_deg * math.sqrt(a_max_db / 12.0)
+        at_edge = [s * e for s in (1.0, -1.0)
+                   for e in (edge, math.nextafter(edge, 0.0), math.nextafter(edge, 360.0))]
+        x = np.concatenate([np.random.default_rng(hpbw_deg).uniform(-720.0, 720.0, 20000),
+                            at_edge, [0.0, 180.0, -180.0, 360.0]])
+        for part in (x, x[:1], x[:7], x[-17:]):
+            expected = cb.units.db_to_linear(pat.gain_db(part))
+            assert pat.gain(part).tobytes() == expected.tobytes()
+
 
 class TestUla:
     def test_boresight_peak(self, ula4, ula8):
@@ -129,6 +148,11 @@ class TestUla:
             cb.UlaPattern(4, spacing_wavelengths=math.inf)
         with pytest.raises(ValueError):
             cb.UlaPattern(4, backplane_floor_db=0.0)
+
+    @pytest.mark.parametrize("floor_db", [-math.inf, math.nan])
+    def test_non_finite_floor_rejected_by_name(self, floor_db):
+        with pytest.raises(ValueError, match="backplane_floor_db must be finite"):
+            cb.UlaPattern(4, backplane_floor_db=floor_db)
 
 
 def complex_exponential_ula_gain(offset_deg, n, spacing):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import pickle
 import re
 import sys
 
@@ -74,9 +75,62 @@ class TestBandChannel:
         with pytest.raises(ValueError):
             cb.BandChannel(frequency=0.0, rays=(ray(),))
 
-    def test_rays_coerced_to_tuple(self):
-        ch = cb.BandChannel(frequency=15.0, rays=[ray(), ray(aoa=90.0)])
-        assert isinstance(ch.rays, tuple)
+    def test_rays_coerced_to_a_table(self):
+        rays = [ray(), ray(aoa=90.0)]
+        ch = cb.BandChannel(frequency=15.0, rays=rays)
+        assert isinstance(ch.rays, cb.RayTable)
+        assert ch.rays == tuple(rays)
+
+    def test_non_rays_refused(self):
+        with pytest.raises(TypeError, match="Ray"):
+            cb.BandChannel(15.0, [(1.0, 0.0, 0.0)])
+
+
+class TestRayTable:
+    RAYS = (ray(1.0, 0.0, 10.0), ray(0.5, 2e-9, 350.0, aod=20.0), ray(0.25, -0.0, 359.5))
+
+    def test_columns_hold_the_ray_fields(self):
+        table = cb.BandChannel(15.0, self.RAYS).rays
+        assert table.powers.tolist() == [1.0, 0.5, 0.25]
+        assert table.delays.tolist() == [0.0, 2e-9, -0.0]
+        assert table.aoas.tolist() == [10.0, 350.0, 359.5]
+        assert table.aods == (None, 20.0, None)
+        assert all(c.dtype == float for c in (table.powers, table.delays, table.aoas))
+        assert len(table) == 3
+
+    def test_no_departure_angles_is_none(self):
+        assert cb.BandChannel(15.0, (ray(), ray(aoa=5.0))).rays.aods is None
+
+    def test_columns_are_read_only(self):
+        table = cb.BandChannel(15.0, self.RAYS).rays
+        for column in (table.powers, table.delays, table.aoas):
+            assert not column.flags.writeable
+            with pytest.raises(ValueError):
+                column[0] = 2.0
+        with pytest.raises(AttributeError):
+            table.powers = table.delays
+
+    def test_rays_round_trip(self):
+        ch = cb.BandChannel(15.0, self.RAYS)
+        assert ch.rays == self.RAYS
+        assert tuple(ch.rays) == self.RAYS
+        assert [ch.rays[k] for k in range(-3, 3)] == list(self.RAYS + self.RAYS)
+        assert cb.BandChannel(15.0, tuple(ch.rays)) == ch
+        with pytest.raises(IndexError):
+            ch.rays[3]
+
+    def test_equality_and_hash_by_value(self):
+        a = cb.BandChannel(15.0, self.RAYS)
+        b = cb.BandChannel(15.0, list(self.RAYS))
+        assert a == b and hash(a) == hash(b)
+        assert hash(a.rays) == hash(self.RAYS)
+        assert a.rays != cb.BandChannel(15.0, self.RAYS[:2]).rays
+        assert a.rays != cb.BandChannel(15.0, self.RAYS[:2] + (ray(0.25, 0.0, 359.0),)).rays
+
+    def test_pickle_keeps_the_columns_read_only(self):
+        table = pickle.loads(pickle.dumps(cb.BandChannel(15.0, self.RAYS).rays))
+        assert table == self.RAYS
+        assert not table.powers.flags.writeable
 
 
 class TestLinkPair:

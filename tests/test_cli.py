@@ -88,6 +88,8 @@ class TestPatternSpec:
             "ula:n=1",                   # too few elements
             "ula:n=inf",                 # infinite element count
             "ula:n=4,spacing=inf",       # infinite spacing
+            "ula:n=4,floor=-inf",        # infinite back-plane floor
+            "gpp3:hpbw=10,amax=inf",     # infinite floor
             "file:",                     # missing path
             "dish:d=1",                  # unknown kind
         ],
@@ -253,6 +255,19 @@ class TestAnalyze:
             main(["analyze", "--data", str(dataset_path)])
         assert exc.value.code == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "field, where",
+        [("delay_ns", "links[0].bands[0].paths[0].delay_ns"), ("freq_ghz", "links[0].bands[0].freq_ghz")],
+    )
+    def test_integer_too_large_for_a_float_is_located(self, dataset_path, capsys, field, where):
+        text = re.sub(f'"{field}": [^,}}]+', f'"{field}": 1{"0" * 400}', dataset_path.read_text(), count=1)
+        dataset_path.write_text(text)
+        code = main(["analyze", *analysis_argv(dataset_path), "--link", "a"])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {where}: must be finite, got an integer too large")
+        assert "Traceback" not in err
+
     def test_stdout_deterministic(self, dataset_path, capsys):
         main(["analyze", *analysis_argv(dataset_path), "--link", "c"])
         first = capsys.readouterr().out
@@ -279,6 +294,13 @@ class TestBatch:
         cdf_lines = (out_dir / "r_cdf.csv").read_text().splitlines()
         assert cdf_lines[0] == "power_ratio_db,cumulative_probability"
         assert len(cdf_lines) == 4
+
+    def test_infinite_floor_spec_is_a_usage_error(self, dataset_path, tmp_path):
+        argv = analysis_argv(dataset_path)
+        argv[argv.index("gpp3:hpbw=10,amax=30")] = "ula:n=4,floor=-inf"
+        out_dir = tmp_path / "report"
+        assert main(["batch", *argv, "--out", str(out_dir)]) == EXIT_USAGE
+        assert not out_dir.exists()
 
     def test_reruns_byte_identical(self, dataset_path, tmp_path):
         d1, d2 = tmp_path / "r1", tmp_path / "r2"
@@ -315,6 +337,14 @@ class TestPsp:
         lines = out.read_text().splitlines()
         assert lines[0] == "psp_percent,cumulative_probability"
         assert len(lines) == 4
+
+    def test_infinite_floor_is_a_validation_error(self, dataset_path, capsys):
+        code = main(["psp", "--data", str(dataset_path), "--low-ghz", "15", "--high-ghz", "28",
+                     "--hpbw-deg", "10", "--amax-db", "inf"])
+        assert code == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: a_max_db must be finite and > 0, got inf\n"
 
     def test_unwritable_output_is_io_error(self, dataset_path, tmp_path, capsys):
         code = main(["psp", "--data", str(dataset_path), "--low-ghz", "15",
@@ -389,6 +419,12 @@ class TestPattern:
 
     def test_bad_spec_is_usage_error(self, tmp_path):
         assert main(["pattern", "--spec", "gpp3", "--out", str(tmp_path / "x.csv")]) == EXIT_USAGE
+
+    def test_infinite_floor_is_a_usage_error_naming_the_field(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["pattern", "--spec", "ula:n=4,floor=-inf", "--out", str(out)]) == EXIT_USAGE
+        assert "backplane_floor_db must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_step_is_validation_error(self, tmp_path):
         code = main(["pattern", "--spec", "gpp3:hpbw=10",

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import csv as csv_module
+import io
 import json
 import logging
+import math
 import re
 import sys
 
+import numpy as np
+import oracles
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -239,6 +244,16 @@ class TestJsonValidation:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         with pytest.raises(cb.DatasetFormatError, match="not valid JSON"):
+            cb.load_dataset(path, 15.0, 28.0)
+
+    @pytest.mark.parametrize("text", [
+        json.dumps(minimal_doc()).replace('"delay_ns": 1.0', '"delay_ns": 1' + "0" * 5000).encode(),
+        b'{"schema_version": "1", "links": ["\xff"]}',
+    ], ids=["integer-over-4300-digits", "not-utf-8"])
+    def test_undecodable_file_located(self, tmp_path, text):
+        path = tmp_path / "odd.json"
+        path.write_bytes(text)
+        with pytest.raises(cb.DatasetFormatError, match=r"odd\.json: not valid JSON: "):
             cb.load_dataset(path, 15.0, 28.0)
 
     def test_schema_version(self, tmp_path):
@@ -486,3 +501,171 @@ class TestRoundTrip:
         cb.write_dataset([pair], first)
         cb.write_dataset(cb.load_dataset(first, 15.0, 28.0), second)
         assert second.read_bytes() == first.read_bytes()
+
+
+class TestColumnChecksKeepFileOrder:
+    # numbers are checked as whole columns, after the structure walk; the
+    # first error in file order must still win
+
+    def test_bad_number_before_a_structural_error_comes_first(self, tmp_path):
+        doc = minimal_doc()
+        doc["links"][0]["bands"][1]["paths"][0]["aoa_deg"] = 400.0
+        doc["links"].append({"link_id": "l2", "bands": []})
+        with pytest.raises(cb.DatasetFormatError, match=r"^links\[0\]\.bands\[1\]\.paths\[0\]\.aoa_deg"):
+            cb.load_dataset(write_json(tmp_path, doc), 15.0, 28.0)
+
+    def test_structural_error_before_a_bad_number_comes_first(self, tmp_path):
+        doc = minimal_doc()
+        doc["links"][0]["bands"][0]["paths"].append({"power_db": 0.0, "delay_ns": 1.0})
+        doc["links"][0]["bands"][1]["paths"][0]["aoa_deg"] = 400.0
+        with pytest.raises(cb.DatasetFormatError,
+                           match=r"^links\[0\]\.bands\[0\]\.paths\[1\]: missing key 'aoa_deg'"):
+            cb.load_dataset(write_json(tmp_path, doc), 15.0, 28.0)
+
+    def test_csv_bad_number_before_a_short_row_comes_first(self, tmp_path):
+        path = tmp_path / "order.csv"
+        path.write_text("link_id,freq_ghz,power_db,delay_ns,aoa_deg\na,15,0,1,10\na,28,0,-1,10\nb,15,0\n")
+        with pytest.raises(cb.DatasetFormatError, match=r"order\.csv:3\.delay_ns: must be >= 0"):
+            cb.load_dataset(path, 15.0, 28.0)
+
+    def test_first_bad_number_in_file_order_is_named(self, tmp_path):
+        path = tmp_path / "order.csv"
+        path.write_text("link_id,freq_ghz,power_db,delay_ns,aoa_deg\n"
+                        "a,15,0,1,10\na,28,4000,1,10\nb,15,0,1,361\n")
+        with pytest.raises(cb.DatasetFormatError, match=r"order\.csv:3\.power_db"):
+            cb.load_dataset(path, 15.0, 28.0)
+
+
+class TestNoRayObjects:
+    # the dataset layer and the generator work on columns only
+
+    @pytest.fixture()
+    def ray_count(self, monkeypatch):
+        calls = []
+        post_init = cb.Ray.__post_init__
+
+        def counting(ray):
+            calls.append(1)
+            post_init(ray)
+
+        monkeypatch.setattr(cb.Ray, "__post_init__", counting)
+        return calls
+
+    @pytest.mark.parametrize("name", ["links.json", "links.csv"])
+    def test_generate_write_and_load_build_no_ray(self, tmp_path, ray_count, name):
+        pairs = cb.generate_dataset(cb.GenConfig(seed=4), 20)
+        cb.write_dataset(pairs, tmp_path / name)
+        loaded = cb.load_dataset(tmp_path / name, 15.0, 28.0)
+        assert len(loaded) == 20
+        assert ray_count == []
+        assert isinstance(loaded[0].low.rays[0], cb.Ray)  # a view is built on demand
+        assert ray_count == [1]
+
+    @pytest.mark.parametrize("name", ["links.json", "links.csv"])
+    def test_loaded_columns_are_read_only(self, tmp_path, name):
+        cb.write_dataset(small_dataset(2), tmp_path / name)
+        rays = cb.load_dataset(tmp_path / name, 15.0, 28.0)[1].high.rays
+        for column in (rays.powers, rays.delays, rays.aoas):
+            assert not column.flags.writeable
+            with pytest.raises(ValueError):
+                column.flags.writeable = True
+
+
+def _json_corruption(draw, doc):
+    """Apply one drawn single-field corruption to a JSON dataset document."""
+    kind = draw(st.sampled_from(["none", "value", "missing", "extra", "empty_id"]))
+    link = doc["links"][draw(st.integers(0, len(doc["links"]) - 1))]
+    band = link["bands"][draw(st.integers(0, len(link["bands"]) - 1))]
+    entry = band["paths"][draw(st.integers(0, len(band["paths"]) - 1))]
+    target = draw(st.sampled_from([link, band, entry]))
+    if kind == "value":
+        holder, key = draw(st.sampled_from([(band, "freq_ghz")] + [(entry, key) for key in entry]))
+        holder[key] = draw(st.sampled_from(BAD_JSON_VALUES))
+    elif kind == "missing":
+        del target[draw(st.sampled_from(sorted(target)))]
+    elif kind == "extra":
+        target["zenith"] = 1.0
+    elif kind == "empty_id":
+        link["link_id"] = ""
+
+
+def _csv_corruption(draw, rows):
+    """Apply one drawn single-field corruption to CSV data rows."""
+    kind = draw(st.sampled_from(["none", "value", "short", "extra", "empty_id"]))
+    row = rows[draw(st.integers(0, len(rows) - 1))]
+    if kind == "value":
+        row[draw(st.integers(1, 4))] = draw(st.sampled_from(BAD_CSV_VALUES))
+    elif kind == "short":
+        row.pop()
+    elif kind == "extra":
+        row.append("1")
+    elif kind == "empty_id":
+        row[0] = ""
+
+
+BAD_JSON_VALUES = ["x", True, None, [1.0], math.nan, math.inf, -1.0, -0.5, 0, 360.0, 4000.0,
+                   -4000.0, -3100.0, 10**400]
+BAD_CSV_VALUES = ["x", "", "nan", "inf", "-1", "-0.5", "0", "360", "4000", "-4000", "-3100", "1e999"]
+
+
+@st.composite
+def dataset_files(draw, csv: bool):
+    """A random valid dataset, as a JSON document or CSV rows, with at most one corruption."""
+    paths = st.fixed_dictionaries(
+        {"power_db": st.floats(-300.0, 300.0) | st.integers(-300, 300),
+         "delay_ns": st.floats(0.0, 1e6) | st.just(-0.0),
+         "aoa_deg": ANGLES},
+        optional={} if csv else {"aod_deg": ANGLES},
+    )
+    # mostly both requested bands, within the 1e-6 GHz tolerance or exact
+    bands = st.sampled_from([[15.0, 28.0], [28, 15], [6.0, 15.0000004, 28.0],
+                             [15.0, 15.0000004, 28.0], [15.0, 60.0], [28.0]])
+    links = [
+        {"link_id": f"l{i}",
+         "bands": [{"freq_ghz": freq, "paths": draw(st.lists(paths, min_size=1, max_size=4))}
+                   for freq in draw(bands)]}
+        for i in range(draw(st.integers(1, 4)))
+    ]
+    if not csv:
+        doc = {"schema_version": "1", "metadata": {}, "links": links}
+        _json_corruption(draw, doc)
+        return json.dumps(doc)
+    rows = [[link["link_id"], repr(float(band["freq_ghz"])),
+             *(repr(float(entry[key])) for key in ("power_db", "delay_ns", "aoa_deg"))]
+            for link in links for band in link["bands"] for entry in band["paths"]]
+    _csv_corruption(draw, rows)
+    out = io.StringIO()
+    csv_module.writer(out, lineterminator="\n").writerows(
+        [["link_id", "freq_ghz", "power_db", "delay_ns", "aoa_deg"], *rows])
+    return out.getvalue()
+
+
+def _columns(paths):
+    """The reference paths as the four RayTable fields."""
+    powers, delays, aoas, aods = zip(*paths)
+    return (np.array(powers).tobytes(), np.array(delays).tobytes(), np.array(aoas).tobytes(),
+            repr(aods if any(a is not None for a in aods) else None))
+
+
+class TestMatchesTheReferenceLoader:
+    @pytest.mark.parametrize("name", ["links.json", "links.csv"])
+    @settings(deadline=None)  # file I/O time is not under test
+    @given(data=st.data())
+    def test_same_pairs_or_same_error(self, tmp_path_factory, name, data):
+        path = tmp_path_factory.mktemp("diff") / name
+        path.write_text(data.draw(dataset_files(csv=name.endswith(".csv"))), encoding="utf-8")
+        try:
+            expected = oracles.load_dataset(path, 15.0, 28.0)
+        except oracles.DatasetRefused as exc:
+            with pytest.raises(cb.DatasetFormatError) as info:
+                cb.load_dataset(path, 15.0, 28.0)
+            assert str(info.value) == str(exc)
+            return
+        got = cb.load_dataset(path, 15.0, 28.0)
+        assert [p.link_id for p in got] == [link_id for link_id, _, _ in expected]
+        for pair, (_, low, high) in zip(got, expected):
+            for band, (freq, paths) in ((pair.low, low), (pair.high, high)):
+                assert repr(band.frequency) == repr(freq)
+                rays = band.rays
+                assert (rays.powers.tobytes(), rays.delays.tobytes(), rays.aoas.tobytes(),
+                        repr(rays.aods)) == _columns(paths)

@@ -111,13 +111,13 @@ class TestGenerateLink:
     def test_exclusive_paths_sit_in_the_deficit_window(self):
         cfg = cb.GenConfig(n_shared_paths=2, n_low_only_paths=20, n_high_only_paths=20)
         pair = cb.generate_link(cfg, 0)
-        for ray in pair.low.rays[2:] + pair.high.rays[2:]:
-            assert 1e-3 <= ray.power <= 1e-1
+        for rays in (pair.low.rays, pair.high.rays):
+            assert ((1e-3 <= rays.powers[2:]) & (rays.powers[2:] <= 1e-1)).all()
 
     def test_zero_delay_spread_collapses_delays(self):
         cfg = cb.GenConfig(delay_spread_ns=0.0)
         pair = cb.generate_link(cfg, 0)
-        assert all(r.delay == 0.0 for r in pair.low.rays + pair.high.rays)
+        assert (pair.low.rays.delays == 0.0).all() and (pair.high.rays.delays == 0.0).all()
 
 
 class TestGenerateDataset:
@@ -133,6 +133,13 @@ class TestGenerateDataset:
         cfg = cb.GenConfig(seed=3)
         ds = cb.generate_dataset(cfg, 4)
         assert ds[2].low.rays == cb.generate_link(cfg, 2).low.rays
+
+    def test_links_across_generation_blocks_match_generate_link(self):
+        # generate_dataset draws links in blocks and checks each block's columns together
+        cfg = cb.GenConfig(seed=3)
+        ds = cb.generate_dataset(cfg, 300)
+        for i in (0, 255, 256, 299):
+            assert ds[i] == cb.generate_link(cfg, i)
 
     def test_regeneration_is_bit_identical(self):
         cfg = cb.GenConfig(seed=9)
