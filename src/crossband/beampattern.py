@@ -245,7 +245,7 @@ def pattern_to_csv(pattern, path, step_deg: float = 0.1) -> None:
         raise ValueError(f"step_deg must divide 360, got {step_deg!r}")
     offsets = np.linspace(-180.0, 180.0, n + 1)
     gains = np.asarray(pattern.gain_db(offsets), dtype=float)
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["offset_deg", "gain_db"])
         for off, g in zip(offsets, gains):
@@ -255,20 +255,28 @@ def pattern_to_csv(pattern, path, step_deg: float = 0.1) -> None:
 def pattern_from_csv(path) -> TabulatedPattern:
     """Load a tabulated pattern from a two-column CSV (offset_deg, gain_db)."""
     offsets, gains = [], []
-    with open(path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or not row[0].strip():
-                continue
-            if len(row) < 2:
-                raise ValueError(f"{path}: line {lineno}: expected two columns")
-            try:
-                off, g = float(row[0]), float(row[1])
-            except ValueError:
-                if lineno == 1:
-                    continue  # header row
-                raise ValueError(f"{path}: line {lineno}: non-numeric sample") from None
-            offsets.append(off)
-            gains.append(g)
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            for lineno, row in enumerate(reader, start=1):
+                if not row or not row[0].strip():
+                    continue
+                if len(row) < 2:
+                    raise ValueError(f"{path}: line {lineno}: expected two columns")
+                try:
+                    off, g = float(row[0]), float(row[1])
+                except ValueError:
+                    if lineno == 1:
+                        continue  # header row
+                    raise ValueError(f"{path}: line {lineno}: non-numeric sample") from None
+                offsets.append(off)
+                gains.append(g)
+        except csv.Error as exc:  # such as a field over csv.field_size_limit()
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:  # its position counts from the start of a read chunk
+            raise ValueError(
+                f"{path}: not valid UTF-8: byte 0x{exc.object[exc.start]:02x} ({exc.reason})"
+            ) from None
     if len(offsets) < 2:
         raise ValueError(f"{path}: fewer than two pattern samples")
     return TabulatedPattern(np.asarray(offsets), np.asarray(gains))

@@ -14,7 +14,6 @@ field's class default.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 from dataclasses import MISSING, fields
@@ -26,7 +25,7 @@ from .beampattern import Gpp3Pattern, UlaPattern, pattern_from_csv, pattern_to_c
 from .beams import SimilarityConfig, analyze_pair
 from .channel import LinkPair
 from .dataset import load_dataset, write_dataset
-from .jsonio import dump, dumps
+from .jsonio import dump, dumps, load
 from .metrics import psp
 from .pas import AngularGrid, filter_pas, normalize_pas
 from .synth import GENERATOR_NAME, GenConfig, generate_dataset
@@ -158,15 +157,7 @@ def _similarity_config(args) -> SimilarityConfig:
 
 
 def _cmd_generate(args) -> int:
-    if args.config is not None:
-        with open(args.config, "r", encoding="utf-8") as handle:
-            try:
-                raw = json.load(handle)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{args.config}: not valid JSON: {exc}") from exc
-        config = GenConfig.from_dict(raw)
-    else:
-        config = GenConfig()
+    config = GenConfig() if args.config is None else GenConfig.from_dict(load(args.config))
     if args.n_links < 1:
         raise ValueError(f"--n-links must be >= 1, got {args.n_links}")
     dataset = generate_dataset(config, args.n_links)

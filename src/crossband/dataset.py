@@ -16,22 +16,21 @@ The JSON layout is canonical::
 Angles are degrees in [0, 360), powers dB, delays ns; the in-memory model
 uses linear power and seconds. A CSV mirror holds one path per row
 (``link_id,freq_ghz,power_db,delay_ns,aoa_deg``); it drops metadata and
-departure angles and cannot represent two same-frequency bands of one link.
+cannot represent departure angles or two same-frequency bands of one link.
 Link ids are nonempty and unique in both formats.
 
 Both readers check a file's structure in file order while collecting its
 numbers into flat columns, then check the numbers as arrays, once per file;
 only a file that fails is walked again, entry by entry, to name the first
 bad entry. Each band becomes a ``BandChannel`` over slices of those columns.
-The writers work on the same columns. A file may carry more bands than any
-one analysis uses, so loading takes the two band frequencies explicitly
-instead of guessing from the file.
+The writers work on the same columns, through the same number checks. A
+file may carry more bands than any one analysis uses, so loading takes the
+two band frequencies explicitly instead of guessing from the file.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 import logging
 import math
 import sys
@@ -43,7 +42,7 @@ from typing import NoReturn
 import numpy as np
 
 from .channel import BandChannel, LinkPair, RayTable
-from .jsonio import dump
+from .jsonio import dump, load
 from .units import db_to_linear_each, linear_to_db, wrap_azimuths_deg
 
 SCHEMA_VERSION = "1"
@@ -70,19 +69,25 @@ class DatasetFormatError(ValueError):
 def write_dataset(pairs: list[LinkPair], path, metadata: dict | None = None) -> None:
     """Write link pairs as a dataset file; format chosen by extension.
 
-    Raises ``DatasetFormatError`` naming the link, and the path entry where
-    there is one, before anything is written, when a value would not load
-    back: an empty or repeated link id, a power whose ``power_db`` is zero,
-    infinite or subnormal as a linear power, a delay infinite in ns, or (CSV
-    only) a pair whose bands share a frequency or whose link id holds a
-    carriage return or a surrogate.
+    Raises ``DatasetFormatError`` before anything is written when the file
+    would not load back: naming the file when there are no pairs, else
+    naming the link, and the path entry where there is one, for an empty or
+    repeated link id, a power whose ``power_db`` is zero, infinite or
+    subnormal as a linear power, a delay infinite in ns, or (CSV only) a
+    pair whose bands share a frequency, that has departure angles, or whose
+    link id holds a carriage return or a surrogate.
     """
+    to_csv = Path(path).suffix.lower() == ".csv"
+    if not pairs:
+        _fail(str(path), "no links to write")
     seen_ids = set()
     for pair in pairs:
         if not isinstance(pair.link_id, str) or not pair.link_id or pair.link_id in seen_ids:
             raise DatasetFormatError(f"link {pair.link_id!r}: link ids must be nonempty and unique")
         seen_ids.add(pair.link_id)
-    if Path(path).suffix.lower() == ".csv":
+        if to_csv:
+            _check_csv_pair(pair)
+    if to_csv:
         _write_csv(pairs, path)
     else:
         dump(_to_file_dict(pairs, metadata), path)
@@ -123,36 +128,34 @@ def load_dataset(path, low_freq_ghz: float, high_freq_ghz: float) -> list[LinkPa
     return pairs
 
 
-def _written_columns(pairs: list[LinkPair], where, check_pair=None):
+def _written_columns(pairs: list[LinkPair], where):
     """``power_db`` and ``delay_ns`` arrays of every path in file order, checked to load back.
 
-    Refuses the first pair or path in file order that would not load back:
-    a pair ``check_pair`` raises for, or a path whose values the loader
-    would reject, named by its link and ``where(i, j, k, line)`` (path ``k``
-    of band ``j`` of link ``i``, which is CSV line ``line``). A power inside
-    (1e-300, 1e300) reloads as a normal float and a delay below 1e290 s as
-    a finite one, so only when a path falls outside do the paths run the
-    loader's checks, one by one.
+    The columns go through the loader's own number checks; only when they
+    fail are the paths checked one by one, in file order, and the first that
+    would not load back is named by its link and ``where(i, j, k, line)``
+    (path ``k`` of band ``j`` of link ``i``, which is CSV line ``line``).
+    Frequencies and angles are written as the channels hold them, which the
+    loader accepts.
     """
     tables = [channel.rays for pair in pairs for channel in (pair.low, pair.high)]
-    powers = np.concatenate([t.powers for t in tables]) if tables else np.empty(0)
-    delays = np.concatenate([t.delays for t in tables]) if tables else np.empty(0)
-    in_range = ((powers > 1e-300) & (powers < 1e300) & (delays < 1e290)).all()
-    line = 1
-    for i, pair in enumerate(pairs):
-        if check_pair is not None:
-            check_pair(pair)
-        if in_range:
-            continue
-        for j, channel in enumerate((pair.low, pair.high)):
-            rays = channel.rays
-            for k, (power, delay, aoa) in enumerate(zip(rays.powers.tolist(), rays.delays.tolist(),
-                                                        rays.aoas.tolist())):
-                line += 1
-                if not (1e-300 < power < 1e300 and delay < 1e290):
-                    _check_path(f"link {pair.link_id!r}: {where(i, j, k, line)}",
-                                float(linear_to_db(power)), delay * 1e9, aoa)
-    return linear_to_db(powers), delays * 1e9
+    power_db = linear_to_db(np.concatenate([t.powers for t in tables]))
+    with np.errstate(over="ignore"):  # a delay infinite in ns is refused by name below
+        delay_ns = np.concatenate([t.delays for t in tables]) * 1e9
+
+    def replay():
+        powers, delays = power_db.tolist(), delay_ns.tolist()
+        n = 0
+        for i, pair in enumerate(pairs):
+            for j, channel in enumerate((pair.low, pair.high)):
+                for k, aoa in enumerate(channel.rays.aoas.tolist()):
+                    _check_path(f"link {pair.link_id!r}: {where(i, j, k, n + 2)}",
+                                powers[n], delays[n], aoa)
+                    n += 1
+
+    empty = np.empty(0)
+    _checked_powers(replay, empty, power_db, delay_ns, empty, empty)
+    return power_db, delay_ns
 
 
 def _link_columns(pairs: list[LinkPair], power_db: np.ndarray, delay_ns: np.ndarray):
@@ -196,6 +199,10 @@ def _check_csv_pair(pair: LinkPair) -> None:
             f"link {pair.link_id!r}: CSV cannot hold two bands at one frequency "
             f"({pair.low.frequency!r} and {pair.high.frequency!r} GHz); write JSON instead"
         )
+    if pair.low.rays.aods is not None or pair.high.rays.aods is not None:
+        raise DatasetFormatError(
+            f"link {pair.link_id!r}: CSV cannot hold departure angles; write JSON instead"
+        )
     # csv.writer leaves "\r" unquoted under a "\n" terminator; UTF-8 has no surrogates
     if any(c == "\r" or "\ud800" <= c <= "\udfff" for c in pair.link_id):
         raise DatasetFormatError(
@@ -205,8 +212,7 @@ def _check_csv_pair(pair: LinkPair) -> None:
 
 
 def _write_csv(pairs: list[LinkPair], path) -> None:
-    power_db, delay_ns = _written_columns(pairs, lambda i, j, k, line: f"{path}:{line}",
-                                          _check_csv_pair)
+    power_db, delay_ns = _written_columns(pairs, lambda i, j, k, line: f"{path}:{line}")
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(_CSV_HEADER)
@@ -246,7 +252,7 @@ def _check_freq(value, where: str) -> None:
 
 def _check_path(where: str, power_db, delay_ns, aoa_deg, *aod_deg) -> None:
     power_db = _check_number(power_db, f"{where}.power_db")
-    if not sys.float_info.min <= db_to_linear_each([power_db])[0] < math.inf:
+    if not sys.float_info.min <= db_to_linear_each(np.array([power_db]))[0] < math.inf:
         _fail(f"{where}.power_db", f"{power_db!r} dB is zero, infinite or subnormal as a linear power")
     _check_number(delay_ns, f"{where}.delay_ns", minimum=0.0)
     _check_number(aoa_deg, f"{where}.aoa_deg", minimum=0.0, below=360.0)
@@ -266,7 +272,7 @@ def _checked_powers(replay, freq_ghz, power_db, delay_ns, aoa_deg, aod_deg) -> n
     runs those checks on the collected entries in file order, which raises
     the first bad entry's error with its location.
     """
-    powers = np.array(db_to_linear_each(power_db.tolist()), dtype=float)
+    powers = db_to_linear_each(power_db)
     if not (((freq_ghz > 0.0) & (freq_ghz < math.inf)).all()
             and ((powers >= sys.float_info.min) & (powers < math.inf)).all()
             and ((delay_ns >= 0.0) & (delay_ns < math.inf)).all()
@@ -281,11 +287,7 @@ def _raise_first_bad_entry(replay) -> NoReturn:
 
 
 def _read_links_json(path) -> list[tuple[str, list[BandChannel]]]:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
-    except ValueError as exc:  # also an integer of over 4300 digits, or bytes that are not UTF-8
-        raise DatasetFormatError(f"{path}: not valid JSON: {exc}") from exc
+    doc = load(path, DatasetFormatError)
     if not isinstance(doc, dict):
         _fail(str(path), "top level must be an object")
     if doc.get("schema_version") != SCHEMA_VERSION:
@@ -411,15 +413,15 @@ def _read_links_csv(path) -> list[tuple[str, list[BandChannel]]]:
             _check_path(where, *numbers[4 * r + 1:4 * r + 4])
 
     with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
+        rows = _csv_rows(handle, path)
         try:
-            header = next(reader)
+            header = next(rows)
         except StopIteration:
             _fail(f"{path}:1", "empty file")
         if header != _CSV_HEADER:
             _fail(f"{path}:1", f"header must be {','.join(_CSV_HEADER)!r}")
         try:
-            for lineno, row in enumerate(reader, start=2):
+            for lineno, row in enumerate(rows, start=2):
                 if len(row) != len(_CSV_HEADER):
                     _fail(f"{path}:{lineno}", f"expected {len(_CSV_HEADER)} fields, got {len(row)}")
                 link_id, freq, power_db, delay_ns, aoa_deg = row
@@ -449,3 +451,14 @@ def _read_links_csv(path) -> list[tuple[str, list[BandChannel]]]:
                              wrap_azimuths_deg(aoa_deg[order]), starts)
     channels = [BandChannel(freq, table) for (_, freq), table in zip(bands, tables)]
     return [(link_id, [channels[b] for b in indices]) for link_id, indices in link_bands.items()]
+
+
+def _csv_rows(handle, path):
+    """The rows of an open CSV file; a line ``csv`` cannot read fails located."""
+    reader = csv.reader(handle)
+    try:
+        yield from reader
+    except csv.Error as exc:  # such as a field over csv.field_size_limit()
+        _fail(f"{path}:{reader.line_num}", str(exc))
+    except UnicodeDecodeError as exc:  # its position counts from the start of a read chunk
+        _fail(str(path), f"not valid UTF-8: byte 0x{exc.object[exc.start]:02x} ({exc.reason})")

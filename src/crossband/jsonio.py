@@ -1,4 +1,4 @@
-"""Deterministic JSON emission.
+"""Deterministic JSON emission, and the one reader of JSON files.
 
 Reports and dataset files must serialize to the same bytes on every run, so
 dicts are emitted in insertion order (callers build them in a fixed order)
@@ -35,3 +35,16 @@ def dump(obj, path, sig_digits: int | None = None) -> None:
     text = dumps(obj, sig_digits)
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(text)
+
+
+def load(path, error=ValueError):
+    """The JSON value in ``path``; ``error`` naming the file when it holds none.
+
+    Bytes that are not UTF-8, an integer of over 4300 digits and nesting too
+    deep to parse count as not valid JSON.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{path}: not valid JSON: {exc}") from exc

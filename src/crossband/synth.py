@@ -124,7 +124,7 @@ def _generate(config: GenConfig, link_indices: range) -> list[LinkPair]:
         aoas = np.concatenate(aoa)
         delays_ns = np.concatenate(delay_ns)
         # one scalar pow per path: see db_to_linear
-        powers = np.array(db_to_linear_each(np.concatenate(power_db).tolist()))
+        powers = db_to_linear_each(np.concatenate(power_db))
     bounds = np.cumsum([0] + [n + extra for _ in link_indices for extra in extra_counts]).tolist()
     checks = (  # only an extreme setting draws a value a Ray would refuse
         (np.isfinite(aoas), "angle is not finite", "angle_jitter_deg"),

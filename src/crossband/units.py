@@ -19,12 +19,13 @@ def db_to_linear(value_db):
     return 10.0 ** (value_db / 10.0)
 
 
-def db_to_linear_each(values_db) -> list[float]:
-    """``db_to_linear`` of each Python float, one scalar at a time; overflow gives inf."""
+def db_to_linear_each(values_db: np.ndarray) -> np.ndarray:
+    """``db_to_linear`` of each float64 value, one Python float at a time; overflow gives inf."""
+    values = memoryview(values_db)  # yields Python floats, with no list of them
     try:
-        return [db_to_linear(x) for x in values_db]
+        return np.fromiter(map(db_to_linear, values), float, len(values))
     except OverflowError:
-        return [_db_to_linear_or_inf(x) for x in values_db]
+        return np.fromiter(map(_db_to_linear_or_inf, values), float, len(values))
 
 
 def _db_to_linear_or_inf(value_db: float) -> float:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import importlib
 import importlib.util
@@ -13,7 +14,9 @@ import pytest
 import crossband as cb
 from crossband import beams, dataset, jsonio, pas
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
+SOURCES = sorted((ROOT / "src").rglob("*.py"))
 
 
 def test_public_names_are_unique_and_resolve():
@@ -57,3 +60,31 @@ def test_benchmark_count_hooks_read_the_right_arguments(func, position, name):
 def test_benchmark_count_hook_reads_band_rays():
     # perfbench/spans.py counts gain evaluations as len(channel.rays)
     assert "rays" in [field.name for field in dataclasses.fields(cb.BandChannel)]
+
+
+def _calls(path):
+    return [node for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Call)]
+
+
+def test_text_mode_opens_name_their_encoding():
+    # without one, open() reads and writes the locale's encoding, ASCII under LC_ALL=C
+    unnamed = []
+    for path in SOURCES:
+        for call in _calls(path):
+            if not (isinstance(call.func, ast.Name) and call.func.id == "open"):
+                continue
+            keywords = {k.arg: k.value for k in call.keywords}
+            mode = call.args[1] if len(call.args) > 1 else keywords.get("mode")
+            binary = isinstance(mode, ast.Constant) and "b" in mode.value
+            if not binary and "encoding" not in keywords:
+                unnamed.append(f"{path.name}:{call.lineno}")
+    assert unnamed == []
+
+
+def test_json_files_are_read_by_jsonio_only():
+    # jsonio.load is the one place that turns bad JSON into an error naming the file
+    readers = [path.name for path in SOURCES for call in _calls(path)
+               if isinstance(call.func, ast.Attribute) and call.func.attr in ("load", "loads")
+               and isinstance(call.func.value, ast.Name) and call.func.value.id == "json"]
+    assert readers == ["jsonio.py"]

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -318,6 +322,35 @@ class TestCsvRoundTrip:
         path.write_text("offset_deg,gain_db\n0,0\noops,nope\n")
         with pytest.raises(ValueError, match="line 3"):
             cb.pattern_from_csv(path)
+
+    def test_field_over_the_csv_limit_located(self, tmp_path):
+        path = tmp_path / "wide.csv"
+        path.write_text("offset_deg,gain_db\n0,0\n" + "9" * 200_000 + ",-10\n")
+        with pytest.raises(ValueError, match=r"wide\.csv: line 3: field larger than field limit"):
+            cb.pattern_from_csv(path)
+
+    def test_bytes_that_are_not_utf8_located(self, tmp_path):
+        path = tmp_path / "odd.csv"
+        path.write_bytes(b"offset_deg,gain_db\n0,0\n\xff90,-10\n")
+        with pytest.raises(ValueError, match=r"odd\.csv: not valid UTF-8: byte 0xff \(invalid start byte\)$"):
+            cb.pattern_from_csv(path)
+
+    def test_files_are_utf8_whatever_the_locale(self, tmp_path, gpp3_10):
+        # under the C locale, open() without an encoding reads ASCII and
+        # refuses the byte order mark a spreadsheet may write
+        path = tmp_path / "bom.csv"
+        cb.pattern_to_csv(gpp3_10, path, step_deg=1.0)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        src = Path(cb.__file__).resolve().parents[1]
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+               "PYTHONPATH": str(src)}
+        code = ("import sys, crossband as cb; "
+                "p = cb.pattern_from_csv(sys.argv[1]); cb.pattern_to_csv(p, sys.argv[2], 1.0)")
+        subprocess.run([sys.executable, "-c", code, str(path), str(tmp_path / "out.csv")],
+                       env=env, check=True, capture_output=True)
+        xs = np.arange(-180.0, 181.0)
+        loaded = cb.pattern_from_csv(tmp_path / "out.csv")
+        np.testing.assert_allclose(loaded.gain_db(xs), gpp3_10.gain_db(xs), atol=1e-9)
 
     def test_step_must_divide_circle(self, tmp_path, gpp3_10):
         with pytest.raises(ValueError):

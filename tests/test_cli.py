@@ -430,3 +430,40 @@ class TestPattern:
         code = main(["pattern", "--spec", "gpp3:hpbw=10",
                      "--out", str(tmp_path / "x.csv"), "--step-deg", "0.7"])
         assert code == EXIT_VALIDATION
+
+
+PSP_ARGV = ["psp", "--data", "{data}", "--low-ghz", "15", "--high-ghz", "28", "--hpbw-deg", "10",
+            "--out", "{out}"]
+GENERATE_ARGV = ["generate", "--config", "{data}", "--n-links", "1", "--out", "{out}"]
+PATTERN_ARGV = ["pattern", "--spec", "file:{data}", "--out", "{out}"]
+DATASET_HEADER = b"link_id,freq_ghz,power_db,delay_ns,aoa_deg\n"
+DEEP_JSON = b"[" * 100_000 + b"]" * 100_000
+
+
+class TestMalformedInputCorpus:
+    # each input once ended in a traceback or in an error naming no file
+
+    @pytest.mark.parametrize(
+        "name, content, argv",
+        [
+            ("deep.json", DEEP_JSON, PSP_ARGV),
+            ("deep.json", DEEP_JSON, GENERATE_ARGV),
+            ("gen.json", b'{"seed": "\xff"}', GENERATE_ARGV),
+            ("wide.csv", DATASET_HEADER + b"a" * 200_000 + b",15,0,1,10\n", PSP_ARGV),
+            ("wide.csv", b"offset_deg,gain_db\n0,0\n" + b"9" * 200_000 + b",-10\n", PATTERN_ARGV),
+            ("odd.csv", DATASET_HEADER + b"a,15,0,1,10\n\xff,28,0,1,10\n", PSP_ARGV),
+            ("odd.csv", b"offset_deg,gain_db\n0,0\n\xff90,-10\n", PATTERN_ARGV),
+        ],
+        ids=["deep-dataset", "deep-config", "config-not-utf-8", "dataset-csv-wide-field",
+             "pattern-wide-field", "dataset-csv-not-utf-8", "pattern-not-utf-8"],
+    )
+    def test_one_error_line_naming_the_file(self, tmp_path, capsys, name, content, argv):
+        data, out = tmp_path / name, tmp_path / "out.csv"
+        data.write_bytes(content)
+        code = main([arg.format(data=data, out=out) for arg in argv])
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {data}")
+        assert not out.exists()

@@ -89,12 +89,14 @@ class TestWriteRefusesWhatLoadRejects:
 
     @pytest.mark.parametrize("name", ["links.json", "links.csv"])
     def test_tiny_negative_angles_round_trip(self, tmp_path, name):
-        low = cb.BandChannel(15.0, (cb.Ray(1.0, 0.0, -1e-20, aod_azimuth=-1e-20),))
+        aod = -1e-20 if name.endswith(".json") else None  # CSV holds no departure angles
+        low = cb.BandChannel(15.0, (cb.Ray(1.0, 0.0, -1e-20, aod_azimuth=aod),))
         high = cb.BandChannel(28.0, (cb.Ray(1.0, 0.0, 10.0),))
         path = tmp_path / name
         cb.write_dataset([cb.LinkPair(low=low, high=high, link_id="l")], path)
         loaded = cb.load_dataset(path, 15.0, 28.0)
         assert loaded[0].low.rays[0].aoa_azimuth == 0.0
+        assert loaded[0].low.rays[0].aod_azimuth == (None if aod is None else 0.0)
 
     @pytest.mark.parametrize(
         "name, where",
@@ -142,6 +144,25 @@ class TestWriteRefusesWhatLoadRejects:
         with pytest.raises(cb.DatasetFormatError, match=f"^link {ids[-1]!r}: "):
             cb.write_dataset(pairs, path)
         assert not path.exists()
+
+    @pytest.mark.parametrize("name", ["links.json", "links.csv"])
+    def test_empty_pair_list_refused(self, tmp_path, name):
+        # the loader refuses a file of no links in both formats
+        path = tmp_path / name
+        with pytest.raises(cb.DatasetFormatError, match=f"^{re.escape(str(path))}: no links to write$"):
+            cb.write_dataset([], path)
+        assert not path.exists()
+
+    def test_csv_pair_problem_named_before_an_earlier_bad_value(self, tmp_path):
+        # every pair is checked before any value
+        tiny = cb.BandChannel(28.0, (cb.Ray(sys.float_info.min, 0.0, 0.0),))
+        good = cb.BandChannel(15.0, (cb.Ray(1.0, 0.0, 0.0),))
+        pairs = [cb.LinkPair(low=good, high=tiny, link_id="a"),
+                 cb.LinkPair(low=good, high=good, link_id="b")]
+        with pytest.raises(cb.DatasetFormatError, match="^link 'b': CSV cannot hold two bands"):
+            cb.write_dataset(pairs, tmp_path / "links.csv")
+        with pytest.raises(cb.DatasetFormatError, match=r"^link 'a': links\[0\]\.bands\[1\]"):
+            cb.write_dataset(pairs, tmp_path / "links.json")
 
     @given(st.floats(min_value=5e-324, allow_infinity=False))
     @example(2.2250738585072014e-308)
@@ -432,6 +453,34 @@ class TestCsv:
         cb.write_dataset([pair], tmp_path / "ids.json")
         assert cb.load_dataset(tmp_path / "ids.json", 15.0, 28.0)[0].link_id == link_id
 
+    def test_departure_angles_refused(self, tmp_path):
+        # the CSV mirror has no aod_deg column, so they would reload as None
+        low = cb.BandChannel(15.0, (cb.Ray(1.0, 0.0, 0.0), cb.Ray(0.5, 0.0, 10.0, aod_azimuth=33.0)))
+        high = cb.BandChannel(28.0, (cb.Ray(1.0, 0.0, 0.0),))
+        pair = cb.LinkPair(low=low, high=high, link_id="x")
+        path = tmp_path / "aod.csv"
+        with pytest.raises(cb.DatasetFormatError,
+                           match="^link 'x': CSV cannot hold departure angles; write JSON instead$"):
+            cb.write_dataset([pair], path)
+        assert not path.exists()
+
+    def test_field_over_the_csv_limit_located(self, tmp_path):
+        path = tmp_path / "wide.csv"
+        path.write_text("link_id,freq_ghz,power_db,delay_ns,aoa_deg\na,15,0,1,10\n"
+                        + "b" * 200_000 + ",15,0,1,10\n")
+        with pytest.raises(cb.DatasetFormatError, match=r"wide\.csv:3: field larger than field limit"):
+            cb.load_dataset(path, 15.0, 28.0)
+
+    @pytest.mark.parametrize("line", [1, 3])
+    def test_bytes_that_are_not_utf8_located(self, tmp_path, line):
+        rows = [b"link_id,freq_ghz,power_db,delay_ns,aoa_deg", b"a,15,0,1,10", b"a,28,0,1,10"]
+        rows[line - 1] = b"\xff" + rows[line - 1]
+        path = tmp_path / "odd.csv"
+        path.write_bytes(b"\n".join(rows) + b"\n")
+        with pytest.raises(cb.DatasetFormatError,
+                           match=r"odd\.csv: not valid UTF-8: byte 0xff \(invalid start byte\)$"):
+            cb.load_dataset(path, 15.0, 28.0)
+
     def test_equal_frequency_pair_kept_by_json(self, tmp_path):
         ch = cb.BandChannel(15.0, (cb.Ray(1.0, 0.0, 0.0), cb.Ray(0.5, 1e-9, 10.0)))
         path = tmp_path / "self.json"
@@ -446,18 +495,19 @@ ANGLES = st.floats(min_value=0.0, max_value=360.0, exclude_max=True)
 
 @st.composite
 def link_pairs(draw, csv: bool):
-    """Pairs with unique ids at one random frequency pair; ``aod`` only for JSON.
+    """Pairs with unique ids at one random frequency pair.
 
     Powers stay inside (1e-300, 1e300), where every dB value reloads as a
     normal float; delays are any finite value >= 0; CSV bands are at least
-    1e-3 GHz apart.
+    1e-3 GHz apart. Half the CSV draws may hold departure angles, which the
+    CSV writer refuses; the other half hold none.
     """
     ray = st.builds(
         cb.Ray,
         power=st.floats(min_value=1e-300, max_value=1e300),
         delay=st.floats(min_value=0.0, allow_infinity=False),
         aoa_azimuth=ANGLES,
-        aod_azimuth=st.none() if csv else st.none() | ANGLES,
+        aod_azimuth=st.none() if csv and draw(st.booleans()) else st.none() | ANGLES,
     )
     rays = st.lists(ray, min_size=1, max_size=5)
     low = draw(st.floats(min_value=0.5, max_value=100.0))
@@ -526,6 +576,13 @@ class TestColumnChecksKeepFileOrder:
         path = tmp_path / "order.csv"
         path.write_text("link_id,freq_ghz,power_db,delay_ns,aoa_deg\na,15,0,1,10\na,28,0,-1,10\nb,15,0\n")
         with pytest.raises(cb.DatasetFormatError, match=r"order\.csv:3\.delay_ns: must be >= 0"):
+            cb.load_dataset(path, 15.0, 28.0)
+
+    def test_csv_bad_number_before_an_unreadable_line_comes_first(self, tmp_path):
+        path = tmp_path / "order.csv"
+        path.write_text("link_id,freq_ghz,power_db,delay_ns,aoa_deg\na,15,0,1,361\n"
+                        + "b" * 200_000 + ",15,0,1,10\n")
+        with pytest.raises(cb.DatasetFormatError, match=r"order\.csv:2\.aoa_deg: must be < 360"):
             cb.load_dataset(path, 15.0, 28.0)
 
     def test_first_bad_number_in_file_order_is_named(self, tmp_path):

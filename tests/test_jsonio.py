@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from crossband.jsonio import dump, dumps, round_floats
+from crossband.jsonio import dump, dumps, load, round_floats
 
 
 class TestRoundFloats:
@@ -71,3 +71,36 @@ class TestDump:
         dump(payload, a, sig_digits=12)
         dump(payload, b, sig_digits=12)
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestLoad:
+    def test_reads_what_dump_wrote(self, tmp_path):
+        path = tmp_path / "in.json"
+        dump({"x": [1.5, "y"], "n": 10**30}, path)
+        assert load(path) == {"x": [1.5, "y"], "n": 10**30}
+
+    @pytest.mark.parametrize("text", [
+        b"{not json",
+        b'{"a": "\xff"}',
+        b"[" + b"1" * 5000 + b"]",
+        b"[" * 100_000 + b"]" * 100_000,
+    ], ids=["syntax", "not-utf-8", "integer-over-4300-digits", "nested-too-deep"])
+    def test_invalid_file_named(self, tmp_path, text):
+        path = tmp_path / "odd.json"
+        path.write_bytes(text)
+        with pytest.raises(ValueError, match=r"^.*odd\.json: not valid JSON: ") as info:
+            load(path)
+        assert type(info.value) is ValueError
+
+    def test_error_class_chosen_by_the_caller(self, tmp_path):
+        class FormatError(ValueError):
+            pass
+
+        path = tmp_path / "odd.json"
+        path.write_text("[")
+        with pytest.raises(FormatError, match="not valid JSON"):
+            load(path, FormatError)
+
+    def test_missing_file_is_an_os_error(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            load(tmp_path / "none.json")
