@@ -14,20 +14,25 @@ default lives only in a class field; the command-line spec grammar
 * ``UlaPattern`` - bore-sight array factor of an N-element uniform linear
   array inside the front half plane, constant floor behind it.
 * ``TabulatedPattern`` - sampled gain table, interpolated linearly in the
-  dB domain around the circle; ``pattern_from_csv`` loads one.
+  dB domain around the circle; ``pattern_from_csv`` loads one from a CSV
+  file, read like a dataset CSV through ``jsonio.csv_rows``.
 """
 
 from __future__ import annotations
 
 import csv
+import math
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
 
+from .jsonio import csv_rows
 from .units import db_to_linear, linear_to_db, wrap_offset_deg
 
 _HPBW_SCAN_STEP_DEG = 0.05
 _HPBW_RESOLUTION_DEG = 0.01
+_ULA_MAX_ELEMENTS = 4096
 
 
 def _shaped(func, offset_deg):
@@ -100,7 +105,9 @@ class UlaPattern(_Pattern):
     Front half plane (|offset| <= 90 deg) carries the normalized array factor
     ``|sum_n exp(j*2*pi*spacing*n*sin(offset))|^2 / n_elements^2``; the back
     half plane is a constant floor. Sidelobes are kept exactly as the array
-    factor gives them, with no clipping.
+    factor gives them, with no clipping. ``n_elements`` is an integer from 2
+    to 4096, a fixed bound on the ``(n_elements, offsets)`` array that a gain
+    evaluation builds.
     """
 
     n_elements: int
@@ -109,8 +116,10 @@ class UlaPattern(_Pattern):
 
     def __post_init__(self):
         # % 1 is nan for inf and nan, where int() would raise
-        if not (self.n_elements >= 2 and self.n_elements % 1 == 0):
-            raise ValueError(f"n_elements must be an integer >= 2, got {self.n_elements!r}")
+        if not (2 <= self.n_elements <= _ULA_MAX_ELEMENTS and self.n_elements % 1 == 0):
+            raise ValueError(
+                f"n_elements must be an integer in [2, {_ULA_MAX_ELEMENTS}], got {self.n_elements!r}"
+            )
         object.__setattr__(self, "n_elements", int(self.n_elements))
         if not 0.0 < self.spacing_wavelengths < np.inf:
             raise ValueError(
@@ -253,30 +262,36 @@ def pattern_to_csv(pattern, path, step_deg: float = 0.1) -> None:
 
 
 def pattern_from_csv(path) -> TabulatedPattern:
-    """Load a tabulated pattern from a two-column CSV (offset_deg, gain_db)."""
+    """Load a tabulated pattern from a two-column CSV (offset_deg, gain_db).
+
+    Rows whose fields are all blank are skipped, and line 1 is a header when
+    neither of its two fields is a finite number. Every other row must be
+    exactly two finite numbers; a row that is not, or a file
+    ``jsonio.csv_rows`` cannot read, raises ValueError as
+    ``<path>:<line>: <reason>``.
+    """
     offsets, gains = [], []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            for lineno, row in enumerate(reader, start=1):
-                if not row or not row[0].strip():
-                    continue
-                if len(row) < 2:
-                    raise ValueError(f"{path}: line {lineno}: expected two columns")
-                try:
-                    off, g = float(row[0]), float(row[1])
-                except ValueError:
-                    if lineno == 1:
-                        continue  # header row
-                    raise ValueError(f"{path}: line {lineno}: non-numeric sample") from None
-                offsets.append(off)
-                gains.append(g)
-        except csv.Error as exc:  # such as a field over csv.field_size_limit()
-            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
-        except UnicodeDecodeError as exc:  # its position counts from the start of a read chunk
-            raise ValueError(
-                f"{path}: not valid UTF-8: byte 0x{exc.object[exc.start]:02x} ({exc.reason})"
-            ) from None
+    with closing(csv_rows(path)) as rows:
+        for lineno, row in enumerate(rows, start=1):
+            if not "".join(row).strip():
+                continue
+            if len(row) != 2:
+                raise ValueError(f"{path}:{lineno}: expected two fields, got {len(row)}")
+            numbers = [_finite_or_none(field) for field in row]
+            if lineno == 1 and numbers == [None, None]:
+                continue  # header row
+            if None in numbers:
+                raise ValueError(f"{path}:{lineno}: expected two finite numbers, got {row!r}")
+            offsets.append(numbers[0])
+            gains.append(numbers[1])
     if len(offsets) < 2:
         raise ValueError(f"{path}: fewer than two pattern samples")
     return TabulatedPattern(np.asarray(offsets), np.asarray(gains))
+
+
+def _finite_or_none(field: str) -> float | None:
+    try:
+        value = float(field)
+    except ValueError:
+        return None
+    return value if math.isfinite(value) else None

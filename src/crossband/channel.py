@@ -71,7 +71,7 @@ class RayTable:
     are equal when their paths are.
     """
 
-    __slots__ = ("powers", "delays", "aoas", "aods")
+    __slots__ = ("powers", "delays", "aoas", "aods", "_file")
 
     def __init__(self, rays):
         rays = tuple(rays)
@@ -81,33 +81,36 @@ class RayTable:
         powers, delays, aoas = (
             _read_only(np.fromiter((getattr(ray, field) for ray in rays), float, len(rays)))
             for field in ("power", "delay", "aoa_azimuth"))
-        self._set(powers, delays, aoas, tuple(ray.aod_azimuth for ray in rays))
+        self._set(powers, delays, aoas, tuple(ray.aod_azimuth for ray in rays), None)
 
     @classmethod
-    def _split(cls, powers, delays, aoas, bounds, aods=None) -> list[RayTable]:
+    def _split(cls, powers, delays, aoas, bounds, aods=None, file=None) -> list[RayTable]:
         """Tables over the slices ``[bounds[b], bounds[b + 1])`` of float64 columns.
 
         Skips the checks: every value must be one ``Ray`` accepts unchanged,
         as the dataset readers and the generator check whole columns
         themselves. The columns are made read-only and the tables hold
         views of them; ``aods``, if given, is a list with one angle or None
-        per path.
+        per path. ``file``, if given, is the ``(power_db, delay_ns)`` pair of
+        columns a dataset file held, which the writer writes back as they are.
         """
-        for column in (powers, delays, aoas):
+        for column in (powers, delays, aoas, *(file or ())):
             _read_only(column)
         tables = []
         for start, stop in zip(bounds, bounds[1:]):
             table = object.__new__(cls)
             table._set(powers[start:stop], delays[start:stop], aoas[start:stop],
-                       None if aods is None else tuple(aods[start:stop]))
+                       None if aods is None else tuple(aods[start:stop]),
+                       None if file is None else tuple(column[start:stop] for column in file))
             tables.append(table)
         return tables
 
-    def _set(self, powers, delays, aoas, aods):
+    def _set(self, powers, delays, aoas, aods, file):
         object.__setattr__(self, "powers", powers)
         object.__setattr__(self, "delays", delays)
         object.__setattr__(self, "aoas", aoas)
         object.__setattr__(self, "aods", aods if aods and any(a is not None for a in aods) else None)
+        object.__setattr__(self, "_file", file)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

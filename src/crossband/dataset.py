@@ -22,10 +22,14 @@ Link ids are nonempty and unique in both formats.
 Both readers check a file's structure in file order while collecting its
 numbers into flat columns, then check the numbers as arrays, once per file;
 only a file that fails is walked again, entry by entry, to name the first
-bad entry. Each band becomes a ``BandChannel`` over slices of those columns.
-The writers work on the same columns, through the same number checks. A
-file may carry more bands than any one analysis uses, so loading takes the
-two band frequencies explicitly instead of guessing from the file.
+bad entry. A CSV file's rows come from ``jsonio.csv_rows``, which names the
+line of a row it cannot read. Each band becomes a ``BandChannel`` over
+slices of those columns and keeps the file's ``power_db`` and ``delay_ns``
+values, which the writers write back as they are, so a loaded file rewrites
+byte for byte. The writers work on the same columns, through the same
+number checks. A file may carry more bands than any one analysis uses, so
+loading takes the two band frequencies explicitly instead of guessing from
+the file.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ import logging
 import math
 import sys
 from array import array
+from contextlib import closing
 from itertools import repeat
 from pathlib import Path
 from typing import NoReturn
@@ -42,7 +47,7 @@ from typing import NoReturn
 import numpy as np
 
 from .channel import BandChannel, LinkPair, RayTable
-from .jsonio import dump, load
+from .jsonio import csv_rows, dump, load
 from .units import db_to_linear_each, linear_to_db, wrap_azimuths_deg
 
 SCHEMA_VERSION = "1"
@@ -131,17 +136,25 @@ def load_dataset(path, low_freq_ghz: float, high_freq_ghz: float) -> list[LinkPa
 def _written_columns(pairs: list[LinkPair], where):
     """``power_db`` and ``delay_ns`` arrays of every path in file order, checked to load back.
 
-    The columns go through the loader's own number checks; only when they
-    fail are the paths checked one by one, in file order, and the first that
-    would not load back is named by its link and ``where(i, j, k, line)``
-    (path ``k`` of band ``j`` of link ``i``, which is CSV line ``line``).
-    Frequencies and angles are written as the channels hold them, which the
-    loader accepts.
+    A band loaded from a file keeps the two columns the file held, so a
+    loaded file writes back byte for byte; the others are computed from the
+    linear powers and the delays in seconds. The columns go through the
+    loader's own number checks; only when they fail are the paths checked
+    one by one, in file order, and the first that would not load back is
+    named by its link and ``where(i, j, k, line)`` (path ``k`` of band ``j``
+    of link ``i``, which is CSV line ``line``). Frequencies and angles are
+    written as the channels hold them, which the loader accepts.
     """
     tables = [channel.rays for pair in pairs for channel in (pair.low, pair.high)]
     power_db = linear_to_db(np.concatenate([t.powers for t in tables]))
     with np.errstate(over="ignore"):  # a delay infinite in ns is refused by name below
         delay_ns = np.concatenate([t.delays for t in tables]) * 1e9
+    start = 0
+    for table in tables:
+        stop = start + len(table)
+        if table._file is not None:
+            power_db[start:stop], delay_ns[start:stop] = table._file
+        start = stop
 
     def replay():
         powers, delays = power_db.tolist(), delay_ns.tolist()
@@ -312,7 +325,7 @@ def _read_links_json(path) -> list[tuple[str, list[BandChannel]]]:
         except (TypeError, OverflowError):
             _raise_first_bad_entry(replay)
         powers = _checked_powers(replay, freq_ghz, power_db, delay_ns, aoa_deg, aod_deg)
-        return freq_ghz, powers, delay_ns, aoa_deg, aod_paths, aod_deg
+        return freq_ghz, powers, power_db, delay_ns, aoa_deg, aod_paths, aod_deg
 
     def replay():
         for b, (i, j) in enumerate(band_index):
@@ -360,14 +373,14 @@ def _read_links_json(path) -> list[tuple[str, list[BandChannel]]]:
     except DatasetFormatError:
         columns()  # a bad number before the structural error comes first
         raise
-    freq_ghz, powers, delay_ns, aoa_deg, aod_paths, aod_deg = columns()
+    freq_ghz, powers, power_db, delay_ns, aoa_deg, aod_paths, aod_deg = columns()
     aods = None
     if aod_paths:
         aods = [None] * len(entries)
         for n, aod in zip(aod_paths, wrap_azimuths_deg(aod_deg).tolist()):
             aods[n] = aod
     tables = RayTable._split(powers, delay_ns * 1e-9, wrap_azimuths_deg(aoa_deg),
-                             band_starts + [len(entries)], aods)
+                             band_starts + [len(entries)], aods, file=(power_db, delay_ns))
     channels = map(BandChannel, freq_ghz.tolist(), tables)
     return [(link_id, [next(channels) for _ in range(count)])
             for link_id, count in zip(link_ids, band_counts)]
@@ -403,8 +416,8 @@ def _read_links_csv(path) -> list[tuple[str, list[BandChannel]]]:
     def columns():
         """The collected numbers, one float64 column per field, and the checked linear powers."""
         freq_ghz, power_db, delay_ns, aoa_deg = np.frombuffer(numbers, dtype=float).reshape(-1, 4).T
-        return delay_ns, aoa_deg, _checked_powers(replay, freq_ghz, power_db, delay_ns, aoa_deg,
-                                                  np.empty(0))
+        return power_db, delay_ns, aoa_deg, _checked_powers(replay, freq_ghz, power_db, delay_ns,
+                                                            aoa_deg, np.empty(0))
 
     def replay():
         for r in range(len(band_of_row)):
@@ -412,8 +425,7 @@ def _read_links_csv(path) -> list[tuple[str, list[BandChannel]]]:
             _check_freq(numbers[4 * r], f"{where}.freq_ghz")
             _check_path(where, *numbers[4 * r + 1:4 * r + 4])
 
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        rows = _csv_rows(handle, path)
+    with closing(csv_rows(path, DatasetFormatError)) as rows:
         try:
             header = next(rows)
         except StopIteration:
@@ -442,23 +454,13 @@ def _read_links_csv(path) -> list[tuple[str, list[BandChannel]]]:
             raise
     if not bands:
         _fail(str(path), "no data rows")
-    delay_ns, aoa_deg, powers = columns()
     # each band's rows together, in band order, keeping file order within a band
     row_bands = np.frombuffer(band_of_row, dtype=np.int64)
     order = np.argsort(row_bands, kind="stable")
     starts = [0] + np.cumsum(np.bincount(row_bands, minlength=len(bands))).tolist()
-    tables = RayTable._split(powers[order], delay_ns[order] * 1e-9,
-                             wrap_azimuths_deg(aoa_deg[order]), starts)
+    power_db, delay_ns, aoa_deg, powers = (column[order] for column in columns())
+    tables = RayTable._split(powers, delay_ns * 1e-9, wrap_azimuths_deg(aoa_deg), starts,
+                             file=(power_db, delay_ns))
     channels = [BandChannel(freq, table) for (_, freq), table in zip(bands, tables)]
     return [(link_id, [channels[b] for b in indices]) for link_id, indices in link_bands.items()]
 
-
-def _csv_rows(handle, path):
-    """The rows of an open CSV file; a line ``csv`` cannot read fails located."""
-    reader = csv.reader(handle)
-    try:
-        yield from reader
-    except csv.Error as exc:  # such as a field over csv.field_size_limit()
-        _fail(f"{path}:{reader.line_num}", str(exc))
-    except UnicodeDecodeError as exc:  # its position counts from the start of a read chunk
-        _fail(str(path), f"not valid UTF-8: byte 0x{exc.object[exc.start]:02x} ({exc.reason})")

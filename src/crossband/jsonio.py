@@ -1,4 +1,4 @@
-"""Deterministic JSON emission, and the one reader of JSON files.
+"""Deterministic JSON emission, and the one reader each of JSON and CSV files.
 
 Reports and dataset files must serialize to the same bytes on every run, so
 dicts are emitted in insertion order (callers build them in a fixed order)
@@ -9,7 +9,9 @@ at full float precision.
 
 from __future__ import annotations
 
+import csv
 import json
+import re
 
 
 def round_floats(obj, sig_digits: int = 12):
@@ -48,3 +50,24 @@ def load(path, error=ValueError):
             return json.load(handle)
     except (ValueError, RecursionError) as exc:
         raise error(f"{path}: not valid JSON: {exc}") from exc
+
+
+def csv_rows(path, error=ValueError):
+    """The rows of the UTF-8 CSV file ``path``, with or without a byte order mark.
+
+    A line that ``csv`` refuses raises ``error`` as ``<path>:<line>: <reason>``
+    after the rows before it; a byte that is not UTF-8 does when its 8 KB block
+    is decoded. Closing the generator (``contextlib.closing``) closes the file.
+    """
+    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
+        reader = csv.reader(handle)
+        try:
+            yield from reader
+        except csv.Error as exc:  # such as a field over csv.field_size_limit()
+            raise error(f"{path}:{reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:  # its position counts from the start of a read chunk
+            byte = exc.object[exc.start]
+            handle.buffer.seek(0)  # re-read: each byte that is not UTF-8 decodes to U+DC80..U+DCFF
+            text = handle.buffer.read().decode("utf-8", "surrogateescape")
+            line = 1 + len(re.findall(r"\r\n?|\n", text[:text.find(chr(0xDC00 + byte))]))
+            raise error(f"{path}:{line}: not valid UTF-8: byte 0x{byte:02x} ({exc.reason})") from None

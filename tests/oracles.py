@@ -268,7 +268,7 @@ def _links_json(path) -> list:
 def _links_csv(path) -> list:
     header = ["link_id", "freq_ghz", "power_db", "delay_ns", "aoa_deg"]
     links = {}
-    with open(path, "r", encoding="utf-8", newline="") as handle:
+    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
         rows = csv.reader(handle)
         first = next(rows, None)
         if first is None:

@@ -88,3 +88,20 @@ def test_json_files_are_read_by_jsonio_only():
                if isinstance(call.func, ast.Attribute) and call.func.attr in ("load", "loads")
                and isinstance(call.func.value, ast.Name) and call.func.value.id == "json"]
     assert readers == ["jsonio.py"]
+
+
+
+def _is_csv_reader(call):
+    return (isinstance(call.func, ast.Attribute) and call.func.attr == "reader"
+            and isinstance(call.func.value, ast.Name) and call.func.value.id == "csv")
+
+
+def test_csv_files_are_read_by_jsonio_csv_rows_only():
+    # jsonio.csv_rows is the one place that turns an unreadable CSV line into
+    # an error naming the file and line
+    readers = [path.name for path in SOURCES for call in _calls(path) if _is_csv_reader(call)]
+    assert readers == ["jsonio.py"]
+    tree = ast.parse(Path(jsonio.__file__).read_text(encoding="utf-8"))
+    csv_rows = next(node for node in tree.body
+                    if isinstance(node, ast.FunctionDef) and node.name == "csv_rows")
+    assert [call for call in ast.walk(csv_rows) if isinstance(call, ast.Call) and _is_csv_reader(call)]

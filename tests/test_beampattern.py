@@ -140,10 +140,13 @@ class TestUla:
         assert float(pat.gain(x)) == float(pat.gain(-x))
         assert float(pat.gain(x)) == float(pat.gain(x + 360.0))
 
-    @pytest.mark.parametrize("n", [1, 0, 2.5, math.inf, math.nan])
+    @pytest.mark.parametrize("n", [1, 0, 2.5, math.inf, math.nan, 4097, 1e18])
     def test_bad_element_count_rejected(self, n):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^n_elements must be an integer in \[2, 4096\]"):
             cb.UlaPattern(n_elements=n)
+
+    def test_element_count_bound_is_inclusive(self):
+        assert cb.UlaPattern(n_elements=4096.0).n_elements == 4096
 
     def test_bad_spacing_and_floor_rejected(self):
         with pytest.raises(ValueError):
@@ -320,19 +323,57 @@ class TestCsvRoundTrip:
     def test_bad_rows_reported_with_line_numbers(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("offset_deg,gain_db\n0,0\noops,nope\n")
-        with pytest.raises(ValueError, match="line 3"):
+        with pytest.raises(ValueError, match=r"bad\.csv:3: expected two finite numbers, got \['oops', 'nope'\]$"):
             cb.pattern_from_csv(path)
 
     def test_field_over_the_csv_limit_located(self, tmp_path):
         path = tmp_path / "wide.csv"
         path.write_text("offset_deg,gain_db\n0,0\n" + "9" * 200_000 + ",-10\n")
-        with pytest.raises(ValueError, match=r"wide\.csv: line 3: field larger than field limit"):
+        with pytest.raises(ValueError, match=r"wide\.csv:3: field larger than field limit"):
             cb.pattern_from_csv(path)
 
     def test_bytes_that_are_not_utf8_located(self, tmp_path):
         path = tmp_path / "odd.csv"
         path.write_bytes(b"offset_deg,gain_db\n0,0\n\xff90,-10\n")
-        with pytest.raises(ValueError, match=r"odd\.csv: not valid UTF-8: byte 0xff \(invalid start byte\)$"):
+        with pytest.raises(ValueError, match=r"odd\.csv:3: not valid UTF-8: byte 0xff \(invalid start byte\)$"):
+            cb.pattern_from_csv(path)
+
+    def test_byte_that_is_not_utf8_located_past_the_first_read_chunk(self, tmp_path, gpp3_10):
+        # the codec's own position counts from the start of an 8 KB chunk
+        path = tmp_path / "odd.csv"
+        cb.pattern_to_csv(gpp3_10, path, step_deg=0.1)
+        data = bytearray(path.read_bytes())
+        data[-30] = 0xFF
+        path.write_bytes(bytes(data))
+        line = data[:-30].count(b"\n") + 1
+        assert line > 3000
+        with pytest.raises(ValueError, match=rf"odd\.csv:{line}: not valid UTF-8: byte 0xff"):
+            cb.pattern_from_csv(path)
+
+    def test_headerless_file_with_a_byte_order_mark_keeps_its_first_sample(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf-90,-20\n0,0\n90,-10\n")
+        pat = cb.pattern_from_csv(path)
+        assert pat.offsets_deg.tolist() == [-90.0, 0.0, 90.0]
+        assert pat.gains_db.tolist() == [-20.0, 0.0, -10.0]
+
+    def test_blank_rows_skipped(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("offset_deg,gain_db\n\n0,0\n , \n90,-10\n")
+        assert cb.pattern_from_csv(path).offsets_deg.tolist() == [0.0, 90.0]
+
+    @pytest.mark.parametrize("text, message", [
+        ("0,0\n,-10\n90,-10\n", r":2: expected two finite numbers, got \['', '-10'\]$"),
+        ("-180,-3O\n0,0\n90,-10\n", r":1: expected two finite numbers, got \['-180', '-3O'\]$"),
+        ("0,0,7\n90,-10\n", r":1: expected two fields, got 3$"),
+        ("0,0\n90,-inf\n", r":2: expected two finite numbers, got \['90', '-inf'\]$"),
+    ], ids=["blank-offset", "first-row-half-numeric", "third-field", "infinite-gain"])
+    def test_row_that_is_not_two_numbers_refused(self, tmp_path, text, message):
+        # once skipped as blank, skipped as a header, cut to two fields, or
+        # refused naming neither file nor line
+        path = tmp_path / "rows.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=r"rows\.csv" + message):
             cb.pattern_from_csv(path)
 
     def test_files_are_utf8_whatever_the_locale(self, tmp_path, gpp3_10):

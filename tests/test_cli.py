@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
 import re
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_dataset import dataset_files
 
 import crossband as cb
 from crossband.cli import (
@@ -426,6 +431,14 @@ class TestPattern:
         assert "backplane_floor_db must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_huge_element_count_is_a_usage_error_naming_the_field(self, tmp_path, capsys):
+        # once numpy's "array is too big", exit 4, naming neither the spec nor n
+        out = tmp_path / "x.csv"
+        assert main(["pattern", "--spec", "ula:n=1e18", "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid spec 'ula:n=1e18': n_elements must be an integer in [2, 4096]")
+        assert not out.exists()
+
     def test_bad_step_is_validation_error(self, tmp_path):
         code = main(["pattern", "--spec", "gpp3:hpbw=10",
                      "--out", str(tmp_path / "x.csv"), "--step-deg", "0.7"])
@@ -467,3 +480,37 @@ class TestMalformedInputCorpus:
         assert len(err.splitlines()) == 1
         assert err.startswith(f"error: {data}")
         assert not out.exists()
+
+
+def _refuse_constant(name):
+    raise AssertionError(f"output holds {name}")
+
+
+class TestFuzzedDatasets:
+    # random dataset files, valid or with one corrupted field, through the
+    # commands that read them
+
+    @pytest.mark.parametrize("name", ["links.json", "links.csv"])
+    @settings(deadline=None, max_examples=50)  # each example runs the CLI three times
+    @given(data=st.data())
+    def test_clean_exit_and_json_output(self, tmp_path_factory, name, data):
+        work = tmp_path_factory.mktemp("fuzz")
+        path, report = work / name, work / "report"
+        path.write_text(data.draw(dataset_files(csv=name.endswith(".csv"))), encoding="utf-8")
+        method = data.draw(st.sampled_from(["m1", "m2"]))
+        runs = [
+            (["analyze", *analysis_argv(path, ["--link", "l0", "--method", method])], None),
+            (["batch", *analysis_argv(path, ["--method", method]), "--out", str(report)],
+             report / "report.json"),
+            (["psp", "--data", str(path), "--low-ghz", "15", "--high-ghz", "28",
+              "--hpbw-deg", "10"], None),
+        ]
+        for argv, output in runs:
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(argv)
+            assert code in (EXIT_OK, EXIT_USAGE, EXIT_IO, EXIT_VALIDATION), argv[0]
+            assert "Traceback" not in err.getvalue()
+            if code == EXIT_OK:
+                text = out.getvalue() if output is None else output.read_text(encoding="utf-8")
+                json.loads(text, parse_constant=_refuse_constant)

@@ -1,4 +1,4 @@
-"""Deterministic JSON emission and significant-digit rounding."""
+"""Deterministic JSON emission, significant-digit rounding, and the JSON and CSV readers."""
 
 from __future__ import annotations
 
@@ -7,7 +7,9 @@ import math
 
 import pytest
 
-from crossband.jsonio import dump, dumps, load, round_floats
+import crossband as cb
+from crossband import jsonio
+from crossband.jsonio import csv_rows, dump, dumps, load, round_floats
 
 
 class TestRoundFloats:
@@ -104,3 +106,57 @@ class TestLoad:
     def test_missing_file_is_an_os_error(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load(tmp_path / "none.json")
+
+
+class FormatError(ValueError):
+    pass
+
+
+class TestCsvRows:
+    def test_rows_of_a_file_with_or_without_a_byte_order_mark(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        for prefix in (b"", b"\xef\xbb\xbf"):
+            path.write_bytes(prefix + b'a,b\r\n"c\nd",e\n\n')
+            assert list(csv_rows(path)) == [["a", "b"], ["c\nd", "e"], []]
+
+    @pytest.mark.parametrize("eol", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+    def test_byte_that_is_not_utf8_named_by_its_line(self, tmp_path, eol):
+        # a quoted field spans two lines; csv counts both
+        path = tmp_path / "odd.csv"
+        path.write_bytes(eol.join([b"a,b", b'"c', b'd",e', b"f,\xffg", b"h,i"]))
+        with pytest.raises(FormatError, match=r"odd\.csv:4: not valid UTF-8: byte 0xff \(invalid start byte\)$"):
+            list(csv_rows(path, FormatError))
+
+    def test_line_the_csv_module_refuses_named_by_its_line(self, tmp_path):
+        path = tmp_path / "wide.csv"
+        path.write_text("a,b\nc,d\n" + "9" * 200_000 + ",e\n", encoding="utf-8")
+        rows = csv_rows(path, FormatError)
+        assert [next(rows), next(rows)] == [["a", "b"], ["c", "d"]]
+        with pytest.raises(FormatError, match=r"wide\.csv:3: field larger than field limit"):
+            next(rows)
+
+    @pytest.fixture()
+    def opened(self, monkeypatch):
+        handles = []
+
+        def tracking_open(*args, **kwargs):
+            handles.append(open(*args, **kwargs))
+            return handles[-1]
+
+        monkeypatch.setattr(jsonio, "open", tracking_open, raising=False)
+        return handles
+
+    @pytest.mark.parametrize("read, text", [
+        (lambda path: cb.load_dataset(path, 15.0, 28.0),
+         "link_id,freq_ghz,power_db,delay_ns,aoa_deg\na,15\na,28,0,1,10\n"),
+        (cb.pattern_from_csv, "0,0\n90\n180,-10\n"),
+    ], ids=["dataset", "pattern"])
+    def test_file_closed_when_a_reader_refuses_a_row(self, tmp_path, opened, read, text):
+        path = tmp_path / "short.csv"
+        path.write_text(text, encoding="utf-8")
+        # the exception info keeps the traceback, and the reader's frame, alive
+        with pytest.raises(ValueError, match=r"short\.csv:2: ") as info:
+            read(path)
+        assert info.traceback
+        assert len(opened) == 1
+        assert opened[0].closed
