@@ -14,8 +14,11 @@ default lives only in a class field; the command-line spec grammar
 * ``UlaPattern`` - bore-sight array factor of an N-element uniform linear
   array inside the front half plane, constant floor behind it.
 * ``TabulatedPattern`` - sampled gain table, interpolated linearly in the
-  dB domain around the circle; ``pattern_from_csv`` loads one from a CSV
-  file, read like a dataset CSV through ``jsonio.csv_rows``.
+  dB domain around the circle, whose samples at one direction must agree;
+  ``pattern_from_csv`` loads one from a CSV file, read like a dataset CSV
+  through ``jsonio.csv_rows``, which names each row by its line.
+
+Angular steps and the ``gpp3`` beamwidth are at least ``units.MIN_STEP_DEG``.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jsonio import csv_rows
-from .units import db_to_linear, linear_to_db, wrap_offset_deg
+from .units import MIN_STEP_DEG, db_to_linear, linear_to_db, wrap_offset_deg
 
 _HPBW_SCAN_STEP_DEG = 0.05
 _HPBW_RESOLUTION_DEG = 0.01
@@ -71,14 +74,19 @@ class _Pattern:
 
 @dataclass(frozen=True)
 class Gpp3Pattern(_Pattern):
-    """Synthetic sector pattern: parabolic roll-off clipped at a floor."""
+    """Synthetic sector pattern: parabolic roll-off clipped at a floor.
+
+    ``hpbw_deg`` lies in [``units.MIN_STEP_DEG``, 180], that is [0.01, 180]
+    degrees, a fixed bound that keeps ``12 * (offset / hpbw)^2`` far from
+    overflow.
+    """
 
     hpbw_deg: float
     a_max_db: float = 30.0
 
     def __post_init__(self):
-        if not 0.0 < self.hpbw_deg <= 180.0:
-            raise ValueError(f"hpbw_deg must be in (0, 180], got {self.hpbw_deg!r}")
+        if not MIN_STEP_DEG <= self.hpbw_deg <= 180.0:
+            raise ValueError(f"hpbw_deg must be in [{MIN_STEP_DEG}, 180], got {self.hpbw_deg!r}")
         if not 0.0 < self.a_max_db < np.inf:
             raise ValueError(f"a_max_db must be finite and > 0, got {self.a_max_db!r}")
         # the floor through the same array pow as the main lobe's gains
@@ -184,7 +192,9 @@ class TabulatedPattern(_Pattern):
     """Gain table over (-180, 180], interpolated linearly in dB.
 
     Samples are normalized so the strongest sample is 0 dB; the peak must sit
-    at zero offset, as for the synthesized kinds.
+    at zero offset, as for the synthesized kinds. Offsets are wrapped first,
+    so -180 and 180 are one direction: samples at one direction collapse to
+    one when their gains are equal and raise ValueError when they differ.
     """
 
     offsets_deg: np.ndarray
@@ -201,8 +211,13 @@ class TabulatedPattern(_Pattern):
             raise ValueError("tabulated pattern samples must be finite")
         order = np.argsort(offsets, kind="stable")
         offsets, gains = offsets[order], gains[order]
-        keep = np.ones(len(offsets), dtype=bool)
-        keep[1:] = np.diff(offsets) != 0.0
+        repeated = np.diff(offsets) == 0.0
+        clash = np.flatnonzero(repeated & (gains[1:] != gains[:-1]))
+        if len(clash):
+            k = clash[0]
+            raise ValueError(f"tabulated pattern has two gains at offset {float(offsets[k])!r} deg: "
+                             f"{float(gains[k])!r} and {float(gains[k + 1])!r} dB")
+        keep = np.r_[True, ~repeated]
         offsets, gains = offsets[keep], gains[keep]
         gains = gains - gains.max()
         offsets.flags.writeable = False
@@ -247,8 +262,11 @@ def _crossing_distance(pattern, direction):
 def pattern_to_csv(pattern, path, step_deg: float = 0.1) -> None:
     """Tabulate a pattern to a two-column CSV (offset_deg, gain_db).
 
-    The step must divide 360; offsets run from -180 to +180 inclusive.
+    The step must divide 360 and be at least ``units.MIN_STEP_DEG`` (0.01
+    deg); offsets run from -180 to +180 inclusive.
     """
+    if not step_deg >= MIN_STEP_DEG:
+        raise ValueError(f"step_deg must be >= {MIN_STEP_DEG}, got {step_deg!r}")
     n = round(360.0 / step_deg)
     if n < 4 or abs(n * step_deg - 360.0) > 1e-9:
         raise ValueError(f"step_deg must divide 360, got {step_deg!r}")
@@ -272,16 +290,16 @@ def pattern_from_csv(path) -> TabulatedPattern:
     """
     offsets, gains = [], []
     with closing(csv_rows(path)) as rows:
-        for lineno, row in enumerate(rows, start=1):
+        for line, row in rows:
             if not "".join(row).strip():
                 continue
             if len(row) != 2:
-                raise ValueError(f"{path}:{lineno}: expected two fields, got {len(row)}")
+                raise ValueError(f"{path}:{line}: expected two fields, got {len(row)}")
             numbers = [_finite_or_none(field) for field in row]
-            if lineno == 1 and numbers == [None, None]:
+            if line == 1 and numbers == [None, None]:
                 continue  # header row
             if None in numbers:
-                raise ValueError(f"{path}:{lineno}: expected two finite numbers, got {row!r}")
+                raise ValueError(f"{path}:{line}: expected two finite numbers, got {row!r}")
             offsets.append(numbers[0])
             gains.append(numbers[1])
     if len(offsets) < 2:

@@ -39,17 +39,17 @@ M2_BANDWIDTH_GHZ = 2.0
 
 @dataclass(frozen=True)
 class SimilarityConfig:
-    """Knobs of the direction-based similarity pipeline."""
+    """Knobs of the direction-based similarity pipeline; both thresholds are finite."""
 
     delta_th_db: float = 10.0
     delta_p_db: float = -30.0
     method: str = "m1"
 
     def __post_init__(self):
-        if not self.delta_th_db > 0.0:
-            raise ValueError(f"delta_th_db must be > 0, got {self.delta_th_db!r}")
-        if not self.delta_p_db < 0.0:
-            raise ValueError(f"delta_p_db must be < 0, got {self.delta_p_db!r}")
+        if not 0.0 < self.delta_th_db < math.inf:
+            raise ValueError(f"delta_th_db must be finite and > 0, got {self.delta_th_db!r}")
+        if not -math.inf < self.delta_p_db < 0.0:
+            raise ValueError(f"delta_p_db must be finite and < 0, got {self.delta_p_db!r}")
         if self.method not in ("m1", "m2"):
             raise ValueError(f"method must be 'm1' or 'm2', got {self.method!r}")
 

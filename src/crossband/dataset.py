@@ -20,10 +20,12 @@ cannot represent departure angles or two same-frequency bands of one link.
 Link ids are nonempty and unique in both formats.
 
 Both readers check a file's structure in file order while collecting its
-numbers into flat columns, then check the numbers as arrays, once per file;
-only a file that fails is walked again, entry by entry, to name the first
-bad entry. A CSV file's rows come from ``jsonio.csv_rows``, which names the
-line of a row it cannot read. Each band becomes a ``BandChannel`` over
+numbers into flat columns, then check the numbers as arrays, once per file.
+Each records an entry's location as it reads it: the JSON reader each
+band's ``links[i].bands[j]`` with its path entries, the CSV reader the line
+each row starts on, as ``jsonio.csv_rows`` hands it over. Only a file that
+fails is walked again, over those records, to name the first bad entry.
+Each band becomes a ``BandChannel`` over
 slices of those columns and keeps the file's ``power_db`` and ``delay_ns``
 values, which the writers write back as they are, so a loaded file rewrites
 byte for byte. The writers work on the same columns, through the same
@@ -40,7 +42,7 @@ import math
 import sys
 from array import array
 from contextlib import closing
-from itertools import repeat
+from itertools import accumulate, repeat
 from pathlib import Path
 from typing import NoReturn
 
@@ -65,9 +67,11 @@ class DatasetFormatError(ValueError):
 
     The message names the offending location: a JSON field path such as
     ``links[2].bands[0].paths[1].aoa_deg``, or a CSV line and field such as
-    ``links.csv:7.freq_ghz``. Writing raises it, naming the link, when the
-    CSV mirror cannot hold a pair or a value would fail these checks on
-    reload.
+    ``links.csv:7.freq_ghz``, a row being named by the line it starts on.
+    Writing raises it, naming the link, when the CSV mirror cannot hold a
+    pair or a value would fail these checks on reload; a value is then
+    named, in both formats, as ``links[i].bands[j].paths[k]`` of the pairs
+    written.
     """
 
 
@@ -133,7 +137,7 @@ def load_dataset(path, low_freq_ghz: float, high_freq_ghz: float) -> list[LinkPa
     return pairs
 
 
-def _written_columns(pairs: list[LinkPair], where):
+def _written_columns(pairs: list[LinkPair]):
     """``power_db`` and ``delay_ns`` arrays of every path in file order, checked to load back.
 
     A band loaded from a file keeps the two columns the file held, so a
@@ -141,8 +145,8 @@ def _written_columns(pairs: list[LinkPair], where):
     linear powers and the delays in seconds. The columns go through the
     loader's own number checks; only when they fail are the paths checked
     one by one, in file order, and the first that would not load back is
-    named by its link and ``where(i, j, k, line)`` (path ``k`` of band ``j``
-    of link ``i``, which is CSV line ``line``). Frequencies and angles are
+    named by its link and ``links[i].bands[j].paths[k]`` (path ``k`` of band
+    ``j`` of ``pairs[i]``), in either format. Frequencies and angles are
     written as the channels hold them, which the loader accepts.
     """
     tables = [channel.rays for pair in pairs for channel in (pair.low, pair.high)]
@@ -157,14 +161,12 @@ def _written_columns(pairs: list[LinkPair], where):
         start = stop
 
     def replay():
-        powers, delays = power_db.tolist(), delay_ns.tolist()
-        n = 0
+        written = zip(power_db.tolist(), delay_ns.tolist())
         for i, pair in enumerate(pairs):
             for j, channel in enumerate((pair.low, pair.high)):
                 for k, aoa in enumerate(channel.rays.aoas.tolist()):
-                    _check_path(f"link {pair.link_id!r}: {where(i, j, k, n + 2)}",
-                                powers[n], delays[n], aoa)
-                    n += 1
+                    _check_path(f"link {pair.link_id!r}: links[{i}].bands[{j}].paths[{k}]",
+                                *next(written), aoa)
 
     empty = np.empty(0)
     _checked_powers(replay, empty, power_db, delay_ns, empty, empty)
@@ -189,8 +191,7 @@ def _link_columns(pairs: list[LinkPair], power_db: np.ndarray, delay_ns: np.ndar
 
 
 def _to_file_dict(pairs: list[LinkPair], metadata: dict | None) -> dict:
-    power_db, delay_ns = _written_columns(
-        pairs, lambda i, j, k, line: f"links[{i}].bands[{j}].paths[{k}]")
+    power_db, delay_ns = _written_columns(pairs)
     links = []
     for pair, bands in _link_columns(pairs, power_db, delay_ns):
         file_bands = []
@@ -225,7 +226,7 @@ def _check_csv_pair(pair: LinkPair) -> None:
 
 
 def _write_csv(pairs: list[LinkPair], path) -> None:
-    power_db, delay_ns = _written_columns(pairs, lambda i, j, k, line: f"{path}:{line}")
+    power_db, delay_ns = _written_columns(pairs)
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(_CSV_HEADER)
@@ -307,18 +308,17 @@ def _read_links_json(path) -> list[tuple[str, list[BandChannel]]]:
         _fail(str(path), f"schema_version must be {SCHEMA_VERSION!r}, got {doc.get('schema_version')!r}")
     if not isinstance(doc.get("links"), list) or not doc["links"]:
         _fail(str(path), "links must be a nonempty array")
-    # The walk checks structure in file order and collects the numbers:
-    # each band's freq_ghz, located by (link, band) index, and its path
-    # entries, which start at entries[band_starts[b]].
-    link_ids, band_counts = [], []
-    freqs, band_index, band_starts, entries = [], [], [], []
-    has_aod = False
+    # The walk checks structure in file order and records each link as
+    # (link_id, band count) and each band as (location, freq_ghz, paths),
+    # paths holding only the entries that passed the structure checks.
+    links, bands = [], []
 
     def columns():
         """The collected numbers as checked float64 columns, and which paths have aod_deg."""
-        aod_paths = [n for n, entry in enumerate(entries) if len(entry) == 4] if has_aod else []
+        entries = [entry for _, _, paths in bands for entry in paths]
+        aod_paths = [n for n, entry in enumerate(entries) if len(entry) == 4]
         try:
-            freq_ghz = _float_column(freqs)
+            freq_ghz = _float_column([freq for _, freq, _ in bands])
             power_db, delay_ns, aoa_deg = (_float_column([entry[key] for entry in entries])
                                            for key in _PATH_KEYS[:3])
             aod_deg = _float_column([entries[n]["aod_deg"] for n in aod_paths])
@@ -328,12 +328,10 @@ def _read_links_json(path) -> list[tuple[str, list[BandChannel]]]:
         return freq_ghz, powers, power_db, delay_ns, aoa_deg, aod_paths, aod_deg
 
     def replay():
-        for b, (i, j) in enumerate(band_index):
-            bwhere = f"links[{i}].bands[{j}]"
-            _check_freq(freqs[b], f"{bwhere}.freq_ghz")
-            stop = band_starts[b + 1] if b + 1 < len(band_starts) else len(entries)
-            for k, entry in enumerate(entries[band_starts[b]:stop]):
-                _check_path(f"{bwhere}.paths[{k}]", *(entry[key] for key in _PATH_KEYS if key in entry))
+        for where, freq, paths in bands:
+            _check_freq(freq, f"{where}.freq_ghz")
+            for k, entry in enumerate(paths):
+                _check_path(f"{where}.paths[{k}]", *(entry[key] for key in _PATH_KEYS if key in entry))
 
     seen_ids = set()
     try:
@@ -353,37 +351,32 @@ def _read_links_json(path) -> list[tuple[str, list[BandChannel]]]:
                 bwhere = f"{where}.bands[{j}]"
                 if not isinstance(band, dict) or set(band) != {"freq_ghz", "paths"}:
                     _fail(bwhere, "expected an object with keys freq_ghz, paths")
-                freqs.append(band["freq_ghz"])
-                band_index.append((i, j))
-                band_starts.append(len(entries))
-                paths = band["paths"]
-                if not isinstance(paths, list) or not paths:
+                paths = band["paths"] if isinstance(band["paths"], list) else []
+                bands.append((bwhere, band["freq_ghz"], paths))
+                if not paths:
                     _fail(f"{bwhere}.paths", "must be a nonempty array")
                 if not all(isinstance(entry, dict) and entry.keys() == _PATH_KEYS_REQUIRED
                            for entry in paths):
-                    has_aod = True
                     for k, entry in enumerate(paths):
                         problem = _path_entry_problem(entry)
                         if problem:
-                            entries.extend(paths[:k])
+                            bands[-1] = (bwhere, band["freq_ghz"], paths[:k])
                             _fail(f"{bwhere}.paths[{k}]", problem)
-                entries.extend(paths)
-            link_ids.append(link_id)
-            band_counts.append(len(link["bands"]))
+            links.append((link_id, len(link["bands"])))
     except DatasetFormatError:
         columns()  # a bad number before the structural error comes first
         raise
     freq_ghz, powers, power_db, delay_ns, aoa_deg, aod_paths, aod_deg = columns()
     aods = None
     if aod_paths:
-        aods = [None] * len(entries)
+        aods = [None] * len(powers)
         for n, aod in zip(aod_paths, wrap_azimuths_deg(aod_deg).tolist()):
             aods[n] = aod
-    tables = RayTable._split(powers, delay_ns * 1e-9, wrap_azimuths_deg(aoa_deg),
-                             band_starts + [len(entries)], aods, file=(power_db, delay_ns))
+    bounds = [0, *accumulate(len(paths) for _, _, paths in bands)]
+    tables = RayTable._split(powers, delay_ns * 1e-9, wrap_azimuths_deg(aoa_deg), bounds, aods,
+                             file=(power_db, delay_ns))
     channels = map(BandChannel, freq_ghz.tolist(), tables)
-    return [(link_id, [next(channels) for _ in range(count)])
-            for link_id, count in zip(link_ids, band_counts)]
+    return [(link_id, [next(channels) for _ in range(count)]) for link_id, count in links]
 
 
 def _float_column(values: list) -> np.ndarray:
@@ -408,10 +401,11 @@ def _path_entry_problem(entry) -> str | None:
 def _read_links_csv(path) -> list[tuple[str, list[BandChannel]]]:
     # Rows may arrive in any order; first appearance fixes link and band
     # order. Each row appends its four numbers to one flat array, in file
-    # order, and the index of its (link_id, freq_ghz) band to another.
+    # order, the index of its (link_id, freq_ghz) band to another and the
+    # line it starts on to a third.
     bands: dict[tuple[str, float], int] = {}
     link_bands: dict[str, list[int]] = {}
-    numbers, band_of_row = array("d"), array("q")
+    numbers, band_of_row, line_of_row = array("d"), array("q"), array("q")
 
     def columns():
         """The collected numbers, one float64 column per field, and the checked linear powers."""
@@ -420,35 +414,36 @@ def _read_links_csv(path) -> list[tuple[str, list[BandChannel]]]:
                                                             aoa_deg, np.empty(0))
 
     def replay():
-        for r in range(len(band_of_row)):
-            where = f"{path}:{r + 2}"
+        for r, line in enumerate(line_of_row):
+            where = f"{path}:{line}"
             _check_freq(numbers[4 * r], f"{where}.freq_ghz")
             _check_path(where, *numbers[4 * r + 1:4 * r + 4])
 
     with closing(csv_rows(path, DatasetFormatError)) as rows:
         try:
-            header = next(rows)
+            _, header = next(rows)
         except StopIteration:
             _fail(f"{path}:1", "empty file")
         if header != _CSV_HEADER:
             _fail(f"{path}:1", f"header must be {','.join(_CSV_HEADER)!r}")
         try:
-            for lineno, row in enumerate(rows, start=2):
+            for line, row in rows:
                 if len(row) != len(_CSV_HEADER):
-                    _fail(f"{path}:{lineno}", f"expected {len(_CSV_HEADER)} fields, got {len(row)}")
+                    _fail(f"{path}:{line}", f"expected {len(_CSV_HEADER)} fields, got {len(row)}")
                 link_id, freq, power_db, delay_ns, aoa_deg = row
                 if not link_id:
-                    _fail(f"{path}:{lineno}", "link_id must be nonempty")
+                    _fail(f"{path}:{line}", "link_id must be nonempty")
                 try:
                     freq = float(freq)
                     numbers.extend((freq, float(power_db), float(delay_ns), float(aoa_deg)))
                 except ValueError:
-                    _fail(f"{path}:{lineno}", f"non-numeric field in {row[1:]!r}")
+                    _fail(f"{path}:{line}", f"non-numeric field in {row[1:]!r}")
                 band = bands.get((link_id, freq))
                 if band is None:
                     band = bands[link_id, freq] = len(bands)
                     link_bands.setdefault(link_id, []).append(band)
                 band_of_row.append(band)
+                line_of_row.append(line)
         except DatasetFormatError:
             columns()  # a bad number before the structural error comes first
             raise

@@ -5,13 +5,16 @@ dicts are emitted in insertion order (callers build them in a fixed order)
 and report floats are rounded to a fixed number of significant digits before
 serialization. Dataset files skip the rounding: path parameters round-trip
 at full float precision.
+
+``csv_rows`` hands each CSV row over with the line it starts on and checks
+each line's bytes as it reads them, so its callers name any row, and a line
+it cannot read, by line, in one pass over the file.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import re
 
 
 def round_floats(obj, sig_digits: int = 12):
@@ -53,21 +56,23 @@ def load(path, error=ValueError):
 
 
 def csv_rows(path, error=ValueError):
-    """The rows of the UTF-8 CSV file ``path``, with or without a byte order mark.
+    """``(line, row)`` for each row of the UTF-8 CSV file ``path``, ``line`` being its first line.
 
-    A line that ``csv`` refuses raises ``error`` as ``<path>:<line>: <reason>``
-    after the rows before it; a byte that is not UTF-8 does when its 8 KB block
-    is decoded. Closing the generator (``contextlib.closing``) closes the file.
+    A byte order mark is dropped. A line that ``csv`` refuses or that is not
+    UTF-8 raises ``error`` as ``<path>:<line>: <reason>`` after every row
+    before it. Closing the generator (``contextlib.closing``) closes the file.
     """
-    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
-        reader = csv.reader(handle)
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape", newline="") as handle:
+        # a byte that is not UTF-8 arrives as U+DC80..U+DCFF; decoding its line strictly names it
+        reader = csv.reader(text if text.isascii() else text.encode("utf-8", "surrogateescape").decode()
+                            for text in handle)
+        line = 1
         try:
-            yield from reader
+            for row in reader:
+                yield line, row
+                line = reader.line_num + 1
         except csv.Error as exc:  # such as a field over csv.field_size_limit()
             raise error(f"{path}:{reader.line_num}: {exc}") from None
-        except UnicodeDecodeError as exc:  # its position counts from the start of a read chunk
-            byte = exc.object[exc.start]
-            handle.buffer.seek(0)  # re-read: each byte that is not UTF-8 decodes to U+DC80..U+DCFF
-            text = handle.buffer.read().decode("utf-8", "surrogateescape")
-            line = 1 + len(re.findall(r"\r\n?|\n", text[:text.find(chr(0xDC00 + byte))]))
-            raise error(f"{path}:{line}: not valid UTF-8: byte 0x{byte:02x} ({exc.reason})") from None
+        except UnicodeError as exc:  # from the strict decode of the line after reader.line_num
+            where, byte = f"{path}:{reader.line_num + 1}", exc.object[exc.start]
+            raise error(f"{where}: not valid UTF-8: byte 0x{byte:02x} ({exc.reason})") from None

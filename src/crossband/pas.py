@@ -15,17 +15,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import BandChannel
+from .units import MIN_STEP_DEG
 
 
 @dataclass(frozen=True)
 class AngularGrid:
-    """Uniform circular grid {0, step, ..., 360 - step} in degrees."""
+    """Uniform circular grid {0, step, ..., 360 - step} in degrees.
+
+    The step divides 360 and lies in [``units.MIN_STEP_DEG``, 10], that is
+    [0.01, 10] degrees.
+    """
 
     step_deg: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 < self.step_deg <= 10.0:
-            raise ValueError(f"grid step must be in (0, 10] degrees, got {self.step_deg!r}")
+        if not MIN_STEP_DEG <= self.step_deg <= 10.0:
+            raise ValueError(f"grid step must be in [{MIN_STEP_DEG}, 10] degrees, got {self.step_deg!r}")
         n = round(360.0 / self.step_deg)
         if abs(n * self.step_deg - 360.0) > 1e-9:
             raise ValueError(f"grid step must divide 360 degrees, got {self.step_deg!r}")

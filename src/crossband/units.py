@@ -1,10 +1,18 @@
-"""Scalar conversions used throughout the package: dB scales and angle wrapping."""
+"""Scalar conversions used throughout the package: dB scales and angle wrapping.
+
+``MIN_STEP_DEG``, 0.01 deg, is the finest angular step the package takes:
+for a steering grid, for a tabulated pattern file, and as the narrowest
+``Gpp3Pattern`` beamwidth. It is ten times finer than any step in use and
+keeps every per-step array within a few tens of thousands of points.
+"""
 
 from __future__ import annotations
 
 import math
 
 import numpy as np
+
+MIN_STEP_DEG = 0.01
 
 
 def db_to_linear(value_db):

@@ -275,8 +275,10 @@ def _links_csv(path) -> list:
             _refuse(f"{path}:1", "empty file")
         if first != header:
             _refuse(f"{path}:1", f"header must be {','.join(header)!r}")
-        for lineno, row in enumerate(rows, start=2):
-            where = f"{path}:{lineno}"
+        first_line = 2
+        for row in rows:  # a quoted field may span lines; a row is named by its first
+            where = f"{path}:{first_line}"
+            first_line = rows.line_num + 1
             if len(row) != len(header):
                 _refuse(where, f"expected {len(header)} fields, got {len(row)}")
             if not row[0]:

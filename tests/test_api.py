@@ -105,3 +105,19 @@ def test_csv_files_are_read_by_jsonio_csv_rows_only():
     csv_rows = next(node for node in tree.body
                     if isinstance(node, ast.FunctionDef) and node.name == "csv_rows")
     assert [call for call in ast.walk(csv_rows) if isinstance(call, ast.Call) and _is_csv_reader(call)]
+
+
+def _names_a_decode_or_csv_error(node):
+    # UnicodeError is the base class that also catches a UnicodeDecodeError
+    if isinstance(node, ast.Name):
+        return node.id in ("UnicodeDecodeError", "UnicodeError")
+    return (isinstance(node, ast.Attribute) and node.attr == "Error"
+            and isinstance(node.value, ast.Name) and node.value.id == "csv")
+
+
+def test_decode_and_csv_errors_are_handled_by_jsonio_only():
+    # the readers take every location from jsonio, so decode handling cannot grow back in a caller
+    handlers = sorted({path.name for path in SOURCES
+                       for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                       if _names_a_decode_or_csv_error(node)})
+    assert handlers == ["jsonio.py"]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -75,7 +76,7 @@ class TestGpp3:
     def test_measured_beamwidth_matches_parameter(self, gpp3_10):
         assert cb.hpbw(gpp3_10) == pytest.approx(10.0, abs=0.02)
 
-    @pytest.mark.parametrize("hpbw_deg", [0.0, -10.0, 181.0])
+    @pytest.mark.parametrize("hpbw_deg", [0.0, -10.0, 181.0, 1e-300, 0.005])
     def test_bad_beamwidth_rejected(self, hpbw_deg):
         with pytest.raises(ValueError):
             cb.Gpp3Pattern(hpbw_deg=hpbw_deg, a_max_db=30.0)
@@ -284,9 +285,17 @@ class TestTabulated:
 
     def test_duplicate_offsets_collapsed(self):
         pat = cb.TabulatedPattern(
-            np.array([0.0, 90.0, 90.0]), np.array([0.0, -10.0, -20.0])
+            np.array([0.0, 90.0, 90.0, -180.0, 180.0]), np.array([0.0, -10.0, -10.0, -30.0, -30.0])
         )
-        assert len(pat.offsets_deg) == 2
+        assert pat.offsets_deg.tolist() == [0.0, 90.0, 180.0]
+
+    @pytest.mark.parametrize("offsets, gains, message", [
+        ([0.0, 90.0, 90.0], [0.0, -10.0, -20.0], "offset 90.0 deg: -10.0 and -20.0 dB"),
+        ([0.0, -180.0, 180.0], [0.0, -30.0, -20.0], "offset 180.0 deg: -30.0 and -20.0 dB"),
+    ], ids=["same", "wrapped"])
+    def test_two_gains_at_one_offset_refused(self, offsets, gains, message):
+        with pytest.raises(ValueError, match=f"two gains at {re.escape(message)}$"):
+            cb.TabulatedPattern(np.array(offsets), np.array(gains))
 
     def test_wraps_around_the_circle(self):
         pat = cb.TabulatedPattern(
@@ -356,6 +365,13 @@ class TestCsvRoundTrip:
         pat = cb.pattern_from_csv(path)
         assert pat.offsets_deg.tolist() == [-90.0, 0.0, 90.0]
         assert pat.gains_db.tolist() == [-20.0, 0.0, -10.0]
+
+    def test_two_gains_at_one_direction_refused(self, tmp_path):
+        # -180 and 180 wrap to one direction; the -20 was once dropped silently
+        path = tmp_path / "ends.csv"
+        path.write_text("-180,-30\n0,0\n180,-20\n")
+        with pytest.raises(ValueError, match=r"two gains at offset 180\.0 deg: -30\.0 and -20\.0 dB$"):
+            cb.pattern_from_csv(path)
 
     def test_blank_rows_skipped(self, tmp_path):
         path = tmp_path / "blank.csv"

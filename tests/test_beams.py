@@ -60,6 +60,8 @@ class TestSimilarityConfig:
             {"delta_p_db": 0.0},
             {"delta_p_db": 10.0},
             {"method": "m3"},
+            {"delta_th_db": float("inf")},
+            {"delta_p_db": float("-inf")},
         ],
     )
     def test_bad_values_rejected(self, kwargs):

@@ -307,6 +307,20 @@ class TestBatch:
         assert main(["batch", *argv, "--out", str(out_dir)]) == EXIT_USAGE
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("flag, field", [
+        ("--delta-th-db=inf", "delta_th_db must be finite and > 0, got inf"),
+        ("--delta-p-db=-inf", "delta_p_db must be finite and < 0, got -inf"),
+        ("--grid-step-deg=1e-7", "grid step must be in [0.01, 10] degrees, got 1e-07"),
+    ], ids=["delta-th-inf", "delta-p-minus-inf", "grid-step-too-fine"])
+    def test_extreme_setting_refused_before_analysis(self, dataset_path, tmp_path, capsys, flag, field):
+        # once every link analysed, then JSON's "not JSON compliant: inf" and an
+        # empty --out directory, or numpy's failure to allocate 26.8 GiB
+        out_dir = tmp_path / "report"
+        for command, extra in (("batch", ["--out", str(out_dir)]), ("analyze", ["--link", "a"])):
+            assert main([command, *analysis_argv(dataset_path, [flag]), *extra]) == EXIT_VALIDATION
+            assert capsys.readouterr().err == f"error: {field}\n"
+        assert not out_dir.exists()
+
     def test_reruns_byte_identical(self, dataset_path, tmp_path):
         d1, d2 = tmp_path / "r1", tmp_path / "r2"
         main(["batch", *analysis_argv(dataset_path), "--out", str(d1)])
@@ -443,6 +457,23 @@ class TestPattern:
         code = main(["pattern", "--spec", "gpp3:hpbw=10",
                      "--out", str(tmp_path / "x.csv"), "--step-deg", "0.7"])
         assert code == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("step", ["nan", "1e-300", "0.005"])
+    def test_step_below_the_smallest_is_one_error_line(self, tmp_path, capsys, step):
+        # once "cannot convert float NaN to integer" or "Maximum allowed size exceeded"
+        out = tmp_path / "x.csv"
+        code = main(["pattern", "--spec", "gpp3:hpbw=10", "--out", str(out), "--step-deg", step])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: step_deg must be >= 0.01, got {float(step)!r}\n"
+        assert not out.exists()
+
+    def test_tiny_beamwidth_is_a_usage_error_naming_the_field(self, tmp_path, capsys):
+        # once numpy's overflow warning and exit 0, or a link failing on "overflow"
+        out = tmp_path / "x.csv"
+        assert main(["pattern", "--spec", "gpp3:hpbw=1e-300", "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == "error: invalid spec 'gpp3:hpbw=1e-300': hpbw_deg must be in [0.01, 180], got 1e-300\n"
+        assert not out.exists()
 
 
 PSP_ARGV = ["psp", "--data", "{data}", "--low-ghz", "15", "--high-ghz", "28", "--hpbw-deg", "10",

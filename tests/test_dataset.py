@@ -13,7 +13,7 @@ import sys
 import numpy as np
 import oracles
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import crossband as cb
@@ -98,36 +98,26 @@ class TestWriteRefusesWhatLoadRejects:
         assert loaded[0].low.rays[0].aoa_azimuth == 0.0
         assert loaded[0].low.rays[0].aod_azimuth == (None if aod is None else 0.0)
 
-    @pytest.mark.parametrize(
-        "name, where",
-        [
-            ("links.json", r"link 'l': links\[0\]\.bands\[1\]\.paths\[1\]\.power_db"),
-            ("links.csv", r"link 'l': .*links\.csv:5\.power_db"),
-        ],
-    )
-    def test_subnormal_power_refused_and_located(self, tmp_path, name, where):
+    @pytest.mark.parametrize("name", ["links.json", "links.csv"])
+    def test_subnormal_power_refused_and_located(self, tmp_path, name):
         # Ray accepts the smallest normal power, but its dB value reloads as a
         # subnormal, which load_dataset rejects
         power = sys.float_info.min
         low = cb.BandChannel(15.0, (cb.Ray(1.0, 0.0, 0.0), cb.Ray(0.5, 0.0, 5.0)))
         high = cb.BandChannel(28.0, (cb.Ray(1.0, 0.0, 0.0), cb.Ray(power, 0.0, 20.0)))
         path = tmp_path / name
+        where = r"^link 'l': links\[0\]\.bands\[1\]\.paths\[1\]\.power_db: "
         with pytest.raises(cb.DatasetFormatError, match=where):
             cb.write_dataset([cb.LinkPair(low=low, high=high, link_id="l")], path)
         assert not path.exists()
 
-    @pytest.mark.parametrize(
-        "name, where",
-        [
-            ("links.json", r"link 'a': links\[0\]\.bands\[0\]\.paths\[0\]\.delay_ns: "),
-            ("links.csv", r"link 'a': .*links\.csv:2\.delay_ns: "),
-        ],
-    )
-    def test_delay_overflowing_in_ns_refused_and_located(self, tmp_path, name, where):
+    @pytest.mark.parametrize("name", ["links.json", "links.csv"])
+    def test_delay_overflowing_in_ns_refused_and_located(self, tmp_path, name):
         # 1e300 s is a finite delay, but 1e309 ns is not
         low = cb.BandChannel(15.0, (cb.Ray(1.0, 1e300, 10.0),))
         pair = cb.LinkPair(low=low, high=cb.BandChannel(28.0, low.rays), link_id="a")
         path = tmp_path / name
+        where = r"^link 'a': links\[0\]\.bands\[0\]\.paths\[0\]\.delay_ns: "
         with pytest.raises(cb.DatasetFormatError, match=where + "must be finite, got inf$"):
             cb.write_dataset([pair], path)
         assert not path.exists()
@@ -513,25 +503,27 @@ ANGLES = st.floats(min_value=0.0, max_value=360.0, exclude_max=True)
 
 
 @st.composite
-def link_pairs(draw, csv: bool):
-    """Pairs with unique ids at one random frequency pair.
+def link_pairs(draw, csv: bool, link_ids=st.text(min_size=1, max_size=6), mirror=False):
+    """Pairs with unique ids, drawn from ``link_ids``, at one random frequency pair.
 
     Powers stay inside (1e-300, 1e300), where every dB value reloads as a
     normal float; delays are any finite value >= 0; CSV bands are at least
     1e-3 GHz apart. Half the CSV draws may hold departure angles, which the
-    CSV writer refuses; the other half hold none.
+    CSV writer refuses; the other half hold none. With ``mirror`` no draw
+    holds departure angles or a delay infinite in ns, so the CSV writer
+    refuses only a link id it cannot hold.
     """
     ray = st.builds(
         cb.Ray,
         power=st.floats(min_value=1e-300, max_value=1e300),
-        delay=st.floats(min_value=0.0, allow_infinity=False),
+        delay=st.floats(min_value=0.0, max_value=1e299 if mirror else None, allow_infinity=False),
         aoa_azimuth=ANGLES,
-        aod_azimuth=st.none() if csv and draw(st.booleans()) else st.none() | ANGLES,
+        aod_azimuth=st.none() if mirror or csv and draw(st.booleans()) else st.none() | ANGLES,
     )
     rays = st.lists(ray, min_size=1, max_size=5)
     low = draw(st.floats(min_value=0.5, max_value=100.0))
     high = low + draw(st.floats(min_value=1e-3 if csv else 0.0, max_value=100.0))
-    ids = draw(st.lists(st.text(min_size=1, max_size=6), min_size=1, max_size=4, unique=True))
+    ids = draw(st.lists(link_ids, min_size=1, max_size=4, unique=True))
     return [
         cb.LinkPair(cb.BandChannel(low, draw(rays)), cb.BandChannel(high, draw(rays)), link_id)
         for link_id in ids
@@ -755,3 +747,129 @@ class TestMatchesTheReferenceLoader:
                 rays = band.rays
                 assert (rays.powers.tobytes(), rays.delays.tobytes(), rays.aoas.tobytes(),
                         repr(rays.aods)) == _columns(paths)
+
+
+# link ids that hold newlines, so a quoted row spans lines, and a non-ASCII letter
+MULTI_LINE_IDS = st.text(alphabet='ab\n", é', min_size=1, max_size=6)
+# refused in every field: not a number, not finite, or out of every field's range
+BAD_IN_EVERY_FIELD = ["x", "", "nan", "inf", "1e999", "-4000"]
+
+
+def _written_rows(draw, tmp_path_factory):
+    """The data rows of a drawn CSV file whose ids span lines, or None when the writer refuses it."""
+    pairs = draw(link_pairs(csv=True, link_ids=MULTI_LINE_IDS, mirror=True))
+    path = tmp_path_factory.mktemp("lines") / "links.csv"
+    try:
+        cb.write_dataset(pairs, path)
+    except cb.DatasetFormatError:
+        return path, None
+    with open(path, encoding="utf-8", newline="") as handle:
+        return path, list(csv_module.reader(handle))[1:]
+
+
+def _encoded_lines(rows):
+    """Each row as CSV bytes, with the line it starts on (the header is line 1)."""
+    out, lines = io.StringIO(), []
+    writer = csv_module.writer(out, lineterminator="\n")
+    writer.writerow(["link_id", "freq_ghz", "power_db", "delay_ns", "aoa_deg"])
+    encoded = [out.getvalue().encode("utf-8")]
+    for row in rows:
+        lines.append(1 + b"".join(encoded).count(b"\n"))
+        out.seek(0)
+        out.truncate()
+        writer.writerow(row)
+        encoded.append(out.getvalue().encode("utf-8"))
+    return encoded, lines
+
+
+class TestCsvLocations:
+    # a row is named by the line it starts on, whatever spans lines before it
+
+    @settings(deadline=None)  # file I/O time is not under test
+    @given(data=st.data())
+    def test_bad_value_named_by_the_first_line_of_its_row(self, tmp_path_factory, data):
+        path, rows = _written_rows(data.draw, tmp_path_factory)
+        assume(rows is not None)
+        r = data.draw(st.integers(0, len(rows) - 1))
+        rows[r][data.draw(st.integers(1, 4))] = data.draw(st.sampled_from(BAD_IN_EVERY_FIELD))
+        encoded, lines = _encoded_lines(rows)
+        path.write_bytes(b"".join(encoded))
+        with pytest.raises(cb.DatasetFormatError) as info:
+            cb.load_dataset(path, 15.0, 28.0)
+        assert re.match(rf"{re.escape(str(path))}:{lines[r]}[.:]", str(info.value))
+
+    @settings(deadline=None)  # file I/O time is not under test
+    @given(data=st.data())
+    def test_byte_that_is_not_utf8_never_hides_an_earlier_bad_number(self, tmp_path_factory, data):
+        path, rows = _written_rows(data.draw, tmp_path_factory)
+        assume(rows is not None)
+        r = data.draw(st.integers(0, len(rows) - 1))
+        rows[r][data.draw(st.integers(1, 4))] = data.draw(st.sampled_from(BAD_IN_EVERY_FIELD))
+        encoded, lines = _encoded_lines(rows)
+        encoded.append(b"")  # the byte may also start a last line of its own
+        later = data.draw(st.integers(r + 2, len(encoded) - 1))
+        at = data.draw(st.integers(0, max(len(encoded[later]) - 1, 0)))
+        encoded[later] = encoded[later][:at] + b"\xff" + encoded[later][at:]
+        path.write_bytes(b"".join(encoded))
+        with pytest.raises(cb.DatasetFormatError) as info:
+            cb.load_dataset(path, 15.0, 28.0)
+        assert re.match(rf"{re.escape(str(path))}:{lines[r]}[.:]", str(info.value))
+
+    def test_row_after_a_multi_line_link_id_located_by_its_line(self, tmp_path):
+        path = tmp_path / "multi.csv"
+        path.write_text('link_id,freq_ghz,power_db,delay_ns,aoa_deg\n"a\nb",15,-1,1,10\n"a\nb",28,-1,1,10\n'
+                        "c,15,-1,1,10\nc,28,-1,1,400\n")
+        with pytest.raises(cb.DatasetFormatError, match=r"multi\.csv:7\.aoa_deg: must be < 360\.0, got 400\.0$"):
+            cb.load_dataset(path, 15.0, 28.0)
+
+    def test_bad_number_before_a_byte_that_is_not_utf8_comes_first(self, tmp_path):
+        path = tmp_path / "order.csv"
+        path.write_bytes(b"link_id,freq_ghz,power_db,delay_ns,aoa_deg\na,15,-1,1,400\n\xff,28,-1,1,10\n")
+        with pytest.raises(cb.DatasetFormatError, match=r"order\.csv:2\.aoa_deg: must be < 360\.0, got 400\.0$"):
+            cb.load_dataset(path, 15.0, 28.0)
+
+    @pytest.mark.parametrize("name", ["w.json", "w.csv"])
+    def test_writer_names_the_pair_list_entry_in_both_formats(self, tmp_path, name):
+        # the CSV form once named a line of the unwritten file, counted by rows
+        def pair(link_id, *high):
+            return cb.LinkPair(cb.BandChannel(15.0, (cb.Ray(1.0, 0.0, 10.0),)),
+                               cb.BandChannel(28.0, high), link_id)
+
+        pairs = [pair("a\nb", cb.Ray(1.0, 0.0, 10.0)),
+                 pair("c", cb.Ray(1.0, 0.0, 10.0), cb.Ray(sys.float_info.min, 0.0, 20.0))]
+        with pytest.raises(cb.DatasetFormatError,
+                           match=r"^link 'c': links\[1\]\.bands\[1\]\.paths\[1\]\.power_db: "):
+            cb.write_dataset(pairs, tmp_path / name)
+        assert not (tmp_path / name).exists()
+
+
+class TestJsonCsvRoundTrip:
+    # pairs the CSV mirror can hold keep their bytes through the other format
+
+    @staticmethod
+    def _written(pairs, path):
+        try:
+            cb.write_dataset(pairs, path)
+        except cb.DatasetFormatError:
+            return False
+        return True
+
+    @settings(deadline=None)  # file I/O time is not under test
+    @given(pairs=link_pairs(csv=True, mirror=True))
+    def test_csv_through_json_gives_the_same_csv(self, tmp_path_factory, pairs):
+        work = tmp_path_factory.mktemp("mirror")
+        assume(self._written(pairs, work / "a.csv"))
+        low, high = pairs[0].low.frequency, pairs[0].high.frequency
+        cb.write_dataset(cb.load_dataset(work / "a.csv", low, high), work / "b.json")
+        cb.write_dataset(cb.load_dataset(work / "b.json", low, high), work / "c.csv")
+        assert (work / "c.csv").read_bytes() == (work / "a.csv").read_bytes()
+
+    @settings(deadline=None)  # file I/O time is not under test
+    @given(pairs=link_pairs(csv=True, mirror=True))
+    def test_json_to_csv_gives_the_csv_of_the_pairs(self, tmp_path_factory, pairs):
+        work = tmp_path_factory.mktemp("mirror")
+        assume(self._written(pairs, work / "direct.csv"))
+        cb.write_dataset(pairs, work / "a.json")
+        loaded = cb.load_dataset(work / "a.json", pairs[0].low.frequency, pairs[0].high.frequency)
+        cb.write_dataset(loaded, work / "b.csv")
+        assert (work / "b.csv").read_bytes() == (work / "direct.csv").read_bytes()

@@ -117,7 +117,7 @@ class TestCsvRows:
         path = tmp_path / "rows.csv"
         for prefix in (b"", b"\xef\xbb\xbf"):
             path.write_bytes(prefix + b'a,b\r\n"c\nd",e\n\n')
-            assert list(csv_rows(path)) == [["a", "b"], ["c\nd", "e"], []]
+            assert list(csv_rows(path)) == [(1, ["a", "b"]), (2, ["c\nd", "e"]), (4, [])]
 
     @pytest.mark.parametrize("eol", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
     def test_byte_that_is_not_utf8_named_by_its_line(self, tmp_path, eol):
@@ -131,7 +131,7 @@ class TestCsvRows:
         path = tmp_path / "wide.csv"
         path.write_text("a,b\nc,d\n" + "9" * 200_000 + ",e\n", encoding="utf-8")
         rows = csv_rows(path, FormatError)
-        assert [next(rows), next(rows)] == [["a", "b"], ["c", "d"]]
+        assert [next(rows), next(rows)] == [(1, ["a", "b"]), (2, ["c", "d"])]
         with pytest.raises(FormatError, match=r"wide\.csv:3: field larger than field limit"):
             next(rows)
 

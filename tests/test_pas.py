@@ -28,6 +28,12 @@ class TestAngularGrid:
         with pytest.raises(ValueError):
             cb.AngularGrid(step_deg=step)
 
+    def test_smallest_step_is_fixed(self):
+        assert cb.AngularGrid(step_deg=0.01).n_points == 36000
+        for step in (0.005, 1e-7, float("nan")):
+            with pytest.raises(ValueError, match=r"grid step must be in \[0\.01, 10\] degrees"):
+                cb.AngularGrid(step_deg=step)
+
     def test_angles_are_read_only(self, grid):
         with pytest.raises(ValueError):
             grid.angles[0] = 5.0
