@@ -20,6 +20,7 @@ import numpy as np
 
 from .beams import SimilarityConfig, SimilarityReport, analyze_pair
 from .channel import LinkPair
+from .jsonio import REPORT_SIG_DIGITS
 from .pas import AngularGrid
 
 # Slack for comparing cumulative probabilities (multiples of 1/n) against
@@ -137,11 +138,6 @@ def percentiles(cdf, levels=(10, 50, 90)) -> dict[int, float]:
     return out
 
 
-def float_faults_raise() -> np.errstate:
-    """Numpy divide, overflow and invalid faults raise; tiny gains may underflow."""
-    return np.errstate(divide="raise", over="raise", invalid="raise")
-
-
 def analyze_dataset(
     dataset: list[LinkPair],
     pattern_low,
@@ -161,9 +157,11 @@ def analyze_dataset(
 
 
 def map_links(dataset: list[LinkPair], analyze) -> tuple[dict, dict[str, str]]:
-    """``(results, failures)`` of ``analyze`` per link_id, under ``float_faults_raise``.
+    """``(results, failures)`` of ``analyze`` per link_id.
 
-    A link whose analysis raises maps to its error message in ``failures``.
+    Numpy divide, overflow and invalid faults raise, while tiny gains may
+    underflow; a link whose analysis raises maps to its error message in
+    ``failures``.
     ``ValueError`` for an empty dataset, a repeated link_id, or if every link fails.
     """
     if not dataset:
@@ -175,7 +173,7 @@ def map_links(dataset: list[LinkPair], analyze) -> tuple[dict, dict[str, str]]:
         seen.add(pair.link_id)
     results = {}
     failures: dict[str, str] = {}
-    with float_faults_raise():
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
         for pair in dataset:
             try:
                 results[pair.link_id] = analyze(pair)
@@ -190,13 +188,14 @@ def map_links(dataset: list[LinkPair], analyze) -> tuple[dict, dict[str, str]]:
 def write_curve_csv(path, header: str, rows) -> None:
     """Write (x, y) rows under a one-line header as LF-terminated CSV.
 
-    Both columns print with 12 significant digits (``%.12g``), so an integer
-    x such as a direction count prints without a decimal point.
+    Both columns print with ``REPORT_SIG_DIGITS`` significant digits in
+    ``g`` format, so an integer x such as a direction count prints without a
+    decimal point.
     """
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(header + "\n")
         for x, y in rows:
-            handle.write(f"{x:.12g},{y:.12g}\n")
+            handle.write(f"{x:.{REPORT_SIG_DIGITS}g},{y:.{REPORT_SIG_DIGITS}g}\n")
 
 
 def _count_pdf(values: list[int]) -> dict[int, float]:

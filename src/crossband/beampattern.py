@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jsonio import csv_rows
+from .jsonio import REPORT_SIG_DIGITS, csv_rows
 from .units import MIN_STEP_DEG, db_to_linear, linear_to_db, wrap_offset_deg
 
 _HPBW_SCAN_STEP_DEG = 0.05
@@ -276,7 +276,7 @@ def pattern_to_csv(pattern, path, step_deg: float = 0.1) -> None:
         writer = csv.writer(fh)
         writer.writerow(["offset_deg", "gain_db"])
         for off, g in zip(offsets, gains):
-            writer.writerow([f"{off:.12g}", f"{g:.12g}"])
+            writer.writerow([f"{off:.{REPORT_SIG_DIGITS}g}", f"{g:.{REPORT_SIG_DIGITS}g}"])
 
 
 def pattern_from_csv(path) -> TabulatedPattern:

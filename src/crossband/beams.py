@@ -36,6 +36,9 @@ M2_CORRELATION_THRESHOLD = 0.7
 M2_FREQUENCY_POINTS = 101
 M2_BANDWIDTH_GHZ = 2.0
 
+# The direction selection methods, in the order the CLI lists them.
+METHODS = ("m1", "m2")
+
 
 @dataclass(frozen=True)
 class SimilarityConfig:
@@ -50,7 +53,7 @@ class SimilarityConfig:
             raise ValueError(f"delta_th_db must be finite and > 0, got {self.delta_th_db!r}")
         if not -math.inf < self.delta_p_db < 0.0:
             raise ValueError(f"delta_p_db must be finite and < 0, got {self.delta_p_db!r}")
-        if self.method not in ("m1", "m2"):
+        if self.method not in METHODS:
             raise ValueError(f"method must be 'm1' or 'm2', got {self.method!r}")
 
 

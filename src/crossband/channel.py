@@ -17,7 +17,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .units import wrap_azimuth_deg
+from .units import wrap_azimuths_deg
 
 
 @dataclass(frozen=True)
@@ -53,11 +53,11 @@ class Ray:
         object.__setattr__(self, "delay", float(self.delay))
         if not math.isfinite(self.aoa_azimuth):
             raise ValueError("ray AoA azimuth must be finite")
-        object.__setattr__(self, "aoa_azimuth", wrap_azimuth_deg(self.aoa_azimuth))
+        object.__setattr__(self, "aoa_azimuth", float(wrap_azimuths_deg(self.aoa_azimuth)))
         if self.aod_azimuth is not None:
             if not math.isfinite(self.aod_azimuth):
                 raise ValueError("ray AoD azimuth must be finite")
-            object.__setattr__(self, "aod_azimuth", wrap_azimuth_deg(self.aod_azimuth))
+            object.__setattr__(self, "aod_azimuth", float(wrap_azimuths_deg(self.aod_azimuth)))
 
 
 class RayTable:

@@ -19,13 +19,12 @@ import sys
 from dataclasses import MISSING, fields
 from pathlib import Path
 
-from .batch import (BatchReport, analyze_dataset, empirical_cdf, float_faults_raise, map_links,
-                    write_curve_csv)
+from .batch import BatchReport, analyze_dataset, empirical_cdf, map_links, write_curve_csv
 from .beampattern import Gpp3Pattern, UlaPattern, pattern_from_csv, pattern_to_csv
-from .beams import SimilarityConfig, analyze_pair
+from .beams import METHODS, SimilarityConfig
 from .channel import LinkPair
 from .dataset import load_dataset, write_dataset
-from .jsonio import dump, dumps, load
+from .jsonio import REPORT_SIG_DIGITS, dump, dumps, load
 from .metrics import psp
 from .pas import AngularGrid, filter_pas, normalize_pas
 from .synth import GENERATOR_NAME, GenConfig, generate_dataset
@@ -34,8 +33,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_VALIDATION = 4
-
-REPORT_SIG_DIGITS = 12
 
 
 class PatternSpecError(ValueError):
@@ -84,20 +81,22 @@ def parse_pattern_spec(text: str):
         raise PatternSpecError(f"invalid spec {text!r}: {exc}") from exc
 
 
-def _add_analysis_flags(sub, with_link: bool):
+def _add_dataset_flags(sub):
     sub.add_argument("--data", required=True, help="dataset file (.json or .csv)")
     sub.add_argument("--low-ghz", required=True, type=float, help="low band frequency")
     sub.add_argument("--high-ghz", required=True, type=float, help="high band frequency")
+    sub.add_argument("--grid-step-deg", type=float, default=AngularGrid.step_deg)
+
+
+def _add_analysis_flags(sub):
+    _add_dataset_flags(sub)
     sub.add_argument("--pattern-low", required=True, help="low band pattern spec")
     sub.add_argument("--pattern-high", required=True, help="high band pattern spec")
-    sub.add_argument("--method", choices=("m1", "m2"), default="m1")
-    sub.add_argument("--delta-th-db", type=float, default=10.0,
+    sub.add_argument("--method", choices=METHODS, default=SimilarityConfig.method)
+    sub.add_argument("--delta-th-db", type=float, default=SimilarityConfig.delta_th_db,
                      help="direction selection threshold below the strongest direction")
-    sub.add_argument("--delta-p-db", type=float, default=-30.0,
+    sub.add_argument("--delta-p-db", type=float, default=SimilarityConfig.delta_p_db,
                      help="false-direction power threshold (negative dB)")
-    sub.add_argument("--grid-step-deg", type=float, default=1.0)
-    if with_link:
-        sub.add_argument("--link", help="link_id to analyze (default: the only link)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -114,22 +113,20 @@ def build_parser() -> argparse.ArgumentParser:
     gen.set_defaults(func=_cmd_generate)
 
     ana = commands.add_parser("analyze", help="similarity report for one link")
-    _add_analysis_flags(ana, with_link=True)
+    _add_analysis_flags(ana)
+    ana.add_argument("--link", help="link_id to analyze (default: the only link)")
     ana.set_defaults(func=_cmd_analyze)
 
     bat = commands.add_parser("batch", help="similarity statistics over a dataset")
-    _add_analysis_flags(bat, with_link=False)
+    _add_analysis_flags(bat)
     bat.add_argument("--out", required=True, help="output directory for report and curves")
     bat.set_defaults(func=_cmd_batch)
 
     psc = commands.add_parser("psp", help="spectrum overlap percentage per link")
-    psc.add_argument("--data", required=True)
-    psc.add_argument("--low-ghz", required=True, type=float)
-    psc.add_argument("--high-ghz", required=True, type=float)
+    _add_dataset_flags(psc)
     psc.add_argument("--hpbw-deg", required=True, type=float,
                      help="half-power beamwidth of the filtering pattern, both bands")
     psc.add_argument("--amax-db", type=float, default=Gpp3Pattern.a_max_db)
-    psc.add_argument("--grid-step-deg", type=float, default=1.0)
     psc.add_argument("--out", help="optional CDF CSV path")
     psc.set_defaults(func=_cmd_psp)
 
@@ -150,9 +147,13 @@ def _load_pairs(args) -> list[LinkPair]:
     return pairs
 
 
-def _similarity_config(args) -> SimilarityConfig:
-    return SimilarityConfig(
-        delta_th_db=args.delta_th_db, delta_p_db=args.delta_p_db, method=args.method
+def _analyze(args, pairs: list[LinkPair]) -> BatchReport:
+    return analyze_dataset(
+        pairs,
+        parse_pattern_spec(args.pattern_low),
+        parse_pattern_spec(args.pattern_high),
+        AngularGrid(args.grid_step_deg),
+        SimilarityConfig(delta_th_db=args.delta_th_db, delta_p_db=args.delta_p_db, method=args.method),
     )
 
 
@@ -185,17 +186,8 @@ def _select_pair(pairs: list[LinkPair], link_id: str | None) -> LinkPair:
 
 def _cmd_analyze(args) -> int:
     pair = _select_pair(_load_pairs(args), args.link)
-    pattern_low = parse_pattern_spec(args.pattern_low)
-    pattern_high = parse_pattern_spec(args.pattern_high)
-    grid = AngularGrid(args.grid_step_deg)
-    config = _similarity_config(args)
-    try:
-        with float_faults_raise():
-            report = analyze_pair(pair, pattern_low, pattern_high, grid, config)
-    except (ValueError, ZeroDivisionError, FloatingPointError) as exc:
-        raise ValueError(f"link {pair.link_id!r}: {exc}") from exc
     out = {"link_id": pair.link_id}
-    out.update(report.to_dict())
+    out.update(_analyze(args, [pair]).per_link[pair.link_id].to_dict())
     sys.stdout.write(dumps(out, sig_digits=REPORT_SIG_DIGITS))
     return EXIT_OK
 
@@ -214,13 +206,7 @@ def _export_batch(report: BatchReport, out_dir: Path, params: dict) -> None:
 
 
 def _cmd_batch(args) -> int:
-    report = analyze_dataset(
-        _load_pairs(args),
-        parse_pattern_spec(args.pattern_low),
-        parse_pattern_spec(args.pattern_high),
-        AngularGrid(args.grid_step_deg),
-        _similarity_config(args),
-    )
+    report = _analyze(args, _load_pairs(args))
     params = {
         "data": args.data,
         "low_ghz": args.low_ghz,

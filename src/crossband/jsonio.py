@@ -16,8 +16,11 @@ from __future__ import annotations
 import csv
 import json
 
+# Significant digits of every float in a report, curve or pattern file.
+REPORT_SIG_DIGITS = 12
 
-def round_floats(obj, sig_digits: int = 12):
+
+def round_floats(obj, sig_digits: int = REPORT_SIG_DIGITS):
     """Copy of a JSON-ready structure with floats at ``sig_digits`` digits."""
     if isinstance(obj, float):
         return float(f"{obj:.{sig_digits}g}")

@@ -33,10 +33,8 @@ def total_variation(a: NormalizedPas, b: NormalizedPas) -> float:
     Half the absolute pointwise difference integrated over the circle with
     the grid step as measure; both inputs must share the same grid.
     """
-    if a.grid.step_deg != b.grid.step_deg or a.grid.n_points != b.grid.n_points:
-        raise ValueError(
-            f"mismatched grids: step {a.grid.step_deg} vs {b.grid.step_deg}"
-        )
+    if a.grid != b.grid:
+        raise ValueError(f"mismatched grids: step {a.grid.step_deg} vs {b.grid.step_deg}")
     d = 0.5 * float(np.abs(a.density - b.density).sum()) * a.grid.step_deg
     return min(max(d, 0.0), 1.0)
 

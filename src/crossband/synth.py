@@ -114,7 +114,7 @@ def _generate(config: GenConfig, link_indices: range) -> list[LinkPair]:
             shared_aoa = rng.uniform(0.0, 360.0, n)
             shared_delay_ns = rng.exponential(config.delay_spread_ns, n)
             for extra_count in extra_counts:  # the low band's paths, then the high band's
-                aoa.append((shared_aoa + rng.normal(0.0, config.angle_jitter_deg, n)) % 360.0)
+                aoa.append(shared_aoa + rng.normal(0.0, config.angle_jitter_deg, n))
                 power_db.append(shared_power_db + rng.normal(0.0, config.power_jitter_db, n))
                 aoa.append(rng.uniform(0.0, 360.0, extra_count))
                 delay_ns += [shared_delay_ns, rng.exponential(config.delay_spread_ns, extra_count)]

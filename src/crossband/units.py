@@ -65,22 +65,12 @@ def wrap_offset_deg(offset_deg):
     return 180.0 - np.where(r < 0.0, r + 360.0, r)
 
 
-def wrap_azimuth_deg(angle_deg: float) -> float:
-    """Wrap an azimuth into [0, 360) degrees.
-
-    A negative angle too small for ``angle + 360`` to fall below 360 wraps
-    to 0, its nearest point on the circle, not to 360.
-    """
-    wrapped = float(angle_deg) % 360.0
-    return wrapped if wrapped < 360.0 else 0.0
-
-
 def wrap_azimuths_deg(angles_deg) -> np.ndarray:
-    """``wrap_azimuth_deg`` of each finite angle, bit for bit, as a new array.
+    """Wrap finite azimuths into [0, 360) degrees; a scalar gives a 0-d array.
 
-    ``np.remainder`` is Python's float ``%``, but leaves the 360.0 that a
-    tiny negative angle rounds to.
+    ``np.remainder`` is Python's float ``%``. A negative angle too small for
+    ``angle + 360`` to fall below 360 leaves 360.0, which wraps to 0, its
+    nearest point on the circle.
     """
-    wrapped = np.remainder(angles_deg, 360.0)
-    wrapped[wrapped >= 360.0] = 0.0
-    return wrapped
+    r = np.remainder(angles_deg, 360.0)
+    return np.where(r < 360.0, r, 0.0)
