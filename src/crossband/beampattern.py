@@ -19,12 +19,16 @@ default lives only in a class field; the command-line spec grammar
   through ``jsonio.csv_rows``, which names each row by its line.
 
 Angular steps and the ``gpp3`` beamwidth are at least ``units.MIN_STEP_DEG``.
+A gain floor, and each normalized sample of a table, must be a normal float
+as a linear power (at least ``sys.float_info.min``, about -3076 dB), the rule
+ray powers follow, so no gain underflows to zero.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import sys
 from contextlib import closing
 from dataclasses import dataclass
 
@@ -36,6 +40,9 @@ from .units import MIN_STEP_DEG, db_to_linear, linear_to_db, wrap_offset_deg
 _HPBW_SCAN_STEP_DEG = 0.05
 _HPBW_RESOLUTION_DEG = 0.01
 _ULA_MAX_ELEMENTS = 4096
+_ULA_MAX_SPACING = 1000.0
+# Complex terms per block of a ULA gain evaluation: 16 MB.
+_ULA_BLOCK_TERMS = 2**20
 
 
 def _shaped(func, offset_deg):
@@ -90,7 +97,9 @@ class Gpp3Pattern(_Pattern):
         if not 0.0 < self.a_max_db < np.inf:
             raise ValueError(f"a_max_db must be finite and > 0, got {self.a_max_db!r}")
         # the floor through the same array pow as the main lobe's gains
-        object.__setattr__(self, "_floor", db_to_linear(np.full(1, -self.a_max_db))[0])
+        floor = db_to_linear(np.full(1, -self.a_max_db))[0]
+        _check_floor(floor, "a_max_db", self.a_max_db)
+        object.__setattr__(self, "_floor", floor)
 
     def _gain_db_vec(self, x):
         off = wrap_offset_deg(x)
@@ -114,8 +123,10 @@ class UlaPattern(_Pattern):
     ``|sum_n exp(j*2*pi*spacing*n*sin(offset))|^2 / n_elements^2``; the back
     half plane is a constant floor. Sidelobes are kept exactly as the array
     factor gives them, with no clipping. ``n_elements`` is an integer from 2
-    to 4096, a fixed bound on the ``(n_elements, offsets)`` array that a gain
-    evaluation builds.
+    to 4096, and ``spacing_wavelengths`` lies in (0, 1000], fixed bounds that
+    keep every phase ``2*pi*spacing*(n_elements - 1)`` finite. A gain
+    evaluation builds ``(n_elements, offsets)`` arrays over blocks of the
+    front-half-plane offsets, each of at most 2**20 complex terms (16 MB).
     """
 
     n_elements: int
@@ -129,20 +140,31 @@ class UlaPattern(_Pattern):
                 f"n_elements must be an integer in [2, {_ULA_MAX_ELEMENTS}], got {self.n_elements!r}"
             )
         object.__setattr__(self, "n_elements", int(self.n_elements))
-        if not 0.0 < self.spacing_wavelengths < np.inf:
-            raise ValueError(
-                f"spacing_wavelengths must be finite and > 0, got {self.spacing_wavelengths!r}"
-            )
+        if not 0.0 < self.spacing_wavelengths <= _ULA_MAX_SPACING:
+            raise ValueError(f"spacing_wavelengths must be in (0, {_ULA_MAX_SPACING:g}], "
+                             f"got {self.spacing_wavelengths!r}")
         if not -np.inf < self.backplane_floor_db < 0.0:
             raise ValueError(
                 f"backplane_floor_db must be finite and < 0, got {self.backplane_floor_db!r}"
             )
+        _check_floor(db_to_linear(self.backplane_floor_db), "backplane_floor_db",
+                     self.backplane_floor_db)
 
     def _gain_vec(self, x):
         off = wrap_offset_deg(x)
         out = np.full(off.shape, db_to_linear(self.backplane_floor_db))
         front = np.abs(off) <= 90.0
         base = 2.0 * np.pi * self.spacing_wavelengths * np.sin(np.deg2rad(off[front]))
+        gains = np.empty(base.shape)
+        width = _ULA_BLOCK_TERMS // self.n_elements
+        # each column sums on its own, so the blocks change no bit
+        for start in range(0, len(base), width):
+            gains[start:start + width] = self._array_factor(base[start:start + width])
+        out[front] = gains
+        return out
+
+    def _array_factor(self, base):
+        """``|sum_n exp(j*n*base)|^2 / n_elements^2`` for a 1-d block of base phases."""
         # Row n holds exp(j*n*base); row 0 is exactly 1 since cos(0) = 1 and
         # sin(0) = 0. The real cos/sin rows equal the parts of the complex
         # exponential bit for bit and cost less than np.exp on complex input.
@@ -151,8 +173,14 @@ class UlaPattern(_Pattern):
         phase = np.arange(1, self.n_elements)[:, None] * base
         np.cos(phase, out=terms[1:].real)
         np.sin(phase, out=terms[1:].imag)
-        out[front] = np.abs(_sum_rows_pairwise(terms)) ** 2 / self.n_elements**2
-        return out
+        return np.abs(_sum_rows_pairwise(terms)) ** 2 / self.n_elements**2
+
+
+def _check_floor(floor: float, name: str, value: float) -> None:
+    """Refuse a linear gain floor that is not a normal float, naming the setting behind it."""
+    if not floor >= sys.float_info.min:
+        raise ValueError(f"{name} must keep the gain floor a normal float as a linear power "
+                         f"(above about -3076.5 dB), got {value!r}")
 
 
 def _sum_rows_pairwise(terms):
@@ -220,6 +248,12 @@ class TabulatedPattern(_Pattern):
         keep = np.r_[True, ~repeated]
         offsets, gains = offsets[keep], gains[keep]
         gains = gains - gains.max()
+        low = np.flatnonzero(~(db_to_linear(gains) >= sys.float_info.min))
+        if len(low):
+            k = low[0]
+            raise ValueError(f"tabulated pattern gain {float(gains[k])!r} dB (normalized) at offset "
+                             f"{float(offsets[k])!r} deg is not a normal float as a linear power "
+                             f"(above about -3076.5 dB)")
         offsets.flags.writeable = False
         gains.flags.writeable = False
         object.__setattr__(self, "offsets_deg", offsets)

@@ -121,3 +121,41 @@ def test_decode_and_csv_errors_are_handled_by_jsonio_only():
                        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
                        if _names_a_decode_or_csv_error(node)})
     assert handlers == ["jsonio.py"]
+
+
+def _is_360(node):
+    return isinstance(node, ast.Constant) and node.value == 360
+
+
+def _takes_an_angle_modulo_360(node):
+    if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Mod):
+        return _is_360(node.right if isinstance(node, ast.BinOp) else node.value)
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("remainder", "fmod")
+            and any(_is_360(arg) for arg in [*node.args, *(k.value for k in node.keywords)]))
+
+
+def test_angles_are_wrapped_by_units_only():
+    # units.wrap_offset_deg and units.wrap_azimuths_deg are the one wrap of each kind
+    wrappers = sorted({path.name for path in SOURCES
+                       for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                       if _takes_an_angle_modulo_360(node)})
+    assert wrappers == ["units.py"]
+
+
+def test_per_link_faults_are_caught_by_batch_only():
+    # batch.map_links is the one per-link fault boundary, for analyze, batch and psp
+    catchers = sorted({path.name for path in SOURCES
+                       for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                       if isinstance(node, ast.Name) and node.id == "ZeroDivisionError"})
+    assert catchers == ["batch.py"]
+
+
+def test_output_precision_is_not_spelled_as_a_literal():
+    # jsonio.REPORT_SIG_DIGITS is the one output precision
+    literal = [f"{path.name}:{node.lineno}" for path in SOURCES
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.FormattedValue) and node.format_spec is not None
+               and any(isinstance(part, ast.Constant) and "12g" in part.value
+                       for part in node.format_spec.values)]
+    assert literal == []

@@ -86,6 +86,10 @@ class TestPercentiles:
         with pytest.raises(ValueError):
             cb.percentiles([(0.0, 1.0)], levels=(level,))
 
+    def test_cdf_that_stops_below_one_rejected(self):
+        with pytest.raises(ValueError, match="^CDF does not reach probability 1$"):
+            cb.percentiles([(0.0, 0.25), (1.0, 0.5)], levels=(90,))
+
     @given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=100))
     def test_median_is_a_sample_with_majority_below(self, samples):
         cdf = cb.empirical_cdf(samples)

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -90,6 +91,18 @@ class TestGpp3:
         with pytest.raises(ValueError, match="a_max_db must be finite"):
             cb.Gpp3Pattern(hpbw_deg=10.0, a_max_db=a_max_db)
 
+    @pytest.mark.parametrize("a_max_db", [1e300, 3100.0, 3076.53])
+    def test_floor_that_is_not_a_normal_float_rejected_by_name(self, a_max_db):
+        # once accepted: the floor underflowed to 0 or a subnormal, and a link
+        # failed with "filtered spectrum values must be finite and strictly positive"
+        with pytest.raises(ValueError, match=rf"^a_max_db must keep the gain floor a normal float .*"
+                                             rf"got {re.escape(repr(a_max_db))}$"):
+            cb.Gpp3Pattern(hpbw_deg=1.0, a_max_db=a_max_db)
+
+    def test_deepest_normal_floor_accepted(self):
+        pat = cb.Gpp3Pattern(hpbw_deg=1.0, a_max_db=3076.52)
+        assert float(pat.gain(180.0)) >= sys.float_info.min
+
     @pytest.mark.parametrize("hpbw_deg, a_max_db", [(10, 30), (20, 25), (3, 30), (65, 20), (180, 30)])
     def test_gain_is_the_linear_gain_db_bit_for_bit(self, hpbw_deg, a_max_db):
         # the gain evaluates pow inside the main lobe only; the floor value
@@ -162,6 +175,24 @@ class TestUla:
         with pytest.raises(ValueError, match="backplane_floor_db must be finite"):
             cb.UlaPattern(4, backplane_floor_db=floor_db)
 
+    @pytest.mark.parametrize("floor_db", [-1e300, -3100.0, -3076.53])
+    def test_floor_that_is_not_a_normal_float_rejected_by_name(self, floor_db):
+        # once accepted: -1e300 tabulated as 1800 rows of -inf
+        with pytest.raises(ValueError, match=rf"^backplane_floor_db must keep the gain floor a normal "
+                                             rf"float .*got {re.escape(repr(floor_db))}$"):
+            cb.UlaPattern(4, backplane_floor_db=floor_db)
+
+    @pytest.mark.parametrize("spacing", [1e308, 1000.5, math.nan])
+    def test_spacing_above_the_bound_rejected_by_name(self, spacing):
+        # once accepted: spacing=1e308 overflowed every phase to a NaN gain
+        with pytest.raises(ValueError, match=r"^spacing_wavelengths must be in \(0, 1000\], got "):
+            cb.UlaPattern(4, spacing_wavelengths=spacing)
+
+    def test_widest_spacing_at_the_most_elements_stays_finite(self):
+        pat = cb.UlaPattern(4096, spacing_wavelengths=1000.0)
+        gains = pat.gain(np.linspace(-180.0, 180.0, 721))
+        assert np.isfinite(gains).all() and (gains > 0.0).all()
+
 
 def complex_exponential_ula_gain(offset_deg, n, spacing):
     """The ULA gain as a row sum of complex exponentials (the reference form)."""
@@ -200,6 +231,29 @@ class TestKernelBitIdentity:
                                  complex_exponential_ula_gain(np.array([off]), n, spacing)):
                     mismatched.append((n, off))
         assert mismatched == []
+
+    @pytest.mark.parametrize("n", [64, 1000, 4096])
+    def test_ula_gain_over_several_blocks(self, n):
+        # 2**20 complex terms per block: 16384, 1048 and 256 offsets; the
+        # last block is partial. The reference runs 500 offsets at a time to
+        # keep its memory small; each offset sums on its own.
+        width = 2**20 // n
+        x = np.concatenate([EDGE_OFFSETS, np.random.default_rng(n).uniform(-90.0, 90.0, 2 * width)])
+        want = np.concatenate([complex_exponential_ula_gain(x[k:k + 500], n, 0.5)
+                               for k in range(0, len(x), 500)])
+        assert same_bits(cb.UlaPattern(n).gain(x), want)
+
+    def test_ula_gain_memory_is_bounded_by_the_block(self):
+        # one (4096, 2001) complex array and its phases once peaked at 197 MB
+        pat = cb.UlaPattern(4096)
+        x = np.linspace(-90.0, 90.0, 2001)
+        tracemalloc.start()
+        try:
+            pat.gain(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
 
     def test_ula_gain_of_a_rays_by_grid_matrix(self, ula8):
         offsets = np.arange(0.0, 360.0, 0.1)[None, :] - np.array([[3.3], [171.25], [359.9]])
@@ -283,6 +337,29 @@ class TestTabulated:
         with pytest.raises(ValueError):
             cb.TabulatedPattern(np.array([0.0, 90.0]), np.array([0.0, np.nan]))
 
+    @pytest.mark.parametrize("offsets, gains", [
+        ([0.0, 90.0, 180.0], [0.0, -10.0]),
+        ([[0.0, 90.0]], [[0.0, -10.0]]),
+    ], ids=["lengths-differ", "two-dimensional"])
+    def test_offsets_and_gains_must_be_equal_1d_arrays(self, offsets, gains):
+        with pytest.raises(ValueError, match="^offsets and gains must be 1-d arrays of equal length$"):
+            cb.TabulatedPattern(np.array(offsets), np.array(gains))
+
+    @pytest.mark.parametrize("peak_db", [0.0, 20.0])
+    def test_sample_that_is_not_a_normal_float_refused(self, peak_db):
+        # normalized to the peak, -1e300 dB is 0 as a linear power: the table
+        # once loaded and failed each link with "filtered spectrum values
+        # must be finite and strictly positive"
+        offsets = np.array([-180.0, 0.0, 90.0])
+        gains = np.array([-1e300, 0.0, -1e300]) + peak_db
+        with pytest.raises(ValueError, match=r"^tabulated pattern gain -1e\+300 dB \(normalized\) at "
+                                             r"offset 90\.0 deg is not a normal float"):
+            cb.TabulatedPattern(offsets, gains)
+
+    def test_deepest_normal_sample_accepted(self):
+        pat = cb.TabulatedPattern(np.array([0.0, 180.0]), np.array([0.0, -3076.52]))
+        assert float(pat.gain(180.0)) >= sys.float_info.min
+
     def test_duplicate_offsets_collapsed(self):
         pat = cb.TabulatedPattern(
             np.array([0.0, 90.0, 90.0, -180.0, 180.0]), np.array([0.0, -10.0, -10.0, -30.0, -30.0])
@@ -365,6 +442,12 @@ class TestCsvRoundTrip:
         pat = cb.pattern_from_csv(path)
         assert pat.offsets_deg.tolist() == [-90.0, 0.0, 90.0]
         assert pat.gains_db.tolist() == [-20.0, 0.0, -10.0]
+
+    def test_one_sample_refused(self, tmp_path):
+        path = tmp_path / "one.csv"
+        path.write_text("offset_deg,gain_db\n0,0\n\n")
+        with pytest.raises(ValueError, match=r"one\.csv: fewer than two pattern samples$"):
+            cb.pattern_from_csv(path)
 
     def test_two_gains_at_one_direction_refused(self, tmp_path):
         # -180 and 180 wrap to one direction; the -20 was once dropped silently

@@ -9,10 +9,12 @@ import re
 import sys
 
 import pytest
-from hypothesis import given
+import numpy as np
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import crossband as cb
+from crossband.units import wrap_azimuths_deg
 
 
 def ray(power=1.0, delay=0.0, aoa=0.0, aod=None):
@@ -35,6 +37,16 @@ class TestRay:
         r = ray(aoa=angle, aod=angle)
         assert r.aoa_azimuth == 0.0
         assert r.aod_azimuth == 0.0
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    @example(-5e-324)
+    @example(-0.0)
+    @example(1e300)
+    def test_one_wrap_for_scalars_and_columns(self, angle):
+        # Python's float % with 360.0 mapped to 0, bit for bit, either way in
+        python = angle % 360.0 if angle % 360.0 < 360.0 else 0.0
+        for wrapped in (float(wrap_azimuths_deg(angle)), wrap_azimuths_deg(np.array([angle]))[0]):
+            assert (wrapped, math.copysign(1.0, wrapped)) == (python, math.copysign(1.0, python))
 
     @given(st.floats(allow_nan=False, allow_infinity=False))
     def test_angles_land_in_the_documented_range(self, angle):
@@ -64,6 +76,13 @@ class TestRay:
     def test_immutable(self):
         with pytest.raises(AttributeError):
             ray().power = 2.0
+
+    @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field, message", [("aoa", "ray AoA azimuth must be finite"),
+                                                ("aod", "ray AoD azimuth must be finite")])
+    def test_non_finite_angle_rejected_by_name(self, field, message, angle):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ray(**{field: angle})
 
 
 class TestBandChannel:
@@ -126,6 +145,12 @@ class TestRayTable:
         assert hash(a.rays) == hash(self.RAYS)
         assert a.rays != cb.BandChannel(15.0, self.RAYS[:2]).rays
         assert a.rays != cb.BandChannel(15.0, self.RAYS[:2] + (ray(0.25, 0.0, 359.0),)).rays
+
+    def test_fields_cannot_be_deleted(self):
+        table = cb.BandChannel(15.0, self.RAYS).rays
+        with pytest.raises(AttributeError, match="^cannot delete field 'powers'$"):
+            del table.powers
+        assert table.powers.tolist() == [1.0, 0.5, 0.25]
 
     def test_pickle_keeps_the_columns_read_only(self):
         table = pickle.loads(pickle.dumps(cb.BandChannel(15.0, self.RAYS).rays))

@@ -21,6 +21,7 @@ from crossband.cli import (
     EXIT_USAGE,
     EXIT_VALIDATION,
     PatternSpecError,
+    build_parser,
     main,
     parse_pattern_spec,
 )
@@ -235,6 +236,18 @@ class TestAnalyze:
         assert main(["analyze", *analysis_argv(dataset_path)]) == EXIT_VALIDATION
         assert "--link" in capsys.readouterr().err
 
+    def test_pattern_file_sample_that_is_not_a_normal_float_refused(self, dataset_path, tmp_path, capsys):
+        # once loaded, then the link failed with "filtered spectrum values must
+        # be finite and strictly positive", naming no setting
+        pattern = tmp_path / "deep.csv"
+        pattern.write_text("-180,-1e300\n0,0\n90,-1e300\n")
+        argv = analysis_argv(dataset_path, ["--link", "a"])
+        argv[argv.index("gpp3:hpbw=10,amax=30")] = f"file:{pattern}"
+        assert main(["analyze", *argv]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: tabulated pattern gain -1e+300 dB (normalized) at offset 90.0 deg")
+
     def test_unknown_link_rejected(self, dataset_path):
         code = main(["analyze", *analysis_argv(dataset_path), "--link", "zz"])
         assert code == EXIT_VALIDATION
@@ -328,6 +341,16 @@ class TestBatch:
         for name in ("report.json", "r_cdf.csv", "nf_pdf.csv"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
+    def test_defaults_are_the_library_defaults(self, dataset_path):
+        args = build_parser().parse_args(["batch", *analysis_argv(dataset_path), "--out", "x"])
+        config = cb.SimilarityConfig()
+        assert (args.method, args.delta_th_db, args.delta_p_db) == (
+            config.method, config.delta_th_db, config.delta_p_db)
+        assert args.grid_step_deg == cb.AngularGrid().step_deg
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["batch", *analysis_argv(dataset_path, ["--method", "m3"]),
+                                       "--out", "x"])
+
     def test_method_recorded_in_params(self, dataset_path, tmp_path):
         out_dir = tmp_path / "m2run"
         main(["batch", *analysis_argv(dataset_path), "--method", "m2",
@@ -364,6 +387,17 @@ class TestPsp:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: a_max_db must be finite and > 0, got inf\n"
+
+    def test_underflowing_floor_refused_before_any_link(self, dataset_path, capsys):
+        # once every link failed with "filtered spectrum values must be finite
+        # and strictly positive": with the cap lifted, the parabola underflows
+        code = main(["psp", "--data", str(dataset_path), "--low-ghz", "15", "--high-ghz", "28",
+                     "--hpbw-deg", "1", "--amax-db", "1e300"])
+        assert code == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: a_max_db must keep the gain floor a normal float")
+        assert captured.err.endswith(", got 1e+300\n")
 
     def test_unwritable_output_is_io_error(self, dataset_path, tmp_path, capsys):
         code = main(["psp", "--data", str(dataset_path), "--low-ghz", "15",
@@ -402,6 +436,17 @@ class TestFloatFaults:
         assert lines[0].startswith("error: ")
         assert "link 'hot': overflow" in lines[0]
         assert "RuntimeWarning" not in captured.err
+
+    def test_analyze_failure_reads_as_batch_and_psp_do(self, hot_path, capsys):
+        # analyze runs its link through the same per-link fault boundary
+        code = main(["analyze", *analysis_argv(hot_path)])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "error: every link failed analysis; first error: link 'hot': overflow encountered in reduce\n")
+        code = main(["batch", *analysis_argv(hot_path), "--out", str(hot_path.parent / "out")])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "error: every link failed analysis; first error: link 'hot': overflow encountered in reduce\n")
 
     def test_psp_isolates_a_failing_link(self, tmp_path, capsys):
         good = cb.BandChannel(15.0, (cb.Ray(1.0, 0.0, 10.0),))
@@ -451,6 +496,19 @@ class TestPattern:
         assert main(["pattern", "--spec", "ula:n=1e18", "--out", str(out)]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("error: invalid spec 'ula:n=1e18': n_elements must be an integer in [2, 4096]")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spec, named", [
+        ("ula:n=4,floor=-1e300", "backplane_floor_db must keep the gain floor a normal float"),
+        ("ula:n=4,spacing=1e308", "spacing_wavelengths must be in (0, 1000], got 1e+308"),
+    ], ids=["floor-underflows", "spacing-overflows"])
+    def test_extreme_ula_setting_is_a_usage_error_naming_the_field(self, tmp_path, capsys, spec, named):
+        # once exit 0 after numpy RuntimeWarnings, writing 1800 -inf or 1801 nan gains
+        out = tmp_path / "x.csv"
+        assert main(["pattern", "--spec", spec, "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: invalid spec {spec!r}: {named}")
+        assert "RuntimeWarning" not in err
         assert not out.exists()
 
     def test_bad_step_is_validation_error(self, tmp_path):

@@ -270,6 +270,19 @@ class TestJsonValidation:
     def test_schema_version(self, tmp_path):
         self.check(tmp_path, minimal_doc(schema_version="2"), "schema_version")
 
+    def test_top_level_must_be_an_object(self, tmp_path):
+        self.check(tmp_path, [minimal_doc()], r"data\.json: top level must be an object$")
+
+    def test_band_paths_must_be_nonempty(self, tmp_path):
+        doc = minimal_doc()
+        doc["links"][0]["bands"][1]["paths"] = []
+        self.check(tmp_path, doc, r"^links\[0\]\.bands\[1\]\.paths: must be a nonempty array$")
+
+    def test_path_entry_must_be_an_object(self, tmp_path):
+        doc = minimal_doc()
+        doc["links"][0]["bands"][0]["paths"].append(7)
+        self.check(tmp_path, doc, r"^links\[0\]\.bands\[0\]\.paths\[1\]: expected an object$")
+
     def test_links_must_be_nonempty(self, tmp_path):
         self.check(tmp_path, minimal_doc(links=[]), "nonempty")
 

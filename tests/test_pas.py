@@ -163,3 +163,15 @@ class TestNormalizePas:
         with pytest.raises(ValueError):
             cb.NormalizedPas(grid, np.ones(grid.n_points))
 
+    def test_length_must_match_grid(self, grid):
+        density = np.full(grid.n_points + 1, 1.0 / 360.0)
+        with pytest.raises(ValueError, match="^density length does not match the grid$"):
+            cb.NormalizedPas(grid, density)
+
+    @pytest.mark.parametrize("bad", [-1e-3, np.nan])
+    def test_negative_or_nan_density_rejected(self, grid, bad):
+        density = np.full(grid.n_points, 1.0 / 360.0)
+        density[7] = bad
+        with pytest.raises(ValueError, match="^densities must be finite and non-negative$"):
+            cb.NormalizedPas(grid, density)
+
