@@ -20,8 +20,8 @@ default lives only in a class field; the command-line spec grammar
 
 Angular steps and the ``gpp3`` beamwidth are at least ``units.MIN_STEP_DEG``.
 A gain floor, and each normalized sample of a table, must be a normal float
-as a linear power (at least ``sys.float_info.min``, about -3076 dB), the rule
-ray powers follow, so no gain underflows to zero.
+as a linear power (at least ``sys.float_info.min``, about -3076.5 dB), the
+rule ray powers follow, so no gain underflows to zero.
 """
 
 from __future__ import annotations
