@@ -6,10 +6,10 @@ filter its discrete angular power spectrum through an antenna beampattern
 (``metrics``) or by the usability of low-band beam directions at the high
 band (``beams``), and aggregate over datasets (``batch``). ``synth``
 generates controllable two-band datasets; ``dataset`` and ``cli`` handle
-files and the command line.
+dataset files and the command line, and ``jsonio`` opens every file.
 """
 
-from .batch import BatchReport, analyze_dataset, empirical_cdf, percentiles, write_curve_csv
+from .batch import BatchReport, analyze_dataset, empirical_cdf, percentiles
 from .beampattern import (
     Gpp3Pattern,
     TabulatedPattern,
@@ -31,6 +31,7 @@ from .beams import (
 )
 from .channel import BandChannel, LinkPair, Ray, RayTable
 from .dataset import DatasetFormatError, load_dataset, write_dataset
+from .jsonio import write_curve_csv
 from .metrics import PspResult, pair_psp, psp, total_variation
 from .pas import AngularGrid, FilteredPas, NormalizedPas, filter_pas, normalize_pas
 from .synth import GenConfig, generate_dataset, generate_link

@@ -20,7 +20,6 @@ import numpy as np
 
 from .beams import SimilarityConfig, SimilarityReport, analyze_pair
 from .channel import LinkPair
-from .jsonio import REPORT_SIG_DIGITS
 from .pas import AngularGrid
 
 # Slack for comparing cumulative probabilities (multiples of 1/n) against
@@ -183,19 +182,6 @@ def map_links(dataset: list[LinkPair], analyze) -> tuple[dict, dict[str, str]]:
         first = min(failures)
         raise ValueError(f"every link failed analysis; first error: link {first!r}: {failures[first]}")
     return results, failures
-
-
-def write_curve_csv(path, header: str, rows) -> None:
-    """Write (x, y) rows under a one-line header as LF-terminated CSV.
-
-    Both columns print with ``REPORT_SIG_DIGITS`` significant digits in
-    ``g`` format, so an integer x such as a direction count prints without a
-    decimal point.
-    """
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(header + "\n")
-        for x, y in rows:
-            handle.write(f"{x:.{REPORT_SIG_DIGITS}g},{y:.{REPORT_SIG_DIGITS}g}\n")
 
 
 def _count_pdf(values: list[int]) -> dict[int, float]:

@@ -20,22 +20,20 @@ default lives only in a class field; the command-line spec grammar
 
 Angular steps and the ``gpp3`` beamwidth are at least ``units.MIN_STEP_DEG``.
 A gain floor, and each normalized sample of a table, must be a normal float
-as a linear power (at least ``sys.float_info.min``, about -3076.5 dB), the
+as a linear power (``units.is_normal_power``: above about -3076.5 dB), the
 rule ray powers follow, so no gain underflows to zero.
 """
 
 from __future__ import annotations
 
-import csv
 import math
-import sys
 from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
 
-from .jsonio import REPORT_SIG_DIGITS, csv_rows
-from .units import MIN_STEP_DEG, db_to_linear, linear_to_db, wrap_offset_deg
+from .jsonio import csv_rows, write_curve_csv
+from .units import MIN_STEP_DEG, db_to_linear, is_normal_power, linear_to_db, wrap_offset_deg
 
 _HPBW_SCAN_STEP_DEG = 0.05
 _HPBW_RESOLUTION_DEG = 0.01
@@ -46,22 +44,24 @@ _ULA_BLOCK_TERMS = 2**20
 
 
 def _shaped(func, offset_deg):
-    """Evaluate a vectorized gain function, preserving the input's shape.
+    """Evaluate a vectorized gain function at the wrapped offsets, preserving the input's shape.
 
-    Raises ValueError on a NaN or infinite offset, which has no direction.
+    Raises ValueError on a NaN or infinite offset, which has no direction;
+    the check comes first, as an infinite offset would wrap to NaN.
     """
     x = np.atleast_1d(np.asarray(offset_deg, dtype=float))
     finite = np.isfinite(x)
     if not finite.all():
         raise ValueError(f"pattern offsets must be finite, got {float(x[~finite][0])!r}")
-    return func(x).reshape(np.shape(offset_deg))
+    return func(wrap_offset_deg(x)).reshape(np.shape(offset_deg))
 
 
 class _Pattern:
     """Gain evaluation shared by the pattern kinds.
 
     Each kind computes one form, ``_gain_vec`` (linear) or ``_gain_db_vec``
-    (dB), on a 1-d array of offsets; the other form converts from it.
+    (dB), on a 1-d array of offsets already wrapped into (-180, 180]; the
+    other form converts from it.
     """
 
     def gain(self, offset_deg):
@@ -101,13 +101,11 @@ class Gpp3Pattern(_Pattern):
         _check_floor(floor, "a_max_db", self.a_max_db)
         object.__setattr__(self, "_floor", floor)
 
-    def _gain_db_vec(self, x):
-        off = wrap_offset_deg(x)
+    def _gain_db_vec(self, off):
         return -np.minimum(12.0 * (off / self.hpbw_deg) ** 2, self.a_max_db)
 
-    def _gain_vec(self, x):
-        """``db_to_linear(_gain_db_vec(x))`` bit for bit, with pow only inside the main lobe."""
-        off = wrap_offset_deg(x)
+    def _gain_vec(self, off):
+        """``db_to_linear(_gain_db_vec(off))`` bit for bit, with pow only inside the main lobe."""
         attenuation_db = 12.0 * (off / self.hpbw_deg) ** 2
         lobe = attenuation_db < self.a_max_db
         out = np.full(off.shape, self._floor)
@@ -150,8 +148,7 @@ class UlaPattern(_Pattern):
         _check_floor(db_to_linear(self.backplane_floor_db), "backplane_floor_db",
                      self.backplane_floor_db)
 
-    def _gain_vec(self, x):
-        off = wrap_offset_deg(x)
+    def _gain_vec(self, off):
         out = np.full(off.shape, db_to_linear(self.backplane_floor_db))
         front = np.abs(off) <= 90.0
         base = 2.0 * np.pi * self.spacing_wavelengths * np.sin(np.deg2rad(off[front]))
@@ -178,7 +175,7 @@ class UlaPattern(_Pattern):
 
 def _check_floor(floor: float, name: str, value: float) -> None:
     """Refuse a linear gain floor that is not a normal float, naming the setting behind it."""
-    if not floor >= sys.float_info.min:
+    if not is_normal_power(floor):
         raise ValueError(f"{name} must keep the gain floor a normal float as a linear power "
                          f"(above about -3076.5 dB), got {value!r}")
 
@@ -248,7 +245,7 @@ class TabulatedPattern(_Pattern):
         keep = np.r_[True, ~repeated]
         offsets, gains = offsets[keep], gains[keep]
         gains = gains - gains.max()
-        low = np.flatnonzero(~(db_to_linear(gains) >= sys.float_info.min))
+        low = np.flatnonzero(~is_normal_power(db_to_linear(gains)))
         if len(low):
             k = low[0]
             raise ValueError(f"tabulated pattern gain {float(gains[k])!r} dB (normalized) at offset "
@@ -261,8 +258,7 @@ class TabulatedPattern(_Pattern):
         if abs(float(self.gain_db(0.0))) > 1e-9:
             raise ValueError("tabulated pattern peak must sit at 0 deg offset")
 
-    def _gain_db_vec(self, x):
-        off = wrap_offset_deg(x)
+    def _gain_db_vec(self, off):
         return np.interp(off, self.offsets_deg, self.gains_db, period=360.0)
 
 
@@ -293,8 +289,8 @@ def _crossing_distance(pattern, direction):
     return 0.5 * (lo + hi)
 
 
-def pattern_to_csv(pattern, path, step_deg: float = 0.1) -> None:
-    """Tabulate a pattern to a two-column CSV (offset_deg, gain_db).
+def pattern_to_csv(pattern, path, step_deg: float) -> None:
+    """Tabulate a pattern to a two-column curve CSV (offset_deg, gain_db).
 
     The step must divide 360 and be at least ``units.MIN_STEP_DEG`` (0.01
     deg); offsets run from -180 to +180 inclusive.
@@ -305,12 +301,7 @@ def pattern_to_csv(pattern, path, step_deg: float = 0.1) -> None:
     if n < 4 or abs(n * step_deg - 360.0) > 1e-9:
         raise ValueError(f"step_deg must divide 360, got {step_deg!r}")
     offsets = np.linspace(-180.0, 180.0, n + 1)
-    gains = np.asarray(pattern.gain_db(offsets), dtype=float)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["offset_deg", "gain_db"])
-        for off, g in zip(offsets, gains):
-            writer.writerow([f"{off:.{REPORT_SIG_DIGITS}g}", f"{g:.{REPORT_SIG_DIGITS}g}"])
+    write_curve_csv(path, "offset_deg,gain_db", zip(offsets, pattern.gain_db(offsets)))
 
 
 def pattern_from_csv(path) -> TabulatedPattern:

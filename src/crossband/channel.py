@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import math
 import operator
-import sys
 from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
 
-from .units import wrap_azimuths_deg
+from .units import is_normal_power, wrap_azimuths_deg
 
 
 @dataclass(frozen=True)
@@ -27,7 +26,7 @@ class Ray:
     Attributes
     ----------
     power : float
-        Linear channel gain, at least ``sys.float_info.min`` (no subnormals).
+        Linear channel gain, finite and normal (``units.is_normal_power``).
     delay : float
         Propagation delay in seconds, non-negative.
     aoa_azimuth : float
@@ -45,7 +44,7 @@ class Ray:
     def __post_init__(self):
         # plain floats, not numpy scalars: reprs of field values end up in
         # dataset files verbatim
-        if not (math.isfinite(self.power) and self.power >= sys.float_info.min):
+        if not is_normal_power(self.power):
             raise ValueError(f"ray power must be a finite normal float > 0, got {self.power!r}")
         object.__setattr__(self, "power", float(self.power))
         if not (math.isfinite(self.delay) and self.delay >= 0.0):

@@ -19,12 +19,12 @@ import sys
 from dataclasses import MISSING, fields
 from pathlib import Path
 
-from .batch import BatchReport, analyze_dataset, empirical_cdf, map_links, write_curve_csv
+from .batch import BatchReport, analyze_dataset, empirical_cdf, map_links
 from .beampattern import Gpp3Pattern, UlaPattern, pattern_from_csv, pattern_to_csv
 from .beams import METHODS, SimilarityConfig
 from .channel import LinkPair
 from .dataset import load_dataset, write_dataset
-from .jsonio import REPORT_SIG_DIGITS, dump, dumps, load
+from .jsonio import dump, dumps, load, round_floats, write_curve_csv
 from .metrics import psp
 from .pas import AngularGrid, filter_pas, normalize_pas
 from .synth import GENERATOR_NAME, GenConfig, generate_dataset
@@ -188,7 +188,7 @@ def _cmd_analyze(args) -> int:
     pair = _select_pair(_load_pairs(args), args.link)
     out = {"link_id": pair.link_id}
     out.update(_analyze(args, [pair]).per_link[pair.link_id].to_dict())
-    sys.stdout.write(dumps(out, sig_digits=REPORT_SIG_DIGITS))
+    sys.stdout.write(dumps(round_floats(out)))
     return EXIT_OK
 
 
@@ -196,7 +196,7 @@ def _export_batch(report: BatchReport, out_dir: Path, params: dict) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     doc = {"params": params}
     doc.update(report.to_dict())
-    dump(doc, out_dir / "report.json", sig_digits=REPORT_SIG_DIGITS)
+    dump(round_floats(doc), out_dir / "report.json")
     write_curve_csv(out_dir / "r_cdf.csv", "power_ratio_db,cumulative_probability", report.r_cdf)
     write_curve_csv(out_dir / "nf_pdf.csv", "n_false,probability", report.nf_pdf.items())
     write_curve_csv(out_dir / "card_low_pdf.csv", "cardinality,probability",
@@ -235,7 +235,7 @@ def _cmd_psp(args) -> int:
     out = {"hpbw_deg": args.hpbw_deg, "amax_db": args.amax_db, "per_link": per_link}
     if failures:
         out["failures"] = failures
-    sys.stdout.write(dumps(out, sig_digits=REPORT_SIG_DIGITS))
+    sys.stdout.write(dumps(round_floats(out)))
     if args.out:
         cdf = empirical_cdf(list(per_link.values()))
         write_curve_csv(args.out, "psp_percent,cumulative_probability", cdf)

@@ -36,21 +36,19 @@ the file.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
-import sys
 from array import array
 from contextlib import closing
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, repeat
 from pathlib import Path
 from typing import NoReturn
 
 import numpy as np
 
 from .channel import BandChannel, LinkPair, RayTable
-from .jsonio import csv_rows, dump, load
-from .units import db_to_linear_each, linear_to_db, wrap_azimuths_deg
+from .jsonio import csv_rows, dump, load, write_csv
+from .units import db_to_linear_each, is_normal_power, linear_to_db, wrap_azimuths_deg
 
 SCHEMA_VERSION = "1"
 FREQ_MATCH_TOLERANCE_GHZ = 1e-6
@@ -227,15 +225,13 @@ def _check_csv_pair(pair: LinkPair) -> None:
 
 def _write_csv(pairs: list[LinkPair], path) -> None:
     power_db, delay_ns = _written_columns(pairs)
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(_CSV_HEADER)
-        # csv.writer writes a float as its repr
-        for pair, bands in _link_columns(pairs, power_db, delay_ns):
-            for channel, powers, delays, aoas in bands:
-                n = len(powers)
-                writer.writerows(zip(repeat(pair.link_id, n), repeat(repr(channel.frequency), n),
-                                     powers, delays, aoas))
+    # one zip of rows per band, chained so that write_csv's writerows takes every row
+    rows = chain.from_iterable(
+        zip(repeat(pair.link_id, len(powers)), repeat(repr(channel.frequency), len(powers)),
+            powers, delays, aoas)
+        for pair, bands in _link_columns(pairs, power_db, delay_ns)
+        for channel, powers, delays, aoas in bands)
+    write_csv(path, _CSV_HEADER, rows)
 
 
 def _fail(path: str, reason: str):
@@ -266,7 +262,7 @@ def _check_freq(value, where: str) -> None:
 
 def _check_path(where: str, power_db, delay_ns, aoa_deg, *aod_deg) -> None:
     power_db = _check_number(power_db, f"{where}.power_db")
-    if not sys.float_info.min <= db_to_linear_each(np.array([power_db]))[0] < math.inf:
+    if not is_normal_power(db_to_linear_each(np.array([power_db]))[0]):
         _fail(f"{where}.power_db", f"{power_db!r} dB is zero, infinite or subnormal as a linear power")
     _check_number(delay_ns, f"{where}.delay_ns", minimum=0.0)
     _check_number(aoa_deg, f"{where}.aoa_deg", minimum=0.0, below=360.0)
@@ -288,7 +284,7 @@ def _checked_powers(replay, freq_ghz, power_db, delay_ns, aoa_deg, aod_deg) -> n
     """
     powers = db_to_linear_each(power_db)
     if not (((freq_ghz > 0.0) & (freq_ghz < math.inf)).all()
-            and ((powers >= sys.float_info.min) & (powers < math.inf)).all()
+            and is_normal_power(powers).all()
             and ((delay_ns >= 0.0) & (delay_ns < math.inf)).all()
             and _is_azimuth(aoa_deg) and _is_azimuth(aod_deg)):
         _raise_first_bad_entry(replay)

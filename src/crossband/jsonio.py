@@ -1,10 +1,10 @@
-"""Deterministic JSON emission, and the one reader each of JSON and CSV files.
+"""The one module that opens a file: deterministic JSON and CSV writers and readers.
 
 Reports and dataset files must serialize to the same bytes on every run, so
 dicts are emitted in insertion order (callers build them in a fixed order)
-and report floats are rounded to a fixed number of significant digits before
-serialization. Dataset files skip the rounding: path parameters round-trip
-at full float precision.
+and every line ends with LF. Report floats are rounded by ``round_floats``;
+dataset files skip the rounding: path parameters round-trip at full float
+precision.
 
 ``csv_rows`` hands each CSV row over with the line it starts on and checks
 each line's bytes as it reads them, so its callers name any row, and a line
@@ -20,29 +20,46 @@ import json
 REPORT_SIG_DIGITS = 12
 
 
-def round_floats(obj, sig_digits: int = REPORT_SIG_DIGITS):
-    """Copy of a JSON-ready structure with floats at ``sig_digits`` digits."""
+def round_floats(obj):
+    """Copy of a JSON-ready structure with floats at ``REPORT_SIG_DIGITS`` digits."""
     if isinstance(obj, float):
-        return float(f"{obj:.{sig_digits}g}")
+        return float(f"{obj:.{REPORT_SIG_DIGITS}g}")
     if isinstance(obj, dict):
-        return {k: round_floats(v, sig_digits) for k, v in obj.items()}
+        return {k: round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [round_floats(v, sig_digits) for v in obj]
+        return [round_floats(v) for v in obj]
     return obj
 
 
-def dumps(obj, sig_digits: int | None = None) -> str:
-    """Serialize with a trailing newline; optionally round floats first."""
-    if sig_digits is not None:
-        obj = round_floats(obj, sig_digits)
+def dumps(obj) -> str:
+    """Serialize with a trailing newline."""
     return json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
 
-def dump(obj, path, sig_digits: int | None = None) -> None:
-    """Write ``dumps(obj, sig_digits)`` to ``path``; a refused ``obj`` leaves it untouched."""
-    text = dumps(obj, sig_digits)
+def dump(obj, path) -> None:
+    """Write ``dumps(obj)`` to ``path``; a refused ``obj`` leaves it untouched."""
+    text = dumps(obj)
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(text)
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a header row, then ``rows``, as UTF-8 CSV with LF line ends; a float prints as its repr."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_curve_csv(path, header: str, rows) -> None:
+    """Write (x, y) rows under a comma-separated one-line header as CSV.
+
+    Both columns print with ``REPORT_SIG_DIGITS`` significant digits in
+    ``g`` format, so an integer x such as a direction count prints without a
+    decimal point.
+    """
+    write_csv(path, header.split(","),
+              ((f"{x:.{REPORT_SIG_DIGITS}g}", f"{y:.{REPORT_SIG_DIGITS}g}") for x, y in rows))
 
 
 def load(path, error=ValueError):

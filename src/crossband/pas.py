@@ -97,10 +97,18 @@ def filter_pas(channel: BandChannel, pattern, grid: AngularGrid) -> FilteredPas:
     weighted rows are then summed along the ray axis, which adds them in ray
     order at every grid point. The result is bit for bit that of a per-ray
     ``values += power * pattern.gain(angles - aoa)`` loop.
+
+    Raises ValueError, naming the band and the first such steering angle,
+    when a value is not positive because every ray's product underflowed.
     """
     rays = channel.rays
     gains = pattern.gain(grid.angles[None, :] - rays.aoas[:, None])
     values = (rays.powers[:, None] * gains).sum(axis=0)
+    positive = values > 0.0
+    if not positive.all():
+        raise ValueError(f"{channel.frequency:g} GHz band: filtered spectrum is zero at steering angle "
+                         f"{grid.angles[np.argmin(positive)]:g} deg, where every ray's power times its "
+                         "gain underflowed")
     return FilteredPas(grid=grid, values=values)
 
 

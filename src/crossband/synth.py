@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .channel import BandChannel, LinkPair, RayTable
-from .units import db_to_linear_each, wrap_azimuths_deg
+from .units import db_to_linear_each, is_normal_power, wrap_azimuths_deg
 
 GENERATOR_NAME = "numpy-pcg64"
 
@@ -128,7 +128,7 @@ def _generate(config: GenConfig, link_indices: range) -> list[LinkPair]:
     bounds = np.cumsum([0] + [n + extra for _ in link_indices for extra in extra_counts]).tolist()
     checks = (  # only an extreme setting draws a value a Ray would refuse
         (np.isfinite(aoas), "angle is not finite", "angle_jitter_deg"),
-        ((powers >= sys.float_info.min) & (powers < np.inf),
+        (is_normal_power(powers),
          "power is zero, infinite or subnormal as a linear power",
          "shared_power_decay_db or power_jitter_db"),
         (np.isfinite(delays_ns), "delay is not finite", "delay_spread_ns"),

@@ -1,4 +1,5 @@
-"""Scalar conversions used throughout the package: dB scales and angle wrapping.
+"""Scalar conversions used throughout the package: dB scales, angle wrapping
+and the normal-power rule.
 
 ``MIN_STEP_DEG``, 0.01 deg, is the finest angular step the package takes:
 for a steering grid, for a tabulated pattern file, and as the narrowest
@@ -9,6 +10,7 @@ keeps every per-step array within a few tens of thousands of points.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -41,6 +43,16 @@ def _db_to_linear_or_inf(value_db: float) -> float:
         return db_to_linear(value_db)
     except OverflowError:
         return math.inf
+
+
+def is_normal_power(power):
+    """Whether a linear power is a finite normal float; works on scalars and arrays.
+
+    That is at least ``sys.float_info.min``, about -3076.5 dB, and below
+    inf; NaN is not. Ray powers, pattern gain floors and tabulated gains
+    follow this rule, so none underflows to zero or to a subnormal.
+    """
+    return (power >= sys.float_info.min) & (power < math.inf)
 
 
 def linear_to_db(value):

@@ -82,6 +82,34 @@ def test_text_mode_opens_name_their_encoding():
     assert unnamed == []
 
 
+def _nodes(path):
+    return list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+
+
+def test_files_are_opened_by_jsonio_only():
+    # every file the package reads or writes goes through jsonio, one encoding and line ending
+    openers = sorted({path.name for path in SOURCES for call in _calls(path)
+                      if isinstance(call.func, ast.Name) and call.func.id == "open"})
+    assert openers == ["jsonio.py"]
+
+
+def test_csv_is_imported_by_jsonio_only():
+    # jsonio.write_csv and jsonio.csv_rows are the one CSV writer and reader
+    importers = sorted({path.name for path in SOURCES for node in _nodes(path)
+                        if (isinstance(node, ast.Import) and any(a.name == "csv" for a in node.names))
+                        or (isinstance(node, ast.ImportFrom) and node.module == "csv")})
+    assert importers == ["jsonio.py"]
+
+
+def test_normal_power_rule_is_spelled_by_units_only():
+    # units.is_normal_power is the one rule for ray powers, gain floors and table gains
+    spellers = sorted({path.name for path in SOURCES for node in _nodes(path)
+                       if isinstance(node, ast.Attribute) and node.attr == "min"
+                       and ((isinstance(node.value, ast.Attribute) and node.value.attr == "float_info")
+                            or (isinstance(node.value, ast.Name) and node.value.id == "float_info"))})
+    assert spellers == ["units.py"]
+
+
 def test_json_files_are_read_by_jsonio_only():
     # jsonio.load is the one place that turns bad JSON into an error naming the file
     readers = [path.name for path in SOURCES for call in _calls(path)

@@ -14,7 +14,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import crossband as cb
-from crossband.units import wrap_azimuths_deg
+from crossband.units import is_normal_power, wrap_azimuths_deg
 
 
 def ray(power=1.0, delay=0.0, aoa=0.0, aod=None):
@@ -65,6 +65,11 @@ class TestRay:
         # a subnormal power underflows to 0 through a pattern floor
         with pytest.raises(ValueError, match=re.escape(repr(power))):
             ray(power=power)
+
+    def test_integer_power_too_large_for_a_float_overflows(self):
+        # it passes the normal-power comparisons and fails its float conversion
+        with pytest.raises(OverflowError):
+            ray(power=10**400)
 
     def test_smallest_normal_power_accepted(self):
         assert ray(power=sys.float_info.min).power == sys.float_info.min
@@ -156,6 +161,29 @@ class TestRayTable:
         table = pickle.loads(pickle.dumps(cb.BandChannel(15.0, self.RAYS).rays))
         assert table == self.RAYS
         assert not table.powers.flags.writeable
+
+    @pytest.mark.parametrize("rays", [RAYS, RAYS[:1] + RAYS[2:]], ids=["with-aod", "without-aod"])
+    def test_repr_evaluates_to_an_equal_table(self, rays):
+        table = cb.RayTable(rays)
+        assert eval(repr(table), {"RayTable": cb.RayTable, "Ray": cb.Ray}) == table
+        assert repr(table).startswith("RayTable([Ray(power=1.0, ")
+
+    def test_other_types_are_left_to_the_other_operand(self):
+        table = cb.RayTable(self.RAYS)
+        assert table.__eq__(3) is NotImplemented
+        assert table != 3
+
+
+class TestIsNormalPower:
+    def test_scalars(self):
+        assert is_normal_power(sys.float_info.min)
+        assert is_normal_power(sys.float_info.max)
+        for power in (0.0, -1.0, 5e-324, math.nextafter(sys.float_info.min, 0.0), math.inf, math.nan):
+            assert not is_normal_power(power)
+
+    def test_arrays_elementwise(self):
+        powers = np.array([1.0, 0.0, 1e-310, np.inf, np.nan, sys.float_info.min])
+        assert is_normal_power(powers).tolist() == [True, False, False, False, False, True]
 
 
 class TestLinkPair:

@@ -8,6 +8,7 @@ import json
 import re
 from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -448,6 +449,25 @@ class TestFloatFaults:
         assert capsys.readouterr().err == (
             "error: every link failed analysis; first error: link 'hot': overflow encountered in reduce\n")
 
+    @pytest.mark.parametrize("command", ["analyze", "psp"])
+    def test_underflow_names_the_band(self, tmp_path, capsys, command):
+        # once "filtered spectrum values must be finite and strictly positive"
+        faint = cb.LinkPair(low=cb.BandChannel(15.0, (cb.Ray(1e-300, 0.0, 10.0),)),
+                            high=cb.BandChannel(28.0, (cb.Ray(1.0, 0.0, 10.0),)), link_id="faint")
+        path = tmp_path / "faint.json"
+        cb.write_dataset([faint], path)
+        if command == "analyze":
+            argv = ["analyze", "--data", str(path), "--low-ghz", "15", "--high-ghz", "28",
+                    "--pattern-low", "gpp3:hpbw=10,amax=300", "--pattern-high", "gpp3:hpbw=10"]
+        else:
+            argv = ["psp", "--data", str(path), "--low-ghz", "15", "--high-ghz", "28",
+                    "--hpbw-deg", "10", "--amax-db", "300"]
+        assert main(argv) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "error: every link failed analysis; first error: link 'faint': 15 GHz band: filtered "
+            "spectrum is zero at steering angle 55 deg, where every ray's power times its gain "
+            "underflowed\n")
+
     def test_psp_isolates_a_failing_link(self, tmp_path, capsys):
         good = cb.BandChannel(15.0, (cb.Ray(1.0, 0.0, 10.0),))
         path = tmp_path / "mixed.json"
@@ -480,6 +500,18 @@ class TestPattern:
         main(["pattern", "--spec", "gpp3:hpbw=10", "--out", str(out), "--step-deg", "0.5"])
         reloaded = parse_pattern_spec(f"file:{out}")
         assert float(reloaded.gain_db(5.0)) == pytest.approx(-3.0, abs=1e-9)
+
+    @pytest.mark.parametrize("spec", ["ula:n=8", "gpp3:hpbw=10"])
+    def test_lf_lines_at_the_default_step_that_load_back(self, tmp_path, spec):
+        # pattern files once ended lines with CRLF, unlike every other file written
+        out = tmp_path / "pat.csv"
+        assert main(["pattern", "--spec", spec, "--out", str(out)]) == EXIT_OK
+        raw = out.read_bytes()
+        assert b"\r" not in raw and raw.endswith(b"\n")
+        assert raw.count(b"\n") == 1 + 3601  # header, then -180 to 180 in 0.1 deg steps
+        xs = np.linspace(-180.0, 180.0, 3601)  # the offsets written
+        np.testing.assert_allclose(cb.pattern_from_csv(out).gain_db(xs),
+                                   parse_pattern_spec(spec).gain_db(xs), atol=1e-9)
 
     def test_bad_spec_is_usage_error(self, tmp_path):
         assert main(["pattern", "--spec", "gpp3", "--out", str(tmp_path / "x.csv")]) == EXIT_USAGE

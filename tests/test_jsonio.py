@@ -1,4 +1,4 @@
-"""Deterministic JSON emission, significant-digit rounding, and the JSON and CSV readers."""
+"""Deterministic JSON and CSV writers, report rounding, and the JSON and CSV readers."""
 
 from __future__ import annotations
 
@@ -9,21 +9,33 @@ import pytest
 
 import crossband as cb
 from crossband import jsonio
-from crossband.jsonio import csv_rows, dump, dumps, load, round_floats
+from crossband.jsonio import (
+    REPORT_SIG_DIGITS,
+    csv_rows,
+    dump,
+    dumps,
+    load,
+    round_floats,
+    write_csv,
+    write_curve_csv,
+)
 
 
 class TestRoundFloats:
     def test_rounds_to_significant_digits(self):
+        # REPORT_SIG_DIGITS, the one report precision, is 12
+        assert REPORT_SIG_DIGITS == 12
         assert round_floats(1.0 / 3.0) == 0.333333333333
-        assert round_floats(1.0 / 3.0, sig_digits=3) == 0.333
+        assert round_floats(2.0 / 3.0) == 0.666666666667
+        assert round_floats(-1.23456789012345e-7) == -1.23456789012e-7
 
     def test_integers_and_strings_untouched(self):
         assert round_floats({"n": 7, "s": "x"}) == {"n": 7, "s": "x"}
         assert round_floats(True) is True
 
     def test_nested_structures(self):
-        rounded = round_floats({"a": [1.23456789012345, (0.1, 2)]}, sig_digits=6)
-        assert rounded == {"a": [1.23457, [0.1, 2]]}
+        rounded = round_floats({"a": [1.23456789012345, (0.1, 2)]})
+        assert rounded == {"a": [1.23456789012, [0.1, 2]]}
 
     def test_exact_values_stay_exact(self):
         assert round_floats(-30.0) == -30.0
@@ -45,7 +57,8 @@ class TestDumps:
         assert text.index('"b"') < text.index('"a"')
 
     def test_optional_rounding(self):
-        assert "0.333333333333" in dumps({"x": 1.0 / 3.0}, sig_digits=12)
+        # dumps writes exactly what it is given; a report is rounded first
+        assert dumps(round_floats({"x": 1.0 / 3.0})) == '{\n  "x": 0.333333333333\n}\n'
         assert repr(1.0 / 3.0) in dumps({"x": 1.0 / 3.0})
 
     def test_non_finite_rejected(self):
@@ -70,9 +83,30 @@ class TestDump:
     def test_reruns_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         payload = {"r": [math.pi, math.e], "n": 3}
-        dump(payload, a, sig_digits=12)
-        dump(payload, b, sig_digits=12)
+        dump(round_floats(payload), a)
+        dump(round_floats(payload), b)
         assert a.read_bytes() == b.read_bytes()
+        assert b"3.14159265359" in a.read_bytes()
+
+
+class TestWriteCsv:
+    def test_lf_rows_with_floats_as_their_repr(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        write_csv(path, ["a", "b"], iter([("x", 0.1 + 0.2), ("y,z", 5e-324)]))
+        assert path.read_bytes() == b'a,b\nx,0.30000000000000004\n"y,z",5e-324\n'
+
+    def test_utf8_whatever_the_locale(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        write_csv(path, ["link_id"], [("\u00e9",)])
+        assert path.read_bytes() == "link_id\n\u00e9\n".encode("utf-8")
+
+    def test_curve_at_the_report_precision(self, tmp_path):
+        path = tmp_path / "curve.csv"
+        write_curve_csv(path, "n_false,probability", {0: 1.0 / 3.0, 2: 2.0 / 3.0}.items())
+        assert path.read_bytes() == b"n_false,probability\n0,0.333333333333\n2,0.666666666667\n"
+
+    def test_exported_by_the_package(self):
+        assert cb.write_curve_csv is write_curve_csv
 
 
 class TestLoad:

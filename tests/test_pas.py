@@ -91,6 +91,15 @@ class TestFilterPas:
         b = cb.filter_pas(cb.BandChannel(15.0, (r2,)), gpp3_10, grid)
         assert np.array_equal(both.values, a.values + b.values)
 
+    def test_underflowing_spectrum_names_the_band_and_angle(self, grid):
+        # each ray power and gain is a normal float; their product is not
+        faint = cb.BandChannel(15.0, (ray(power=1e-300, aoa=10.0),))
+        pattern = cb.Gpp3Pattern(hpbw_deg=10.0, a_max_db=300.0)
+        with pytest.raises(ValueError, match=r"^15 GHz band: filtered spectrum is zero at steering "
+                                             r"angle 55 deg, where every ray's power times its gain "
+                                             r"underflowed$"):
+            cb.filter_pas(faint, pattern, grid)
+
     def test_matches_reference_loop(self, grid, gpp3_10):
         rng = np.random.default_rng(11)
         rays = tuple(
