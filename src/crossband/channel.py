@@ -82,28 +82,6 @@ class RayTable:
             for field in ("power", "delay", "aoa_azimuth"))
         self._set(powers, delays, aoas, tuple(ray.aod_azimuth for ray in rays), None)
 
-    @classmethod
-    def _split(cls, powers, delays, aoas, bounds, aods=None, file=None) -> list[RayTable]:
-        """Tables over the slices ``[bounds[b], bounds[b + 1])`` of float64 columns.
-
-        Skips the checks: every value must be one ``Ray`` accepts unchanged,
-        as the dataset readers and the generator check whole columns
-        themselves. The columns are made read-only and the tables hold
-        views of them; ``aods``, if given, is a list with one angle or None
-        per path. ``file``, if given, is the ``(power_db, delay_ns)`` pair of
-        columns a dataset file held, which the writer writes back as they are.
-        """
-        for column in (powers, delays, aoas, *(file or ())):
-            _read_only(column)
-        tables = []
-        for start, stop in zip(bounds, bounds[1:]):
-            table = object.__new__(cls)
-            table._set(powers[start:stop], delays[start:stop], aoas[start:stop],
-                       None if aods is None else tuple(aods[start:stop]),
-                       None if file is None else tuple(column[start:stop] for column in file))
-            tables.append(table)
-        return tables
-
     def _set(self, powers, delays, aoas, aods, file):
         object.__setattr__(self, "powers", powers)
         object.__setattr__(self, "delays", delays)
@@ -179,6 +157,31 @@ class BandChannel:
         object.__setattr__(self, "frequency", float(self.frequency))
         if len(self.rays) == 0:
             raise ValueError("a channel needs at least one ray")
+
+
+def _channels(freqs, powers, delay_ns, aoa_deg, bounds, aods=None, power_db=None) -> list[BandChannel]:
+    """Channels over the slices ``[bounds[b], bounds[b + 1])`` of checked path columns.
+
+    Band ``b`` is at ``freqs[b]`` GHz. The float64 columns hold linear
+    powers, delays in ns and finite azimuths in degrees, as files and the
+    generator do; their callers have checked every value, so nothing is
+    checked again. The delays are scaled to seconds and the azimuths wrapped
+    once per column. The columns are made read-only and the tables hold
+    views of them; ``aods``, if given, is a list with one angle or None per
+    path. ``power_db``, if given, makes each table keep its slices of the
+    file's ``(power_db, delay_ns)`` columns, which the writer writes back.
+    """
+    delays, aoas = _read_only(delay_ns * 1e-9), _read_only(wrap_azimuths_deg(aoa_deg))
+    file = None if power_db is None else (_read_only(power_db), _read_only(delay_ns))
+    _read_only(powers)
+    channels = []
+    for freq, start, stop in zip(freqs, bounds, bounds[1:]):
+        table = object.__new__(RayTable)
+        table._set(powers[start:stop], delays[start:stop], aoas[start:stop],
+                   None if aods is None else tuple(aods[start:stop]),
+                   None if file is None else tuple(column[start:stop] for column in file))
+        channels.append(BandChannel(freq, table))
+    return channels
 
 
 @dataclass(frozen=True)

@@ -235,10 +235,10 @@ def _cmd_psp(args) -> int:
     out = {"hpbw_deg": args.hpbw_deg, "amax_db": args.amax_db, "per_link": per_link}
     if failures:
         out["failures"] = failures
-    sys.stdout.write(dumps(round_floats(out)))
-    if args.out:
+    if args.out:  # before the report, so a failed write prints none
         cdf = empirical_cdf(list(per_link.values()))
         write_curve_csv(args.out, "psp_percent,cumulative_probability", cdf)
+    sys.stdout.write(dumps(round_floats(out)))
     return EXIT_OK
 
 

@@ -25,8 +25,8 @@ Each records an entry's location as it reads it: the JSON reader each
 band's ``links[i].bands[j]`` with its path entries, the CSV reader the line
 each row starts on, as ``jsonio.csv_rows`` hands it over. Only a file that
 fails is walked again, over those records, to name the first bad entry.
-Each band becomes a ``BandChannel`` over
-slices of those columns and keeps the file's ``power_db`` and ``delay_ns``
+``channel._channels`` makes each band a ``BandChannel`` over slices of
+those columns that keeps the file's ``power_db`` and ``delay_ns``
 values, which the writers write back as they are, so a loaded file rewrites
 byte for byte. The writers work on the same columns, through the same
 number checks. A file may carry more bands than any one analysis uses, so
@@ -46,7 +46,7 @@ from typing import NoReturn
 
 import numpy as np
 
-from .channel import BandChannel, LinkPair, RayTable
+from .channel import BandChannel, LinkPair, _channels
 from .jsonio import csv_rows, dump, load, write_csv
 from .units import db_to_linear_each, is_normal_power, linear_to_db, wrap_azimuths_deg
 
@@ -108,7 +108,8 @@ def load_dataset(path, low_freq_ghz: float, high_freq_ghz: float) -> list[LinkPa
     band matching ``high_freq_ghz``, so a link holding two bands at one
     frequency pairs them in file order and a single matching band pairs with
     itself. Links missing either frequency are skipped, summarized in one
-    logged warning; structural problems raise ``DatasetFormatError``.
+    logged warning; structural problems raise ``DatasetFormatError``, as
+    does a link whose low band so bound lies above its high band.
     """
     if not 0.0 < low_freq_ghz <= high_freq_ghz:
         raise ValueError("need 0 < low_freq_ghz <= high_freq_ghz")
@@ -125,7 +126,11 @@ def load_dataset(path, low_freq_ghz: float, high_freq_ghz: float) -> list[LinkPa
             missing = low_freq_ghz if not low_matches else high_freq_ghz
             skipped.setdefault(missing, []).append(link_id)
             continue
-        pairs.append(LinkPair(low=low_matches[0], high=high_matches[-1], link_id=link_id))
+        low, high = low_matches[0], high_matches[-1]
+        if low.frequency > high.frequency:
+            _fail(str(path), f"link {link_id!r}: the low band at {low.frequency!r} GHz "
+                             f"lies above the high band at {high.frequency!r} GHz")
+        pairs.append(LinkPair(low=low, high=high, link_id=link_id))
     if skipped:
         groups = "; ".join(
             f"{len(ids)} with no band at {freq:.6g} GHz (first: {', '.join(ids[:_SKIPPED_IDS_SHOWN])})"
@@ -136,16 +141,17 @@ def load_dataset(path, low_freq_ghz: float, high_freq_ghz: float) -> list[LinkPa
 
 
 def _written_columns(pairs: list[LinkPair]):
-    """``power_db`` and ``delay_ns`` arrays of every path in file order, checked to load back.
+    """Each pair with its two bands as ``(channel, power_db, delay_ns, aoa_deg)``, checked to load back.
 
     A band loaded from a file keeps the two columns the file held, so a
     loaded file writes back byte for byte; the others are computed from the
     linear powers and the delays in seconds. The columns go through the
-    loader's own number checks; only when they fail are the paths checked
-    one by one, in file order, and the first that would not load back is
-    named by its link and ``links[i].bands[j].paths[k]`` (path ``k`` of band
-    ``j`` of ``pairs[i]``), in either format. Frequencies and angles are
-    written as the channels hold them, which the loader accepts.
+    loader's own number checks before this returns; only when they fail are
+    the paths checked one by one, in file order, and the first that would
+    not load back is named by its link and ``links[i].bands[j].paths[k]``
+    (path ``k`` of band ``j`` of ``pairs[i]``), in either format. Frequencies
+    and angles are written as the channels hold them, which the loader
+    accepts. The lists are sliced from the columns one link at a time.
     """
     tables = [channel.rays for pair in pairs for channel in (pair.low, pair.high)]
     power_db = linear_to_db(np.concatenate([t.powers for t in tables]))
@@ -168,30 +174,24 @@ def _written_columns(pairs: list[LinkPair]):
 
     empty = np.empty(0)
     _checked_powers(replay, empty, power_db, delay_ns, empty, empty)
-    return power_db, delay_ns
 
+    def links():
+        start = 0
+        for pair in pairs:
+            bands = []
+            for channel in (pair.low, pair.high):
+                stop = start + len(channel.rays)
+                bands.append((channel, power_db[start:stop].tolist(), delay_ns[start:stop].tolist(),
+                              channel.rays.aoas.tolist()))
+                start = stop
+            yield pair, bands
 
-def _link_columns(pairs: list[LinkPair], power_db: np.ndarray, delay_ns: np.ndarray):
-    """Each pair with its two bands as ``(channel, power_db, delay_ns, aoa_deg)``.
-
-    The columns are lists sliced from the file-order arrays one link at a
-    time, so no whole-file list of Python floats is ever held.
-    """
-    start = 0
-    for pair in pairs:
-        bands = []
-        for channel in (pair.low, pair.high):
-            stop = start + len(channel.rays)
-            bands.append((channel, power_db[start:stop].tolist(), delay_ns[start:stop].tolist(),
-                          channel.rays.aoas.tolist()))
-            start = stop
-        yield pair, bands
+    return links()
 
 
 def _to_file_dict(pairs: list[LinkPair], metadata: dict | None) -> dict:
-    power_db, delay_ns = _written_columns(pairs)
     links = []
-    for pair, bands in _link_columns(pairs, power_db, delay_ns):
+    for pair, bands in _written_columns(pairs):
         file_bands = []
         for channel, powers, delays, aoas in bands:
             paths = [{"power_db": p, "delay_ns": d, "aoa_deg": a}
@@ -224,12 +224,11 @@ def _check_csv_pair(pair: LinkPair) -> None:
 
 
 def _write_csv(pairs: list[LinkPair], path) -> None:
-    power_db, delay_ns = _written_columns(pairs)
     # one zip of rows per band, chained so that write_csv's writerows takes every row
     rows = chain.from_iterable(
         zip(repeat(pair.link_id, len(powers)), repeat(repr(channel.frequency), len(powers)),
             powers, delays, aoas)
-        for pair, bands in _link_columns(pairs, power_db, delay_ns)
+        for pair, bands in _written_columns(pairs)
         for channel, powers, delays, aoas in bands)
     write_csv(path, _CSV_HEADER, rows)
 
@@ -369,9 +368,7 @@ def _read_links_json(path) -> list[tuple[str, list[BandChannel]]]:
         for n, aod in zip(aod_paths, wrap_azimuths_deg(aod_deg).tolist()):
             aods[n] = aod
     bounds = [0, *accumulate(len(paths) for _, _, paths in bands)]
-    tables = RayTable._split(powers, delay_ns * 1e-9, wrap_azimuths_deg(aoa_deg), bounds, aods,
-                             file=(power_db, delay_ns))
-    channels = map(BandChannel, freq_ghz.tolist(), tables)
+    channels = iter(_channels(freq_ghz.tolist(), powers, delay_ns, aoa_deg, bounds, aods, power_db))
     return [(link_id, [next(channels) for _ in range(count)]) for link_id, count in links]
 
 
@@ -450,8 +447,7 @@ def _read_links_csv(path) -> list[tuple[str, list[BandChannel]]]:
     order = np.argsort(row_bands, kind="stable")
     starts = [0] + np.cumsum(np.bincount(row_bands, minlength=len(bands))).tolist()
     power_db, delay_ns, aoa_deg, powers = (column[order] for column in columns())
-    tables = RayTable._split(powers, delay_ns * 1e-9, wrap_azimuths_deg(aoa_deg), starts,
-                             file=(power_db, delay_ns))
-    channels = [BandChannel(freq, table) for (_, freq), table in zip(bands, tables)]
+    channels = _channels([freq for _, freq in bands], powers, delay_ns, aoa_deg, starts,
+                         power_db=power_db)
     return [(link_id, [channels[b] for b in indices]) for link_id, indices in link_bands.items()]
 

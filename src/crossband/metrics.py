@@ -12,16 +12,17 @@ from .pas import AngularGrid, NormalizedPas, filter_pas, normalize_pas
 
 @dataclass(frozen=True)
 class PspResult:
-    """Total variation distance and the equivalent similarity percentage."""
+    """Total variation distance; ``psp_percent`` is the equivalent ``(1 - d_tv) * 100``."""
 
     d_tv: float
-    psp_percent: float
 
     def __post_init__(self):
         if not 0.0 <= self.d_tv <= 1.0:
             raise ValueError(f"d_tv must be in [0, 1], got {self.d_tv!r}")
-        if self.psp_percent != (1.0 - self.d_tv) * 100.0:
-            raise ValueError("psp_percent must equal (1 - d_tv) * 100 exactly")
+
+    @property
+    def psp_percent(self) -> float:
+        return (1.0 - self.d_tv) * 100.0
 
     def to_dict(self) -> dict:
         return {"d_tv": self.d_tv, "psp_percent": self.psp_percent}
@@ -42,7 +43,7 @@ def total_variation(a: NormalizedPas, b: NormalizedPas) -> float:
 def psp(a: NormalizedPas, b: NormalizedPas) -> PspResult:
     """Similarity percentage, 100 * (1 - total variation distance)."""
     d = total_variation(a, b)
-    return PspResult(d_tv=d, psp_percent=(1.0 - d) * 100.0)
+    return PspResult(d_tv=d)
 
 
 def pair_psp(pair: LinkPair, pattern, grid: AngularGrid) -> PspResult:

@@ -19,8 +19,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .channel import BandChannel, LinkPair, RayTable
-from .units import db_to_linear_each, is_normal_power, wrap_azimuths_deg
+from .channel import LinkPair, _channels
+from .units import db_to_linear_each, is_normal_power
 
 GENERATOR_NAME = "numpy-pcg64"
 
@@ -138,9 +138,7 @@ def _generate(config: GenConfig, link_indices: range) -> list[LinkPair]:
             for ok, what, settings in checks:
                 if not ok[start:stop].all():
                     raise ValueError(f"link {link_indices[band // 2]}: a drawn {what}; lower {settings}")
-    tables = RayTable._split(powers, delays_ns * 1e-9, wrap_azimuths_deg(aoas), bounds)
-    return [
-        LinkPair(low=BandChannel(config.low_freq_ghz, low), high=BandChannel(config.high_freq_ghz, high),
-                 link_id=f"link-{link_index:05d}")
-        for link_index, low, high in zip(link_indices, tables[::2], tables[1::2])
-    ]
+    channels = _channels([config.low_freq_ghz, config.high_freq_ghz] * len(link_indices),
+                         powers, delays_ns, aoas, bounds)
+    return [LinkPair(low=low, high=high, link_id=f"link-{link_index:05d}")
+            for link_index, low, high in zip(link_indices, channels[::2], channels[1::2])]

@@ -307,5 +307,8 @@ def load_dataset(path, low_freq_ghz: float, high_freq_ghz: float) -> list:
         low = [b for b in bands if abs(b[0] - low_freq_ghz) <= 1e-6]
         high = [b for b in bands if abs(b[0] - high_freq_ghz) <= 1e-6]
         if low and high:
+            if low[0][0] > high[-1][0]:
+                _refuse(str(path), f"link {link_id!r}: the low band at {low[0][0]!r} GHz "
+                                   f"lies above the high band at {high[-1][0]!r} GHz")
             pairs.append((link_id, low[0], high[-1]))
     return pairs

@@ -110,6 +110,15 @@ def test_normal_power_rule_is_spelled_by_units_only():
     assert spellers == ["units.py"]
 
 
+def test_ray_table_is_named_by_channel_only():
+    # channel._channels is the one way from checked columns to channels
+    namers = sorted({path.name for path in SOURCES for node in _nodes(path)
+                     if (isinstance(node, ast.Name) and node.id == "RayTable")
+                     or (isinstance(node, ast.Attribute) and node.attr == "RayTable")
+                     or (isinstance(node, ast.alias) and node.name == "RayTable")})
+    assert namers == ["__init__.py", "channel.py"]
+
+
 def test_json_files_are_read_by_jsonio_only():
     # jsonio.load is the one place that turns bad JSON into an error naming the file
     readers = [path.name for path in SOURCES for call in _calls(path)

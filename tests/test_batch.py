@@ -99,7 +99,7 @@ class TestPercentiles:
         assert sum(s <= med for s in ordered) / len(ordered) >= 0.5 - 1e-9
 
 
-PSP = cb.PspResult(d_tv=0.0, psp_percent=100.0)
+PSP = cb.PspResult(d_tv=0.0)
 
 
 @st.composite

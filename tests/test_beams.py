@@ -25,7 +25,7 @@ from oracles import (
 )
 
 FLOOR = 1e-6
-PSP = cb.PspResult(d_tv=0.25, psp_percent=75.0)
+PSP = cb.PspResult(d_tv=0.25)
 
 
 def spectrum(grid, bumps, floor=FLOOR):

@@ -407,6 +407,16 @@ class TestPsp:
         capsys.readouterr()
         assert code == EXIT_IO
 
+    def test_failed_cdf_write_prints_no_report(self, dataset_path, tmp_path, capsys):
+        # the report once reached stdout before the CDF write failed
+        code = main(["psp", "--data", str(dataset_path), "--low-ghz", "15",
+                     "--high-ghz", "28", "--hpbw-deg", "10",
+                     "--out", str(tmp_path / "no_dir" / "x.csv")])
+        captured = capsys.readouterr()
+        assert code == EXIT_IO
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
 
 class TestFloatFaults:
     # two 1e308 rays overflow the 28 GHz band's filtered spectrum
@@ -587,9 +597,13 @@ class TestMalformedInputCorpus:
             ("wide.csv", b"offset_deg,gain_db\n0,0\n" + b"9" * 200_000 + b",-10\n", PATTERN_ARGV),
             ("odd.csv", DATASET_HEADER + b"a,15,0,1,10\n\xff,28,0,1,10\n", PSP_ARGV),
             ("odd.csv", b"offset_deg,gain_db\n0,0\n\xff90,-10\n", PATTERN_ARGV),
+            # both bands match both requests within 1e-6 GHz, the higher one first
+            ("twin.csv", DATASET_HEADER + b"a,15.0000004,0,1,10\na,15.0,0,1,10\n",
+             ["15" if arg == "28" else arg for arg in PSP_ARGV]),
         ],
         ids=["deep-dataset", "deep-config", "config-not-utf-8", "dataset-csv-wide-field",
-             "pattern-wide-field", "dataset-csv-not-utf-8", "pattern-not-utf-8"],
+             "pattern-wide-field", "dataset-csv-not-utf-8", "pattern-not-utf-8",
+             "dataset-low-band-above-high-band"],
     )
     def test_one_error_line_naming_the_file(self, tmp_path, capsys, name, content, argv):
         data, out = tmp_path / name, tmp_path / "out.csv"

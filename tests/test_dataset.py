@@ -203,6 +203,17 @@ class TestBandPairing:
         assert len(pairs[0].low.rays) == 1
         assert len(pairs[0].high.rays) == 2
 
+    def test_low_band_above_the_high_band_refused_by_file_and_link(self, tmp_path):
+        # both bands match both requests within the tolerance, the higher one first
+        path = write_json(tmp_path, {"schema_version": "1", "metadata": {}, "links": [
+            {"link_id": "a", "bands": [
+                {"freq_ghz": freq, "paths": [{"power_db": 0.0, "delay_ns": 0.0, "aoa_deg": 5.0}]}
+                for freq in (15.0000004, 15.0)]}]}, name="twin.json")
+        with pytest.raises(cb.DatasetFormatError) as info:
+            cb.load_dataset(path, 15.0, 15.0)
+        assert str(info.value) == (f"{path}: link 'a': the low band at 15.0000004 GHz "
+                                   "lies above the high band at 15.0 GHz")
+
     def test_links_missing_a_band_are_skipped(self, tmp_path, caplog):
         doc = minimal_doc()
         doc["links"].append(
@@ -699,8 +710,15 @@ BAD_JSON_VALUES = ["x", True, None, [1.0], math.nan, math.inf, -1.0, -0.5, 0, 36
 BAD_CSV_VALUES = ["x", "", "nan", "inf", "-1", "-0.5", "0", "360", "4000", "-4000", "-3100", "1e999"]
 
 
+# mostly both requested bands, within the 1e-6 GHz tolerance or exact
+PAIRED_BANDS = st.sampled_from([[15.0, 28.0], [28, 15], [6.0, 15.0000004, 28.0],
+                                [15.0, 15.0000004, 28.0], [15.0, 60.0], [28.0]])
+# two bands within the tolerance of 15 GHz and of each other, in either order
+NEAR_EQUAL_BANDS = st.lists(st.sampled_from([15.0, 15, 15.0000004, 14.9999996]), min_size=2, max_size=2)
+
+
 @st.composite
-def dataset_files(draw, csv: bool):
+def dataset_files(draw, csv: bool, bands=PAIRED_BANDS):
     """A random valid dataset, as a JSON document or CSV rows, with at most one corruption."""
     paths = st.fixed_dictionaries(
         {"power_db": st.floats(-300.0, 300.0) | st.integers(-300, 300),
@@ -708,9 +726,6 @@ def dataset_files(draw, csv: bool):
          "aoa_deg": ANGLES},
         optional={} if csv else {"aod_deg": ANGLES},
     )
-    # mostly both requested bands, within the 1e-6 GHz tolerance or exact
-    bands = st.sampled_from([[15.0, 28.0], [28, 15], [6.0, 15.0000004, 28.0],
-                             [15.0, 15.0000004, 28.0], [15.0, 60.0], [28.0]])
     links = [
         {"link_id": f"l{i}",
          "bands": [{"freq_ghz": freq, "paths": draw(st.lists(paths, min_size=1, max_size=4))}
@@ -738,6 +753,24 @@ def _columns(paths):
             repr(aods if any(a is not None for a in aods) else None))
 
 
+def _assert_loads_as_the_reference_does(path, low_ghz, high_ghz):
+    try:
+        expected = oracles.load_dataset(path, low_ghz, high_ghz)
+    except oracles.DatasetRefused as exc:
+        with pytest.raises(cb.DatasetFormatError) as info:
+            cb.load_dataset(path, low_ghz, high_ghz)
+        assert str(info.value) == str(exc)
+        return
+    got = cb.load_dataset(path, low_ghz, high_ghz)
+    assert [p.link_id for p in got] == [link_id for link_id, _, _ in expected]
+    for pair, (_, low, high) in zip(got, expected):
+        for band, (freq, paths) in ((pair.low, low), (pair.high, high)):
+            assert repr(band.frequency) == repr(freq)
+            rays = band.rays
+            assert (rays.powers.tobytes(), rays.delays.tobytes(), rays.aoas.tobytes(),
+                    repr(rays.aods)) == _columns(paths)
+
+
 class TestMatchesTheReferenceLoader:
     @pytest.mark.parametrize("name", ["links.json", "links.csv"])
     @settings(deadline=None)  # file I/O time is not under test
@@ -745,21 +778,18 @@ class TestMatchesTheReferenceLoader:
     def test_same_pairs_or_same_error(self, tmp_path_factory, name, data):
         path = tmp_path_factory.mktemp("diff") / name
         path.write_text(data.draw(dataset_files(csv=name.endswith(".csv"))), encoding="utf-8")
-        try:
-            expected = oracles.load_dataset(path, 15.0, 28.0)
-        except oracles.DatasetRefused as exc:
-            with pytest.raises(cb.DatasetFormatError) as info:
-                cb.load_dataset(path, 15.0, 28.0)
-            assert str(info.value) == str(exc)
-            return
-        got = cb.load_dataset(path, 15.0, 28.0)
-        assert [p.link_id for p in got] == [link_id for link_id, _, _ in expected]
-        for pair, (_, low, high) in zip(got, expected):
-            for band, (freq, paths) in ((pair.low, low), (pair.high, high)):
-                assert repr(band.frequency) == repr(freq)
-                rays = band.rays
-                assert (rays.powers.tobytes(), rays.delays.tobytes(), rays.aoas.tobytes(),
-                        repr(rays.aods)) == _columns(paths)
+        _assert_loads_as_the_reference_does(path, 15.0, 28.0)
+
+    @pytest.mark.parametrize("name", ["links.json", "links.csv"])
+    @pytest.mark.parametrize("freqs", [(15.0, 15.0), (15.0, 15.0000004)], ids=["15-15", "15-15.0000004"])
+    @settings(deadline=None)  # file I/O time is not under test
+    @given(data=st.data())
+    def test_near_equal_bands_pair_or_are_refused_as_the_reference_does(
+            self, tmp_path_factory, name, freqs, data):
+        path = tmp_path_factory.mktemp("near") / name
+        path.write_text(data.draw(dataset_files(csv=name.endswith(".csv"), bands=NEAR_EQUAL_BANDS)),
+                        encoding="utf-8")
+        _assert_loads_as_the_reference_does(path, *freqs)
 
 
 # link ids that hold newlines, so a quoted row spans lines, and a non-ASCII letter

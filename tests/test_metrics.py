@@ -30,17 +30,13 @@ weight_vectors = st.lists(
 
 class TestPspResult:
     def test_round_trip_dict(self):
-        res = cb.PspResult(d_tv=0.25, psp_percent=75.0)
+        res = cb.PspResult(d_tv=0.25)
         assert res.to_dict() == {"d_tv": 0.25, "psp_percent": 75.0}
 
     @pytest.mark.parametrize("d", [-0.1, 1.1])
     def test_distance_out_of_range_rejected(self, d):
         with pytest.raises(ValueError):
-            cb.PspResult(d_tv=d, psp_percent=(1.0 - d) * 100.0)
-
-    def test_inconsistent_percentage_rejected(self):
-        with pytest.raises(ValueError):
-            cb.PspResult(d_tv=0.25, psp_percent=75.0000001)
+            cb.PspResult(d_tv=d)
 
 
 class TestTotalVariation:
