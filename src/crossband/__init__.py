@@ -23,7 +23,6 @@ from .beams import (
     SimilarityConfig,
     SimilarityReport,
     analyze_pair,
-    beam_cfr,
     false_directions,
     power_ratio,
     select_m1,
@@ -56,7 +55,6 @@ __all__ = [
     "UlaPattern",
     "analyze_dataset",
     "analyze_pair",
-    "beam_cfr",
     "empirical_cdf",
     "false_directions",
     "filter_pas",

@@ -220,6 +220,7 @@ class TabulatedPattern(_Pattern):
     at zero offset, as for the synthesized kinds. Offsets are wrapped first,
     so -180 and 180 are one direction: samples at one direction collapse to
     one when their gains are equal and raise ValueError when they differ.
+    At least two directions must remain after that.
     """
 
     offsets_deg: np.ndarray
@@ -230,20 +231,19 @@ class TabulatedPattern(_Pattern):
         gains = np.asarray(self.gains_db, dtype=float)
         if offsets.ndim != 1 or offsets.shape != gains.shape:
             raise ValueError("offsets and gains must be 1-d arrays of equal length")
-        if len(offsets) < 2:
-            raise ValueError("a tabulated pattern needs at least two samples")
         if not np.all(np.isfinite(offsets)) or not np.all(np.isfinite(gains)):
             raise ValueError("tabulated pattern samples must be finite")
         order = np.argsort(offsets, kind="stable")
         offsets, gains = offsets[order], gains[order]
-        repeated = np.diff(offsets) == 0.0
-        clash = np.flatnonzero(repeated & (gains[1:] != gains[:-1]))
+        keep = np.diff(offsets, prepend=-math.inf) != 0.0  # the first sample at each direction
+        clash = np.flatnonzero(~keep[1:] & (gains[1:] != gains[:-1]))
         if len(clash):
             k = clash[0]
             raise ValueError(f"tabulated pattern has two gains at offset {float(offsets[k])!r} deg: "
                              f"{float(gains[k])!r} and {float(gains[k + 1])!r} dB")
-        keep = np.r_[True, ~repeated]
         offsets, gains = offsets[keep], gains[keep]
+        if len(offsets) < 2:
+            raise ValueError("a tabulated pattern needs at least two samples")
         gains = gains - gains.max()
         low = np.flatnonzero(~is_normal_power(db_to_linear(gains)))
         if len(low):
@@ -292,13 +292,15 @@ def _crossing_distance(pattern, direction):
 def pattern_to_csv(pattern, path, step_deg: float) -> None:
     """Tabulate a pattern to a two-column curve CSV (offset_deg, gain_db).
 
-    The step must divide 360 and be at least ``units.MIN_STEP_DEG`` (0.01
-    deg); offsets run from -180 to +180 inclusive.
+    The step must divide 360 and lie in [``units.MIN_STEP_DEG``, 90], that
+    is [0.01, 90] deg; offsets run from -180 to +180 inclusive.
     """
     if not step_deg >= MIN_STEP_DEG:
         raise ValueError(f"step_deg must be >= {MIN_STEP_DEG}, got {step_deg!r}")
+    if not step_deg <= 90.0:
+        raise ValueError(f"step_deg must be at most 90, got {step_deg!r}")
     n = round(360.0 / step_deg)
-    if n < 4 or abs(n * step_deg - 360.0) > 1e-9:
+    if abs(n * step_deg - 360.0) > 1e-9:
         raise ValueError(f"step_deg must divide 360, got {step_deg!r}")
     offsets = np.linspace(-180.0, 180.0, n + 1)
     write_curve_csv(path, "offset_deg,gain_db", zip(offsets, pattern.gain_db(offsets)))

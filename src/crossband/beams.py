@@ -160,19 +160,12 @@ def select_m1(pas: FilteredPas, delta_th_db: float) -> DirectionSet:
     return DirectionSet(pas.grid, tuple(kept))
 
 
-def beam_cfr(channel: BandChannel, pattern, steer_deg: float) -> np.ndarray:
-    """Synthesized channel frequency response of a steered beam.
-
-    Tap amplitudes are ``sqrt(power * gain)`` with the pattern steered to
-    ``steer_deg``; tap phases rotate with the path delays over the fixed
-    ``m2`` gate's ``M2_FREQUENCY_POINTS`` frequencies, spanning the carrier
-    plus/minus half of ``M2_BANDWIDTH_GHZ``.
-    """
-    return _cfr_matrix(channel, pattern, np.array([float(steer_deg)]))[0]
-
-
 def _cfr_matrix(channel, pattern, steer_deg):
-    """Rows of beam responses, one per steering angle, columns over frequency."""
+    """Rows of beam responses, one per steering angle, columns over frequency.
+
+    Tap amplitudes are ``sqrt(power * gain)``; tap phases rotate with the path
+    delays over the fixed frequency sweep of the ``m2`` gate.
+    """
     rays = channel.rays
     f_hz = np.linspace(
         (channel.frequency - 0.5 * M2_BANDWIDTH_GHZ) * 1e9,

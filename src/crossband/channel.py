@@ -72,7 +72,7 @@ class RayTable:
 
     __slots__ = ("powers", "delays", "aoas", "aods", "_file")
 
-    def __init__(self, rays):
+    def __new__(cls, rays):
         rays = tuple(rays)
         for ray in rays:
             if not isinstance(ray, Ray):
@@ -80,14 +80,7 @@ class RayTable:
         powers, delays, aoas = (
             _read_only(np.fromiter((getattr(ray, field) for ray in rays), float, len(rays)))
             for field in ("power", "delay", "aoa_azimuth"))
-        self._set(powers, delays, aoas, tuple(ray.aod_azimuth for ray in rays), None)
-
-    def _set(self, powers, delays, aoas, aods, file):
-        object.__setattr__(self, "powers", powers)
-        object.__setattr__(self, "delays", delays)
-        object.__setattr__(self, "aoas", aoas)
-        object.__setattr__(self, "aods", aods if aods and any(a is not None for a in aods) else None)
-        object.__setattr__(self, "_file", file)
+        return _table(powers, delays, aoas, tuple(ray.aod_azimuth for ray in rays), None)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -122,7 +115,7 @@ class RayTable:
         return hash(tuple(self))
 
     def __reduce__(self):
-        return (RayTable, (tuple(self),))
+        return (_unpickled, (self.powers, self.delays, self.aoas, self.aods, self._file))
 
     def __repr__(self):
         return f"RayTable({list(self)!r})"
@@ -131,6 +124,22 @@ class RayTable:
 def _read_only(column: np.ndarray) -> np.ndarray:
     column.flags.writeable = False
     return column
+
+
+def _table(powers, delays, aoas, aods, file) -> RayTable:
+    """A table over checked read-only columns; ``file`` is None or its slices of a file's."""
+    table = object.__new__(RayTable)
+    object.__setattr__(table, "powers", powers)
+    object.__setattr__(table, "delays", delays)
+    object.__setattr__(table, "aoas", aoas)
+    object.__setattr__(table, "aods", aods if aods and any(a is not None for a in aods) else None)
+    object.__setattr__(table, "_file", file)
+    return table
+
+
+def _unpickled(powers, delays, aoas, aods, file) -> RayTable:
+    """``_table`` over a pickled or copied table's columns, made read-only again."""
+    return _table(*map(_read_only, (powers, delays, aoas)), aods, file and tuple(map(_read_only, file)))
 
 
 @dataclass(frozen=True)
@@ -174,14 +183,11 @@ def _channels(freqs, powers, delay_ns, aoa_deg, bounds, aods=None, power_db=None
     delays, aoas = _read_only(delay_ns * 1e-9), _read_only(wrap_azimuths_deg(aoa_deg))
     file = None if power_db is None else (_read_only(power_db), _read_only(delay_ns))
     _read_only(powers)
-    channels = []
-    for freq, start, stop in zip(freqs, bounds, bounds[1:]):
-        table = object.__new__(RayTable)
-        table._set(powers[start:stop], delays[start:stop], aoas[start:stop],
-                   None if aods is None else tuple(aods[start:stop]),
-                   None if file is None else tuple(column[start:stop] for column in file))
-        channels.append(BandChannel(freq, table))
-    return channels
+    return [BandChannel(freq, _table(
+                powers[start:stop], delays[start:stop], aoas[start:stop],
+                None if aods is None else tuple(aods[start:stop]),
+                None if file is None else tuple(column[start:stop] for column in file)))
+            for freq, start, stop in zip(freqs, bounds, bounds[1:])]
 
 
 @dataclass(frozen=True)

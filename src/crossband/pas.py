@@ -62,7 +62,7 @@ class FilteredPas:
                 f"expected {self.grid.n_points} values for step {self.grid.step_deg}, "
                 f"got shape {values.shape}"
             )
-        if not np.all(np.isfinite(values)) or not np.all(values > 0.0):
+        if not 0.0 < values.min() <= values.max() < np.inf:
             raise ValueError("filtered spectrum values must be finite and strictly positive")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
@@ -79,7 +79,7 @@ class NormalizedPas:
         density = np.array(self.density, dtype=float)
         if density.shape != (self.grid.n_points,):
             raise ValueError("density length does not match the grid")
-        if not np.all(np.isfinite(density)) or not np.all(density >= 0.0):
+        if not 0.0 <= density.min() <= density.max() < np.inf:
             raise ValueError("densities must be finite and non-negative")
         mass = float(density.sum()) * self.grid.step_deg
         if abs(mass - 1.0) > 1e-9:
@@ -104,10 +104,9 @@ def filter_pas(channel: BandChannel, pattern, grid: AngularGrid) -> FilteredPas:
     rays = channel.rays
     gains = pattern.gain(grid.angles[None, :] - rays.aoas[:, None])
     values = (rays.powers[:, None] * gains).sum(axis=0)
-    positive = values > 0.0
-    if not positive.all():
+    if not values.min() > 0.0:
         raise ValueError(f"{channel.frequency:g} GHz band: filtered spectrum is zero at steering angle "
-                         f"{grid.angles[np.argmin(positive)]:g} deg, where every ray's power times its "
+                         f"{grid.angles[np.argmin(values)]:g} deg, where every ray's power times its "
                          "gain underflowed")
     return FilteredPas(grid=grid, values=values)
 

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import crossband as cb
 from crossband.beampattern import _sum_rows_pairwise
+from crossband.beams import _cfr_matrix
 from crossband.units import wrap_offset_deg
 
 offsets = st.floats(-720.0, 720.0, allow_nan=False)
@@ -310,7 +311,7 @@ class TestNonFiniteOffsets:
     def test_beam_cfr_rejects_nan_steering(self, ula4):
         channel = cb.BandChannel(28.0, (cb.Ray(1.0, 10e-9, 30.0),))
         with pytest.raises(ValueError, match="finite"):
-            cb.beam_cfr(channel, ula4, math.nan)
+            _cfr_matrix(channel, ula4, np.array([math.nan]))[0]
 
 
 class TestTabulated:
@@ -332,8 +333,10 @@ class TestTabulated:
             cb.TabulatedPattern(np.array([0.0, 90.0]), np.array([-10.0, 0.0]))
 
     def test_too_few_or_nonfinite_samples_rejected(self):
-        with pytest.raises(ValueError):
-            cb.TabulatedPattern(np.array([0.0]), np.array([0.0]))
+        # two samples at one direction once loaded as a flat 0 dB pattern
+        for offsets in ([], [0.0], [-180.0, 180.0], [0.0, 0.0]):
+            with pytest.raises(ValueError, match="^a tabulated pattern needs at least two samples$"):
+                cb.TabulatedPattern(np.array(offsets), np.zeros(len(offsets)))
         with pytest.raises(ValueError):
             cb.TabulatedPattern(np.array([0.0, 90.0]), np.array([0.0, np.nan]))
 

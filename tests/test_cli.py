@@ -553,10 +553,20 @@ class TestPattern:
         assert "RuntimeWarning" not in err
         assert not out.exists()
 
-    def test_bad_step_is_validation_error(self, tmp_path):
+    def test_bad_step_is_validation_error(self, tmp_path, capsys):
         code = main(["pattern", "--spec", "gpp3:hpbw=10",
                      "--out", str(tmp_path / "x.csv"), "--step-deg", "0.7"])
         assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == "error: step_deg must divide 360, got 0.7\n"
+
+    @pytest.mark.parametrize("step", ["120", "180", "360"])
+    def test_step_above_90_is_one_error_line(self, tmp_path, capsys, step):
+        # each divides 360, yet was refused as "step_deg must divide 360"
+        out = tmp_path / "x.csv"
+        code = main(["pattern", "--spec", "gpp3:hpbw=10", "--out", str(out), "--step-deg", step])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: step_deg must be at most 90, got {float(step)!r}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("step", ["nan", "1e-300", "0.005"])
     def test_step_below_the_smallest_is_one_error_line(self, tmp_path, capsys, step):

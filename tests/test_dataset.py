@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import copy
 import csv as csv_module
 import io
 import json
 import logging
 import math
+import pickle
 import re
 import sys
 
@@ -596,6 +598,25 @@ class TestRoundTrip:
         cb.write_dataset([pair], first)
         cb.write_dataset(cb.load_dataset(first, 15.0, 28.0), second)
         assert second.read_bytes() == first.read_bytes()
+
+    @pytest.mark.parametrize("clone", [copy.deepcopy, lambda links: pickle.loads(pickle.dumps(links))],
+                             ids=["deepcopy", "pickle"])
+    @pytest.mark.parametrize("name", ["links.json", "links.csv"])
+    def test_copied_dataset_rewrites_the_source_bytes(self, tmp_path, name, clone):
+        # a copy once rebuilt its tables from Ray views and wrote 12.500000000000002
+        source, second = tmp_path / f"source_{name}", tmp_path / f"second_{name}"
+        cb.write_dataset(small_dataset(2), source)
+        # the first path's delay becomes 12.5 ns, in the writer's own layout
+        first_delay = r'("delay_ns": )[^,]+' if name.endswith(".json") else r"^(link-00000,15\.0,[^,]+,)[^,]+"
+        text, n = re.subn(first_delay, r"\g<1>12.5", source.read_text(), count=1, flags=re.M)
+        assert n == 1
+        source.write_text(text)
+        cb.write_dataset(cb.load_dataset(source, 15.0, 28.0), second)
+        assert second.read_bytes() == source.read_bytes()
+        copied = clone(cb.load_dataset(source, 15.0, 28.0))
+        assert not copied[0].low.rays.delays.flags.writeable
+        cb.write_dataset(copied, second)
+        assert second.read_bytes() == source.read_bytes()
 
 
 class TestColumnChecksKeepFileOrder:

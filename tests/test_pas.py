@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -58,6 +60,40 @@ class TestFilteredPas:
         assert pas.values[0] == 1.0
         with pytest.raises(ValueError):
             pas.values[0] = 2.0
+
+
+class TestSpectrumCheck:
+    # each constructor checks its array with one min/max pass; it must accept
+    # exactly what the former isfinite-then-sign pass over every entry did
+    ENTRIES = [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, -5e-324, 5e-324, 1e-310, 1.0]
+
+    @pytest.mark.parametrize("everywhere", [False, True], ids=["one", "all"])
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_filtered_values(self, grid, entry, everywhere):
+        values = np.full(grid.n_points, entry) if everywhere else np.ones(grid.n_points)
+        values[7] = entry
+        two_pass = np.all(np.isfinite(values)) and np.all(values > 0.0)
+        with np.errstate(all="raise"):
+            if two_pass:
+                assert np.array_equal(cb.FilteredPas(grid, values).values, values)
+            else:
+                with pytest.raises(ValueError, match="^filtered spectrum values must be finite and strictly"):
+                    cb.FilteredPas(grid, values)
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_densities(self, grid, entry):
+        # the next entry takes up the difference, so an accepted density has unit mass
+        density = np.full(grid.n_points, 1.0 / 360.0)
+        density[7] = entry
+        if math.isfinite(entry):
+            density[8] = 2.0 / 360.0 - entry
+        two_pass = np.all(np.isfinite(density)) and np.all(density >= 0.0)
+        with np.errstate(all="raise"):
+            if two_pass:
+                assert np.array_equal(cb.NormalizedPas(grid, density).density, density)
+            else:
+                with pytest.raises(ValueError, match="^densities must be finite and non-negative$"):
+                    cb.NormalizedPas(grid, density)
 
 
 class TestFilterPas:
