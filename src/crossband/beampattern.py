@@ -313,7 +313,8 @@ def pattern_from_csv(path) -> TabulatedPattern:
     neither of its two fields is a finite number. Every other row must be
     exactly two finite numbers; a row that is not, or a file
     ``jsonio.csv_rows`` cannot read, raises ValueError as
-    ``<path>:<line>: <reason>``.
+    ``<path>:<line>: <reason>``. A table ``TabulatedPattern`` refuses
+    raises its ValueError as ``<path>: <reason>``.
     """
     offsets, gains = [], []
     with closing(csv_rows(path)) as rows:
@@ -331,7 +332,10 @@ def pattern_from_csv(path) -> TabulatedPattern:
             gains.append(numbers[1])
     if len(offsets) < 2:
         raise ValueError(f"{path}: fewer than two pattern samples")
-    return TabulatedPattern(np.asarray(offsets), np.asarray(gains))
+    try:
+        return TabulatedPattern(np.asarray(offsets), np.asarray(gains))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _finite_or_none(field: str) -> float | None:

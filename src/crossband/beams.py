@@ -35,6 +35,8 @@ from .pas import AngularGrid, FilteredPas, filter_pas, normalize_pas
 M2_CORRELATION_THRESHOLD = 0.7
 M2_FREQUENCY_POINTS = 101
 M2_BANDWIDTH_GHZ = 2.0
+# Ranked m2 candidates per block of the gate: 512 responses, about 0.8 MB.
+_M2_BLOCK_ROWS = 512
 
 # The direction selection methods, in the order the CLI lists them.
 METHODS = ("m1", "m2")
@@ -187,18 +189,22 @@ def select_m2(channel: BandChannel, pattern, grid: AngularGrid, delta_th_db: flo
     response stays below ``M2_CORRELATION_THRESHOLD``. The global maximum is
     accepted first, so at least one direction survives.
 
-    The walk visits accepted candidates only: each one correlates its
-    response with every later candidate in one matrix-vector product and
-    rejects those at ``corr >= M2_CORRELATION_THRESHOLD``; the next candidate
-    still alive is accepted. This is the pairwise greedy rule, but the inner
-    products are summed in BLAS matrix-vector order, so a correlation within
-    about 1e-15 of the threshold may fall on the other side of it than a
-    pairwise ``np.vdot`` would put it.
+    The walk takes the ranked candidates in blocks of ``_M2_BLOCK_ROWS``.
+    A block's rows that correlate at ``corr >= M2_CORRELATION_THRESHOLD``
+    with a direction accepted in an earlier block are dropped in one matrix
+    product. Inside the block the walk visits accepted candidates only: each
+    one correlates its response with every later row in one matrix-vector
+    product and rejects those at or above the threshold; the next row still
+    alive is accepted. This is the pairwise greedy rule, but the inner
+    products are summed in BLAS order, so a correlation within about 1e-15
+    of the threshold may fall on the other side of it than a pairwise
+    ``np.vdot`` would put it.
 
-    Cost: one ``M2_FREQUENCY_POINTS``-point complex128 response per
-    candidate (about 1.6 kB each), and one matrix-vector product over the
-    later candidates per accepted direction, so O(accepted x candidates)
-    time and O(candidates) memory.
+    Cost: one matrix-vector product over the rest of its block per accepted
+    direction, and one product per block against the directions accepted
+    before it, so O(accepted x candidates) time. Memory is one block of
+    ``M2_FREQUENCY_POINTS``-point complex128 responses (about 1.6 kB a row)
+    plus a copy of each accepted row, whatever the candidate count.
     """
     if not delta_th_db > 0.0:
         raise ValueError(f"delta_th_db must be > 0, got {delta_th_db!r}")
@@ -207,18 +213,22 @@ def select_m2(channel: BandChannel, pattern, grid: AngularGrid, delta_th_db: flo
     vmax = float(v.max())
     candidates = np.flatnonzero(10.0 * np.log10(v / vmax) >= -delta_th_db)
     order = candidates[np.lexsort((grid.angles[candidates], -v[candidates]))]
-    responses = _cfr_matrix(channel, pattern, grid.angles[order])
-    norms = np.linalg.norm(responses, axis=1)
-    alive = np.ones(len(order), dtype=bool)
-    i = 0
-    while True:
-        corr = np.abs(responses[i + 1:] @ responses[i].conj()) / (norms[i] * norms[i + 1:])
-        alive[i + 1:] &= corr < M2_CORRELATION_THRESHOLD
-        later = np.flatnonzero(alive[i + 1:])
-        if later.size == 0:
-            break
-        i += 1 + int(later[0])
-    return DirectionSet(grid, tuple(sorted(order[alive].tolist())))
+    accepted = np.zeros(len(order), dtype=bool)
+    kept, kept_norms = np.empty((0, M2_FREQUENCY_POINTS), complex), np.empty(0)
+    for start in range(0, len(order), _M2_BLOCK_ROWS):
+        responses = _cfr_matrix(channel, pattern, grid.angles[order[start:start + _M2_BLOCK_ROWS]])
+        norms = np.linalg.norm(responses, axis=1)
+        corr = np.abs(responses @ kept.conj().T) / (norms[:, None] * kept_norms)
+        alive = (corr < M2_CORRELATION_THRESHOLD).all(axis=1)
+        i = -1
+        while (later := np.flatnonzero(alive[i + 1:])).size:
+            i += 1 + int(later[0])
+            corr = np.abs(responses[i + 1:] @ responses[i].conj()) / (norms[i] * norms[i + 1:])
+            alive[i + 1:] &= corr < M2_CORRELATION_THRESHOLD
+        accepted[start:start + len(alive)] = alive
+        kept = np.concatenate((kept, responses[alive]))
+        kept_norms = np.concatenate((kept_norms, norms[alive]))
+    return DirectionSet(grid, tuple(sorted(order[accepted].tolist())))
 
 
 def _gather(pas: FilteredPas, directions: DirectionSet) -> np.ndarray:

@@ -122,8 +122,9 @@ class RayTable:
 
 
 def _read_only(column: np.ndarray) -> np.ndarray:
+    """Mark ``column`` read-only and return a view of it, whose flag cannot be set back."""
     column.flags.writeable = False
-    return column
+    return column.view()
 
 
 def _table(powers, delays, aoas, aods, file) -> RayTable:
@@ -182,7 +183,7 @@ def _channels(freqs, powers, delay_ns, aoa_deg, bounds, aods=None, power_db=None
     """
     delays, aoas = _read_only(delay_ns * 1e-9), _read_only(wrap_azimuths_deg(aoa_deg))
     file = None if power_db is None else (_read_only(power_db), _read_only(delay_ns))
-    _read_only(powers)
+    powers = _read_only(powers)
     return [BandChannel(freq, _table(
                 powers[start:stop], delays[start:stop], aoas[start:stop],
                 None if aods is None else tuple(aods[start:stop]),

@@ -108,6 +108,17 @@ def beam_response(rays, gain_of, steer_deg: float, freqs_hz) -> list[complex]:
     return out
 
 
+def m2_walk_order(values, delta_th_db: float) -> list[int]:
+    """Indices of the m2 candidates in the order the greedy gate walks them.
+
+    Candidates lie within ``delta_th_db`` of the peak value; the walk takes
+    them by descending value, the lower index first among equal values.
+    """
+    peak = max(values)
+    candidates = [k for k in range(len(values)) if 10.0 * math.log10(values[k] / peak) >= -delta_th_db]
+    return sorted(candidates, key=lambda k: (-values[k], k))
+
+
 def greedy_gate(rows, threshold: float) -> list[int]:
     """Indices of rows accepted by the greedy correlation gate.
 

@@ -456,7 +456,15 @@ class TestCsvRoundTrip:
         # -180 and 180 wrap to one direction; the -20 was once dropped silently
         path = tmp_path / "ends.csv"
         path.write_text("-180,-30\n0,0\n180,-20\n")
-        with pytest.raises(ValueError, match=r"two gains at offset 180\.0 deg: -30\.0 and -20\.0 dB$"):
+        with pytest.raises(ValueError, match=r"ends\.csv: tabulated pattern has two gains at offset 180\.0 "
+                                             r"deg: -30\.0 and -20\.0 dB$"):
+            cb.pattern_from_csv(path)
+
+    @pytest.mark.parametrize("text", ["-180,0\n180,0\n", "0,0\n0,0\n"], ids=["wrapped", "repeated"])
+    def test_samples_that_merge_to_one_refused_naming_the_file(self, tmp_path, text):
+        path = tmp_path / "two.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=r"two\.csv: a tabulated pattern needs at least two samples$"):
             cb.pattern_from_csv(path)
 
     def test_blank_rows_skipped(self, tmp_path):

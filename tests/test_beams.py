@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from oracles import (
     count_false,
     greedy_gate,
     local_maxima,
+    m2_walk_order,
     power_ratio_db,
     select_directions,
     ula_gain,
@@ -266,32 +268,59 @@ class TestSelectM2:
         with pytest.raises(ValueError):
             cb.select_m2(self.CH, ula4, grid, delta_th_db)
 
-    @pytest.mark.parametrize("delta_th_db", [10.0, 20.0])
-    def test_matches_pairwise_greedy_gate(self, grid, delta_th_db):
-        rng = np.random.default_rng(int(delta_th_db))
+    @staticmethod
+    def _gated(rng, n_elements, grid, delta_th_db):
+        """``select_m2`` on a random channel, the oracle gate's choice, and the candidate count."""
         f0, bw, n_freq = 28.0, beams.M2_BANDWIDTH_GHZ, beams.M2_FREQUENCY_POINTS
         freqs = [(f0 - 0.5 * bw + bw * k / (n_freq - 1)) * 1e9 for k in range(n_freq)]
-        for n_elements in (4, 8, 4, 8):
-            rays = [
-                (float(10.0 ** rng.uniform(-3.0, 0.0)), float(rng.uniform(0.0, 360.0)),
-                 float(rng.uniform(0.0, 200e-9)))
-                for _ in range(int(rng.integers(2, 9)))
-            ]
-            ch = cb.BandChannel(f0, tuple(cb.Ray(p, d, a) for p, a, d in rays))
-            pattern = cb.UlaPattern(n_elements)
-            got = cb.select_m2(ch, pattern, grid, delta_th_db)
+        rays = [
+            (float(10.0 ** rng.uniform(-3.0, 0.0)), float(rng.uniform(0.0, 360.0)),
+             float(rng.uniform(0.0, 200e-9)))
+            for _ in range(int(rng.integers(2, 9)))
+        ]
+        ch = cb.BandChannel(f0, tuple(cb.Ray(p, d, a) for p, a, d in rays))
+        pattern = cb.UlaPattern(n_elements)
+        got = cb.select_m2(ch, pattern, grid, delta_th_db)
 
-            values = cb.filter_pas(ch, pattern, grid).values
-            peak = float(values.max())
-            order = sorted(
-                (k for k in range(grid.n_points)
-                 if 10.0 * math.log10(values[k] / peak) >= -delta_th_db),
-                key=lambda k: (-values[k], k),
-            )
-            gain_of = lambda off: ula_gain(off, n_elements, 0.5, -60.0)  # noqa: E731
-            rows = [beam_response(rays, gain_of, float(grid.angles[k]), freqs) for k in order]
-            accepted = greedy_gate(rows, beams.M2_CORRELATION_THRESHOLD)
-            assert got.angles == tuple(sorted(float(grid.angles[order[i]]) for i in accepted))
+        order = m2_walk_order(cb.filter_pas(ch, pattern, grid).values.tolist(), delta_th_db)
+        gain_of = lambda off: ula_gain(off, n_elements, 0.5, -60.0)  # noqa: E731
+        rows = [beam_response(rays, gain_of, float(grid.angles[k]), freqs) for k in order]
+        accepted = greedy_gate(rows, beams.M2_CORRELATION_THRESHOLD)
+        return got.angles, tuple(sorted(float(grid.angles[order[i]]) for i in accepted)), len(order)
+
+    @pytest.mark.parametrize("delta_th_db", [10.0, 20.0])
+    def test_matches_pairwise_greedy_gate(self, grid, delta_th_db, monkeypatch):
+        # blocks of 3 rows put most of the walk past a block boundary
+        monkeypatch.setattr(beams, "_M2_BLOCK_ROWS", 3)
+        rng = np.random.default_rng(int(delta_th_db))
+        for n_elements in (4, 8, 4, 8):
+            got, expected, n_candidates = self._gated(rng, n_elements, grid, delta_th_db)
+            assert n_candidates > 3
+            assert got == expected
+
+    def test_matches_pairwise_greedy_gate_past_a_full_block(self):
+        # 922 candidates, two of the four accepted directions in the second block
+        grid = cb.AngularGrid(0.25)
+        got, expected, n_candidates = self._gated(np.random.default_rng(21), 4, grid, 20.0)
+        assert n_candidates > beams._M2_BLOCK_ROWS
+        assert got == expected
+
+    def test_memory_stays_within_the_spectrum_filter(self):
+        # the gate once held three candidates x 101 complex arrays: 110 MB here
+        band = cb.generate_dataset(cb.GenConfig(seed=0), 1)[0].low
+        grid, pattern = cb.AngularGrid(0.01), cb.UlaPattern(4)
+
+        def peak_of(call):
+            tracemalloc.start()
+            try:
+                call()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        filtered = peak_of(lambda: cb.filter_pas(band, pattern, grid))
+        selected = peak_of(lambda: cb.select_m2(band, pattern, grid, 20.0))
+        assert selected <= filtered + 4 * 2**20
 
 
 class TestPowerRatio:

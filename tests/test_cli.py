@@ -247,7 +247,8 @@ class TestAnalyze:
         assert main(["analyze", *argv]) == EXIT_VALIDATION
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: tabulated pattern gain -1e+300 dB (normalized) at offset 90.0 deg")
+        assert captured.err.startswith(f"error: {pattern}: tabulated pattern gain -1e+300 dB (normalized) "
+                                       "at offset 90.0 deg")
 
     def test_unknown_link_rejected(self, dataset_path):
         code = main(["analyze", *analysis_argv(dataset_path), "--link", "zz"])
@@ -551,6 +552,15 @@ class TestPattern:
         err = capsys.readouterr().err
         assert err.startswith(f"error: invalid spec {spec!r}: {named}")
         assert "RuntimeWarning" not in err
+        assert not out.exists()
+
+    def test_pattern_file_refused_by_the_table_names_the_file(self, tmp_path, capsys):
+        # -180 and 180 merge into one sample; the refusal once named no file
+        pattern = tmp_path / "two.csv"
+        pattern.write_text("-180,0\n180,0\n")
+        out = tmp_path / "x.csv"
+        assert main(["pattern", "--spec", f"file:{pattern}", "--out", str(out)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {pattern}: a tabulated pattern needs at least two samples\n"
         assert not out.exists()
 
     def test_bad_step_is_validation_error(self, tmp_path, capsys):

@@ -686,12 +686,20 @@ class TestNoRayObjects:
 
     @pytest.mark.parametrize("name", ["links.json", "links.csv"])
     def test_loaded_columns_are_read_only(self, tmp_path, name):
+        # built, unpickled and copied tables once owned columns a caller could
+        # make writeable again
         cb.write_dataset(small_dataset(2), tmp_path / name)
-        rays = cb.load_dataset(tmp_path / name, 15.0, 28.0)[1].high.rays
-        for column in (rays.powers, rays.delays, rays.aoas):
-            assert not column.flags.writeable
-            with pytest.raises(ValueError):
-                column.flags.writeable = True
+        loaded = cb.load_dataset(tmp_path / name, 15.0, 28.0)[1].high.rays
+        built = cb.RayTable(list(loaded))
+        tables = [loaded, built]
+        tables += [pickle.loads(pickle.dumps(rays)) for rays in tables]
+        tables += [copy.copy(built), copy.deepcopy(built), copy.deepcopy(loaded)]
+        for rays in tables:
+            assert rays == loaded
+            for column in (rays.powers, rays.delays, rays.aoas, *(rays._file or ())):
+                assert not column.flags.writeable
+                with pytest.raises(ValueError):
+                    column.flags.writeable = True
 
 
 def _json_corruption(draw, doc):
