@@ -313,8 +313,8 @@ def pattern_from_csv(path) -> TabulatedPattern:
     neither of its two fields is a finite number. Every other row must be
     exactly two finite numbers; a row that is not, or a file
     ``jsonio.csv_rows`` cannot read, raises ValueError as
-    ``<path>:<line>: <reason>``. A table ``TabulatedPattern`` refuses
-    raises its ValueError as ``<path>: <reason>``.
+    ``<path>:<line>: <reason>``. A ValueError from ``TabulatedPattern`` is
+    raised again as ``<path>: <reason>``.
     """
     offsets, gains = [], []
     with closing(csv_rows(path)) as rows:
