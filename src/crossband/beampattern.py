@@ -106,7 +106,10 @@ class Gpp3Pattern(_Pattern):
 
     def _gain_vec(self, off):
         """``db_to_linear(_gain_db_vec(off))`` bit for bit, with pow only inside the main lobe."""
-        attenuation_db = 12.0 * (off / self.hpbw_deg) ** 2
+        # 12.0 * (off / self.hpbw_deg) ** 2, the same operations in one buffer
+        attenuation_db = np.divide(off, self.hpbw_deg)
+        np.square(attenuation_db, out=attenuation_db)
+        attenuation_db *= 12.0
         lobe = attenuation_db < self.a_max_db
         out = np.full(off.shape, self._floor)
         out[lobe] = db_to_linear(-attenuation_db[lobe])

@@ -122,9 +122,12 @@ class RayTable:
 
 
 def _read_only(column: np.ndarray) -> np.ndarray:
-    """Mark ``column`` read-only and return a view of it, whose flag cannot be set back."""
-    column.flags.writeable = False
-    return column.view()
+    """A read-only copy of the 1-d float64 ``column`` over immutable bytes.
+
+    Neither it, its views nor anything along its ``base`` chain can be made
+    writeable again; the price is one copy per column.
+    """
+    return np.frombuffer(column.tobytes(), dtype=float)
 
 
 def _table(powers, delays, aoas, aods, file) -> RayTable:

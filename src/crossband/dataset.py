@@ -40,14 +40,14 @@ import logging
 import math
 from array import array
 from contextlib import closing
-from itertools import accumulate, chain, repeat
+from itertools import accumulate
 from pathlib import Path
 from typing import NoReturn
 
 import numpy as np
 
 from .channel import BandChannel, LinkPair, _channels
-from .jsonio import csv_rows, dump, load, write_csv
+from .jsonio import csv_lines, csv_rows, dump_items, load, write_csv
 from .units import db_to_linear_each, is_normal_power, linear_to_db, wrap_azimuths_deg
 
 SCHEMA_VERSION = "1"
@@ -94,10 +94,12 @@ def write_dataset(pairs: list[LinkPair], path, metadata: dict | None = None) -> 
         seen_ids.add(pair.link_id)
         if to_csv:
             _check_csv_pair(pair)
+    links = _written_columns(pairs)  # every value is checked here, before a file is opened
     if to_csv:
-        _write_csv(pairs, path)
+        write_csv(path, _CSV_HEADER, _csv_bands(pairs, links))
     else:
-        dump(_to_file_dict(pairs, metadata), path)
+        dump_items({"schema_version": SCHEMA_VERSION, "metadata": metadata or {}}, "links",
+                   map(_file_link, links), path)
 
 
 def load_dataset(path, low_freq_ghz: float, high_freq_ghz: float) -> list[LinkPair]:
@@ -189,20 +191,18 @@ def _written_columns(pairs: list[LinkPair]):
     return links()
 
 
-def _to_file_dict(pairs: list[LinkPair], metadata: dict | None) -> dict:
-    links = []
-    for pair, bands in _written_columns(pairs):
-        file_bands = []
-        for channel, powers, delays, aoas in bands:
-            paths = [{"power_db": p, "delay_ns": d, "aoa_deg": a}
-                     for p, d, a in zip(powers, delays, aoas)]
-            if channel.rays.aods is not None:
-                for entry, aod in zip(paths, channel.rays.aods):
-                    if aod is not None:
-                        entry["aod_deg"] = aod
-            file_bands.append({"freq_ghz": channel.frequency, "paths": paths})
-        links.append({"link_id": pair.link_id, "bands": file_bands})
-    return {"schema_version": SCHEMA_VERSION, "metadata": metadata or {}, "links": links}
+def _file_link(link) -> dict:
+    """One link of ``_written_columns`` as its JSON object."""
+    pair, bands = link
+    file_bands = []
+    for channel, powers, delays, aoas in bands:
+        paths = [{"power_db": p, "delay_ns": d, "aoa_deg": a} for p, d, a in zip(powers, delays, aoas)]
+        if channel.rays.aods is not None:
+            for entry, aod in zip(paths, channel.rays.aods):
+                if aod is not None:
+                    entry["aod_deg"] = aod
+        file_bands.append({"freq_ghz": channel.frequency, "paths": paths})
+    return {"link_id": pair.link_id, "bands": file_bands}
 
 
 def _check_csv_pair(pair: LinkPair) -> None:
@@ -223,14 +223,16 @@ def _check_csv_pair(pair: LinkPair) -> None:
         )
 
 
-def _write_csv(pairs: list[LinkPair], path) -> None:
-    # one zip of rows per band, chained so that write_csv's writerows takes every row
-    rows = chain.from_iterable(
-        zip(repeat(pair.link_id, len(powers)), repeat(repr(channel.frequency), len(powers)),
-            powers, delays, aoas)
-        for pair, bands in _written_columns(pairs)
-        for channel, powers, delays, aoas in bands)
-    write_csv(path, _CSV_HEADER, rows)
+def _csv_bands(pairs: list[LinkPair], links):
+    """Each band's CSV rows of ``_written_columns`` as one text, a float printed as its repr.
+
+    The link id is quoted once per link, by ``csv``'s rules; the other
+    fields are float reprs, which ``csv`` never quotes.
+    """
+    for (pair, bands), id_line in zip(links, csv_lines([pair.link_id] for pair in pairs)):
+        for channel, powers, delays, aoas in bands:
+            lead = f"{id_line[:-1]},{channel.frequency!r},"
+            yield "".join([f"{lead}{p!r},{d!r},{a!r}\n" for p, d, a in zip(powers, delays, aoas)])
 
 
 def _fail(path: str, reason: str):

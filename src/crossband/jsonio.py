@@ -4,7 +4,9 @@ Reports and dataset files must serialize to the same bytes on every run, so
 dicts are emitted in insertion order (callers build them in a fixed order)
 and every line ends with LF. Report floats are rounded by ``round_floats``;
 dataset files skip the rounding: path parameters round-trip at full float
-precision.
+precision. ``dump_items`` writes a document whose last value is a long list,
+a dataset's links, holding one item's text at a time; ``write_csv`` writes
+text lines, which ``csv_lines`` formats from rows by ``csv``'s rules.
 
 ``csv_rows`` hands each CSV row over with the line it starts on and checks
 each line's bytes as it reads them, so its callers name any row, and a line
@@ -43,12 +45,46 @@ def dump(obj, path) -> None:
         handle.write(text)
 
 
-def write_csv(path, header, rows) -> None:
-    """Write a header row, then ``rows``, as UTF-8 CSV with LF line ends; a float prints as its repr."""
+def dump_items(head: dict, key: str, items, path) -> None:
+    """Write ``dumps({**head, key: [*items]})`` to ``path``, holding one item's text at a time.
+
+    ``key`` must not be in ``head``, so its list comes last. Each item is
+    its own ``dumps`` text, indented to the list's depth; JSON strings hold
+    no raw newline, so only the layout's newlines take the indent. ``head``
+    and the first item are serialized before the file is opened: refusing
+    either leaves ``path`` untouched, and the caller checks the rest.
+    """
+    start, _, end = dumps({**head, key: [0]}).rpartition("0")  # the list's 0 is the last
+    indent = start[start.rindex("\n"):]  # a newline and the items' indent
+    texts = (json.dumps(item, indent=2, allow_nan=False).replace("\n", indent) for item in items)
+    first = next(texts, None)
+    if first is None:
+        return dump({**head, key: []}, path)
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        handle.write(start + first)
+        for text in texts:
+            handle.write("," + indent + text)
+        handle.write(end)
+
+
+class _Echo:
+    """A file whose ``write`` returns the text, which ``csv.writer.writerow`` returns in turn."""
+
+    @staticmethod
+    def write(text):
+        return text
+
+
+def csv_lines(rows):
+    """Each row as ``write_csv`` writes it: ``csv`` quoting, an LF line end, a float as its repr."""
+    return map(csv.writer(_Echo(), lineterminator="\n").writerow, rows)
+
+
+def write_csv(path, header, lines) -> None:
+    """Write the ``header`` row, then each text of ``lines``, as UTF-8 CSV; ``csv_lines`` formats rows."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.writelines(csv_lines([header]))
+        handle.writelines(lines)
 
 
 def write_curve_csv(path, header: str, rows) -> None:
@@ -59,7 +95,7 @@ def write_curve_csv(path, header: str, rows) -> None:
     decimal point.
     """
     write_csv(path, header.split(","),
-              ((f"{x:.{REPORT_SIG_DIGITS}g}", f"{y:.{REPORT_SIG_DIGITS}g}") for x, y in rows))
+              csv_lines((f"{x:.{REPORT_SIG_DIGITS}g}", f"{y:.{REPORT_SIG_DIGITS}g}") for x, y in rows))
 
 
 def load(path, error=ValueError):

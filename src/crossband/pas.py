@@ -103,7 +103,8 @@ def filter_pas(channel: BandChannel, pattern, grid: AngularGrid) -> FilteredPas:
     """
     rays = channel.rays
     gains = pattern.gain(grid.angles[None, :] - rays.aoas[:, None])
-    values = (rays.powers[:, None] * gains).sum(axis=0)
+    gains *= rays.powers[:, None]  # a fresh matrix, weighted in place
+    values = gains.sum(axis=0)
     if not values.min() > 0.0:
         raise ValueError(f"{channel.frequency:g} GHz band: filtered spectrum is zero at steering angle "
                          f"{grid.angles[np.argmin(values)]:g} deg, where every ray's power times its "

@@ -72,9 +72,24 @@ def wrap_offset_deg(offset_deg):
     180. The two are the same direction, so every pattern gives the same gain
     there; the floor-mod form does the same, and the pattern kernels keep it
     to stay bit-identical to that form.
+
+    Fast path: when every ``y = 180 - offset_deg`` lies in [-360, 720),
+    ``fmod(y, 360)`` is ``y`` below 360 and ``y - 360`` from 360 up, a
+    subtraction Sterbenz's lemma makes exact, so one masked subtract gives
+    its bits. ``y = -360`` leaves -360 where ``fmod`` gives -0.0, and both
+    wrap to 180.0. Every offset ``filter_pas`` and the ``m2`` responses build,
+    a grid angle minus an azimuth in [0, 360), takes this path; an offset
+    beyond one turn, or one that is not finite, keeps ``fmod``. The work is
+    done in one buffer.
     """
-    r = np.fmod(180.0 - offset_deg, 360.0)
-    return 180.0 - np.where(r < 0.0, r + 360.0, r)
+    x = np.asarray(offset_deg, dtype=float)
+    y = np.subtract(180.0, x, out=np.empty_like(x))
+    if y.size and -360.0 <= y.min() and y.max() < 720.0:
+        np.subtract(y, 360.0, out=y, where=y >= 360.0)
+    else:
+        np.fmod(y, 360.0, out=y)
+    np.add(y, 360.0, out=y, where=y < 0.0)
+    return np.subtract(180.0, y, out=y)
 
 
 def wrap_azimuths_deg(angles_deg) -> np.ndarray:

@@ -282,10 +282,26 @@ class TestKernelBitIdentity:
     @example(-1e300)
     @example(5e-324)
     @example(-5e-324)
+    # The fast path takes y = 180 - x in [-360, 720): 540, 180, -180 and the
+    # next example give y = -360, 0, 360 and the float below 720; -540 and the
+    # last two give 720 and the floats beyond the ends, which keep fmod. No x
+    # gives y = -0.0: 180 - 180 is +0.0.
+    @example(-180.0)
+    @example(float(180.0 - np.nextafter(720.0, 0.0)))
+    @example(float(np.nextafter(-540.0, -1000.0)))
+    @example(float(np.nextafter(540.0, 1000.0)))
     def test_wrap_offset_matches_floor_mod(self, x):
-        for value in (x, np.array([x, -x])):
+        # an array with a value beyond one turn falls back to fmod as a whole
+        for value in (x, np.array([x, -x]), np.array([x, 1e6]), np.array([-540.0, x, 0.0])):
             want = 180.0 - (180.0 - np.asarray(value)) % 360.0
             assert same_bits(wrap_offset_deg(value), want)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_wrap_offset_of_a_value_that_is_not_finite_matches_floor_mod(self, bad):
+        value = np.array([0.0, bad, 540.0])
+        with np.errstate(invalid="ignore"):
+            got, want = wrap_offset_deg(value), 180.0 - (180.0 - value) % 360.0
+        assert np.isnan(got[1]) and same_bits(got[[0, 2]], want[[0, 2]])
 
     def test_offset_just_above_180_wraps_to_minus_180(self):
         assert float(wrap_offset_deg(np.nextafter(180.0, 200.0))) == -180.0

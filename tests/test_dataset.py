@@ -11,6 +11,7 @@ import math
 import pickle
 import re
 import sys
+import tracemalloc
 
 import numpy as np
 import oracles
@@ -84,6 +85,42 @@ class TestJsonRoundTrip:
         cb.write_dataset([cb.LinkPair(low=ch, high=ch, link_id="l")], path)
         loaded = cb.load_dataset(path, 15.0, 15.0)
         assert loaded[0].low.rays[0].aod_azimuth == 33.0
+
+    def test_file_is_dumps_of_the_whole_document(self, tmp_path):
+        # the writer holds one link's text at a time, in dumps' own layout
+        ch = cb.BandChannel(15.0, (cb.Ray(1.0, 0.0, 10.0, aod_azimuth=33.0), cb.Ray(0.5, 1e-9, 20.0)))
+        pairs = [*small_dataset(3), cb.LinkPair(low=ch, high=ch, link_id="\u00e9 \"x\"\n")]
+        metadata = {"note": "\u2028 \u00e9", "nested": {"list": [1, 2.5, {}], "empty": []}}
+        for meta in (metadata, None):
+            path = tmp_path / "links.json"
+            cb.write_dataset(pairs, path, metadata=meta)
+            text = path.read_text(encoding="utf-8")
+            doc = json.loads(text)
+            assert doc["metadata"] == (meta or {})
+            assert len(doc["links"]) == 4
+            assert text == cb.jsonio.dumps(doc)
+
+    @pytest.mark.parametrize("metadata", [{"x": math.nan}, {"x": object()}], ids=["nan", "object"])
+    def test_refused_metadata_leaves_the_file_untouched(self, tmp_path, metadata):
+        path, missing = tmp_path / "links.json", tmp_path / "missing.json"
+        path.write_bytes(b"kept")
+        for target in (path, missing):
+            with pytest.raises((ValueError, TypeError)):
+                cb.write_dataset(small_dataset(1), target, metadata=metadata)
+        assert path.read_bytes() == b"kept"
+        assert not missing.exists()
+
+    @pytest.mark.parametrize("name", ["links.json", "links.csv"])
+    def test_writer_memory_is_bounded_by_one_link(self, tmp_path, name):
+        # the JSON writer held every link's dict and the whole text: 33 MB here
+        pairs = cb.generate_dataset(cb.GenConfig(seed=0), 2000)
+        tracemalloc.start()
+        try:
+            cb.write_dataset(pairs, tmp_path / name)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
 
 
 class TestWriteRefusesWhatLoadRejects:
@@ -364,6 +401,27 @@ class TestCsv:
         for got, exp in zip(loaded, pairs):
             assert_rays_close(got.low.rays, exp.low.rays)
             assert_rays_close(got.high.rays, exp.high.rays)
+
+    def test_awkward_link_ids_written_as_csv_writer_writes_them(self, tmp_path):
+        # each band's rows are formatted in one join; only the link id needs quoting
+        ids = ["a,b", 'say "hi"', "two\nlines", " lead", "\u00fcn\u00ef \u2192 \u03ba", "plain"]
+        pairs = [cb.LinkPair(p.low, p.high, link_id) for p, link_id in zip(small_dataset(len(ids)), ids)]
+        path = tmp_path / "links.csv"
+        cb.write_dataset(pairs, path)
+        out = io.StringIO()
+        writer = csv_module.writer(out, lineterminator="\n")
+        writer.writerow(["link_id", "freq_ghz", "power_db", "delay_ns", "aoa_deg"])
+        for pair in pairs:
+            for channel in (pair.low, pair.high):
+                rays = channel.rays
+                writer.writerows(zip([pair.link_id] * len(rays), [repr(channel.frequency)] * len(rays),
+                                     (10.0 * np.log10(rays.powers)).tolist(), (rays.delays * 1e9).tolist(),
+                                     rays.aoas.tolist()))
+        assert path.read_bytes() == out.getvalue().encode("utf-8")
+        loaded = cb.load_dataset(path, 15.0, 28.0)
+        assert [p.link_id for p in loaded] == ids
+        cb.write_dataset(loaded, tmp_path / "again.csv")
+        assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
 
     def test_header_pinned(self, tmp_path):
         path = tmp_path / "links.csv"
@@ -687,19 +745,27 @@ class TestNoRayObjects:
     @pytest.mark.parametrize("name", ["links.json", "links.csv"])
     def test_loaded_columns_are_read_only(self, tmp_path, name):
         # built, unpickled and copied tables once owned columns a caller could
-        # make writeable again
-        cb.write_dataset(small_dataset(2), tmp_path / name)
+        # make writeable again, and every table's base array could be made
+        # writeable, after which its view could be too
+        pairs = small_dataset(2)
+        cb.write_dataset(pairs, tmp_path / name)
         loaded = cb.load_dataset(tmp_path / name, 15.0, 28.0)[1].high.rays
-        built = cb.RayTable(list(loaded))
-        tables = [loaded, built]
-        tables += [pickle.loads(pickle.dumps(rays)) for rays in tables]
-        tables += [copy.copy(built), copy.deepcopy(built), copy.deepcopy(loaded)]
-        for rays in tables:
-            assert rays == loaded
-            for column in (rays.powers, rays.delays, rays.aoas, *(rays._file or ())):
-                assert not column.flags.writeable
-                with pytest.raises(ValueError):
-                    column.flags.writeable = True
+        for origin in (loaded, pairs[1].high.rays):  # loaded, then generated
+            built = cb.RayTable(list(origin))
+            tables = [origin, built]
+            tables += [pickle.loads(pickle.dumps(rays)) for rays in tables]
+            tables += [copy.copy(built), copy.deepcopy(built), copy.deepcopy(origin)]
+            for rays in tables:
+                assert rays == origin
+                for column in (rays.powers, rays.delays, rays.aoas, *(rays._file or ())):
+                    array = column
+                    while isinstance(array, np.ndarray):  # the column, then each array it views
+                        assert not array.flags.writeable
+                        with pytest.raises(ValueError):
+                            array.flags.writeable = True
+                        array = array.base
+                    with pytest.raises(ValueError):
+                        column[0] = -5.0
 
 
 def _json_corruption(draw, doc):

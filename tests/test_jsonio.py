@@ -11,8 +11,10 @@ import crossband as cb
 from crossband import jsonio
 from crossband.jsonio import (
     REPORT_SIG_DIGITS,
+    csv_lines,
     csv_rows,
     dump,
+    dump_items,
     dumps,
     load,
     round_floats,
@@ -89,15 +91,44 @@ class TestDump:
         assert b"3.14159265359" in a.read_bytes()
 
 
+class TestDumpItems:
+    @pytest.mark.parametrize("items", [[], [1], [{"a": [1.5, {}], "b": "x\ny"}, [], [[2]], "z"]],
+                             ids=["none", "one", "nested"])
+    def test_bytes_equal_dumps_of_the_whole_document(self, tmp_path, items):
+        path = tmp_path / "out.json"
+        head = {"v": "1", "meta": {"k": [1, {"deep": None}]}}
+        dump_items(head, "items", iter(items), path)
+        assert path.read_text() == dumps({**head, "items": items})
+
+    def test_refused_head_or_first_item_leaves_the_file_untouched(self, tmp_path):
+        path = tmp_path / "out.json"
+        path.write_text('{"kept": true}\n')
+        with pytest.raises(ValueError):
+            dump_items({"x": math.nan}, "items", [1], path)
+        with pytest.raises(ValueError):
+            dump_items({}, "items", [math.inf, 1], path)
+        assert path.read_text() == '{"kept": true}\n'
+
+
 class TestWriteCsv:
     def test_lf_rows_with_floats_as_their_repr(self, tmp_path):
         path = tmp_path / "rows.csv"
-        write_csv(path, ["a", "b"], iter([("x", 0.1 + 0.2), ("y,z", 5e-324)]))
+        write_csv(path, ["a", "b"], csv_lines(iter([("x", 0.1 + 0.2), ("y,z", 5e-324)])))
         assert path.read_bytes() == b'a,b\nx,0.30000000000000004\n"y,z",5e-324\n'
+
+    def test_lines_are_written_as_given(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        write_csv(path, ["a", "b"], ["x,1\ny,2\n", "z,3\n"])
+        assert path.read_bytes() == b"a,b\nx,1\ny,2\nz,3\n"
+
+    def test_csv_lines_quote_by_the_csv_rules(self):
+        fields = ["a,b", 'say "hi"', "two\nlines", " lead", "\u00e9", "plain", 1.5]
+        assert list(csv_lines([fields, ["x"]])) == [
+            '"a,b","say ""hi""","two\nlines", lead,\u00e9,plain,1.5\n', "x\n"]
 
     def test_utf8_whatever_the_locale(self, tmp_path):
         path = tmp_path / "rows.csv"
-        write_csv(path, ["link_id"], [("\u00e9",)])
+        write_csv(path, ["link_id"], csv_lines([("\u00e9",)]))
         assert path.read_bytes() == "link_id\n\u00e9\n".encode("utf-8")
 
     def test_curve_at_the_report_precision(self, tmp_path):
