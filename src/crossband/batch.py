@@ -121,12 +121,15 @@ def percentiles(cdf, levels=(10, 50, 90)) -> dict[int, float]:
     """Lower empirical quantiles read off a step CDF.
 
     For each level (in percent) returns the smallest sample value whose
-    cumulative probability reaches the level. Levels must lie in (0, 100].
+    cumulative probability reaches the level. Levels must be whole numbers
+    in (0, 100]; each keys its result as an int.
     """
     out = {}
     for level in levels:
         if not 0.0 < level <= 100.0:
             raise ValueError(f"percentile level must be in (0, 100], got {level!r}")
+        if level != int(level):
+            raise ValueError(f"percentile level must be a whole number, got {level!r}")
         target = level / 100.0 - _PROB_EPS
         for value, prob in cdf:
             if prob >= target:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jsonio import csv_rows, write_curve_csv
-from .units import MIN_STEP_DEG, db_to_linear, is_normal_power, linear_to_db, wrap_offset_deg
+from .units import MIN_STEP_DEG, db_to_linear, is_normal_power, linear_to_db, read_only, wrap_offset_deg
 
 _HPBW_SCAN_STEP_DEG = 0.05
 _HPBW_RESOLUTION_DEG = 0.01
@@ -254,10 +254,8 @@ class TabulatedPattern(_Pattern):
             raise ValueError(f"tabulated pattern gain {float(gains[k])!r} dB (normalized) at offset "
                              f"{float(offsets[k])!r} deg is not a normal float as a linear power "
                              f"(above about -3076.5 dB)")
-        offsets.flags.writeable = False
-        gains.flags.writeable = False
-        object.__setattr__(self, "offsets_deg", offsets)
-        object.__setattr__(self, "gains_db", gains)
+        object.__setattr__(self, "offsets_deg", read_only(offsets))
+        object.__setattr__(self, "gains_db", read_only(gains))
         if abs(float(self.gain_db(0.0))) > 1e-9:
             raise ValueError("tabulated pattern peak must sit at 0 deg offset")
 

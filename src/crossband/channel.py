@@ -16,7 +16,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .units import is_normal_power, wrap_azimuths_deg
+from .units import is_normal_power, read_only, wrap_azimuths_deg
 
 
 @dataclass(frozen=True)
@@ -42,8 +42,8 @@ class Ray:
     aod_azimuth: float | None = None
 
     def __post_init__(self):
-        # plain floats, not numpy scalars: reprs of field values end up in
-        # dataset files verbatim
+        # plain floats, not the numpy scalars that indexing a table yields,
+        # so that a Ray and a RayTable repr their values as floats
         if not is_normal_power(self.power):
             raise ValueError(f"ray power must be a finite normal float > 0, got {self.power!r}")
         object.__setattr__(self, "power", float(self.power))
@@ -78,7 +78,7 @@ class RayTable:
             if not isinstance(ray, Ray):
                 raise TypeError(f"a ray table holds Ray instances, got {type(ray).__name__}")
         powers, delays, aoas = (
-            _read_only(np.fromiter((getattr(ray, field) for ray in rays), float, len(rays)))
+            read_only(np.fromiter((getattr(ray, field) for ray in rays), float, len(rays)))
             for field in ("power", "delay", "aoa_azimuth"))
         return _table(powers, delays, aoas, tuple(ray.aod_azimuth for ray in rays), None)
 
@@ -121,15 +121,6 @@ class RayTable:
         return f"RayTable({list(self)!r})"
 
 
-def _read_only(column: np.ndarray) -> np.ndarray:
-    """A read-only copy of the 1-d float64 ``column`` over immutable bytes.
-
-    Neither it, its views nor anything along its ``base`` chain can be made
-    writeable again; the price is one copy per column.
-    """
-    return np.frombuffer(column.tobytes(), dtype=float)
-
-
 def _table(powers, delays, aoas, aods, file) -> RayTable:
     """A table over checked read-only columns; ``file`` is None or its slices of a file's."""
     table = object.__new__(RayTable)
@@ -143,7 +134,7 @@ def _table(powers, delays, aoas, aods, file) -> RayTable:
 
 def _unpickled(powers, delays, aoas, aods, file) -> RayTable:
     """``_table`` over a pickled or copied table's columns, made read-only again."""
-    return _table(*map(_read_only, (powers, delays, aoas)), aods, file and tuple(map(_read_only, file)))
+    return _table(*map(read_only, (powers, delays, aoas)), aods, file and tuple(map(read_only, file)))
 
 
 @dataclass(frozen=True)
@@ -184,9 +175,9 @@ def _channels(freqs, powers, delay_ns, aoa_deg, bounds, aods=None, power_db=None
     path. ``power_db``, if given, makes each table keep its slices of the
     file's ``(power_db, delay_ns)`` columns, which the writer writes back.
     """
-    delays, aoas = _read_only(delay_ns * 1e-9), _read_only(wrap_azimuths_deg(aoa_deg))
-    file = None if power_db is None else (_read_only(power_db), _read_only(delay_ns))
-    powers = _read_only(powers)
+    delays, aoas = read_only(delay_ns * 1e-9), read_only(wrap_azimuths_deg(aoa_deg))
+    file = None if power_db is None else (read_only(power_db), read_only(delay_ns))
+    powers = read_only(powers)
     return [BandChannel(freq, _table(
                 powers[start:stop], delays[start:stop], aoas[start:stop],
                 None if aods is None else tuple(aods[start:stop]),

@@ -48,7 +48,7 @@ import numpy as np
 
 from .channel import BandChannel, LinkPair, _channels
 from .jsonio import csv_lines, csv_rows, dump_items, load, write_csv
-from .units import db_to_linear_each, is_normal_power, linear_to_db, wrap_azimuths_deg
+from .units import db_to_linear, db_to_linear_each, is_normal_power, linear_to_db, wrap_azimuths_deg
 
 SCHEMA_VERSION = "1"
 FREQ_MATCH_TOLERANCE_GHZ = 1e-6
@@ -263,7 +263,7 @@ def _check_freq(value, where: str) -> None:
 
 def _check_path(where: str, power_db, delay_ns, aoa_deg, *aod_deg) -> None:
     power_db = _check_number(power_db, f"{where}.power_db")
-    if not is_normal_power(db_to_linear_each(np.array([power_db]))[0]):
+    if not is_normal_power(db_to_linear(power_db)):
         _fail(f"{where}.power_db", f"{power_db!r} dB is zero, infinite or subnormal as a linear power")
     _check_number(delay_ns, f"{where}.delay_ns", minimum=0.0)
     _check_number(aoa_deg, f"{where}.aoa_deg", minimum=0.0, below=360.0)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import BandChannel
-from .units import MIN_STEP_DEG
+from .units import MIN_STEP_DEG, read_only
 
 
 @dataclass(frozen=True)
@@ -34,10 +34,8 @@ class AngularGrid:
         n = round(360.0 / self.step_deg)
         if abs(n * self.step_deg - 360.0) > 1e-9:
             raise ValueError(f"grid step must divide 360 degrees, got {self.step_deg!r}")
-        angles = np.arange(n) * self.step_deg
-        angles.flags.writeable = False
         object.__setattr__(self, "_n", n)
-        object.__setattr__(self, "_angles", angles)
+        object.__setattr__(self, "_angles", read_only(np.arange(n) * self.step_deg))
 
     @property
     def n_points(self) -> int:
@@ -56,15 +54,15 @@ class FilteredPas:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=float)
+        values = np.asarray(self.values, dtype=float)
         if values.shape != (self.grid.n_points,):
             raise ValueError(
                 f"expected {self.grid.n_points} values for step {self.grid.step_deg}, "
                 f"got shape {values.shape}"
             )
+        values = read_only(values)
         if not 0.0 < values.min() <= values.max() < np.inf:
             raise ValueError("filtered spectrum values must be finite and strictly positive")
-        values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
 
@@ -76,15 +74,15 @@ class NormalizedPas:
     density: np.ndarray
 
     def __post_init__(self):
-        density = np.array(self.density, dtype=float)
+        density = np.asarray(self.density, dtype=float)
         if density.shape != (self.grid.n_points,):
             raise ValueError("density length does not match the grid")
+        density = read_only(density)
         if not 0.0 <= density.min() <= density.max() < np.inf:
             raise ValueError("densities must be finite and non-negative")
         mass = float(density.sum()) * self.grid.step_deg
         if abs(mass - 1.0) > 1e-9:
             raise ValueError(f"density mass must be 1 within 1e-9, got {mass!r}")
-        density.flags.writeable = False
         object.__setattr__(self, "density", density)
 
 

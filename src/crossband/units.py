@@ -1,5 +1,10 @@
-"""Scalar conversions used throughout the package: dB scales, angle wrapping
-and the normal-power rule.
+"""The rules every layer shares: dB scales, angle wrapping, the normal-power
+rule and the freeze of checked arrays.
+
+``db_to_linear`` turns a dB power that overflows a float into inf, on a
+scalar as on an array. ``read_only`` is the one way a checked array is
+frozen: ray columns, filtered and normalized spectra, the steering grid and
+tabulated patterns all hold copies over immutable bytes.
 
 ``MIN_STEP_DEG``, 0.01 deg, is the finest angular step the package takes:
 for a steering grid, for a tabulated pattern file, and as the narrowest
@@ -20,29 +25,35 @@ MIN_STEP_DEG = 0.01
 def db_to_linear(value_db):
     """Power quantity from dB to linear scale; works on scalars and arrays.
 
+    A power too large for a float is inf: an array's ``**`` gives inf, and
+    a Python float's, which raises OverflowError, is caught here.
+
     On an array, ``**`` is numpy's vectorized power, which is not libm's
     scalar ``pow`` bit for bit: on this package's dB ranges about one value
     in twenty comes out one ulp apart. Ray powers therefore go through
     ``db_to_linear_each``, one scalar at a time, so that dataset files and
     generated links keep their bits.
     """
-    return 10.0 ** (value_db / 10.0)
+    try:
+        return 10.0 ** (value_db / 10.0)
+    except OverflowError:
+        return math.inf
 
 
 def db_to_linear_each(values_db: np.ndarray) -> np.ndarray:
-    """``db_to_linear`` of each float64 value, one Python float at a time; overflow gives inf."""
+    """``db_to_linear`` of each float64 value, one Python float at a time."""
     values = memoryview(values_db)  # yields Python floats, with no list of them
-    try:
-        return np.fromiter(map(db_to_linear, values), float, len(values))
-    except OverflowError:
-        return np.fromiter(map(_db_to_linear_or_inf, values), float, len(values))
+    return np.fromiter(map(db_to_linear, values), float, len(values))
 
 
-def _db_to_linear_or_inf(value_db: float) -> float:
-    try:
-        return db_to_linear(value_db)
-    except OverflowError:
-        return math.inf
+def read_only(values: np.ndarray) -> np.ndarray:
+    """A read-only 1-d copy of the float64 ``values`` over immutable bytes.
+
+    Neither it, its views nor anything along its ``base`` chain can be made
+    writeable again; the price is one copy. The copy is flattened, so
+    callers check the shape before and the values after.
+    """
+    return np.frombuffer(values.tobytes(), dtype=float)
 
 
 def is_normal_power(power):

@@ -110,6 +110,17 @@ def test_normal_power_rule_is_spelled_by_units_only():
     assert spellers == ["units.py"]
 
 
+def test_arrays_are_frozen_by_units_read_only_only():
+    # a flag set to False can be set back to True; units.read_only's copy over
+    # immutable bytes cannot, so nothing in the package assigns the flag
+    setters = [f"{path.name}:{node.lineno}" for path in SOURCES for node in _nodes(path)
+               if (isinstance(node, ast.Attribute) and node.attr == "writeable"
+                   and isinstance(node.ctx, ast.Store))
+               or (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                   and node.func.attr == "setflags")]
+    assert setters == []
+
+
 def test_ray_table_is_named_by_channel_only():
     # channel._channels is the one way from checked columns to channels
     namers = sorted({path.name for path in SOURCES for node in _nodes(path)

@@ -80,10 +80,11 @@ class TestPercentiles:
     def test_custom_levels(self):
         cdf = cb.empirical_cdf([5.0, 10.0])
         assert cb.percentiles(cdf, levels=(1,)) == {1: 5.0}
+        assert cb.percentiles(cdf, levels=(50.0,)) == {50: 5.0}  # a whole float is a whole level
 
-    @pytest.mark.parametrize("level", [0, -5, 101])
+    @pytest.mark.parametrize("level", [0, -5, 101, 50.5, 99.9])
     def test_bad_levels_rejected(self, level):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"got {level!r}$"):
             cb.percentiles([(0.0, 1.0)], levels=(level,))
 
     def test_cdf_that_stops_below_one_rejected(self):

@@ -36,9 +36,9 @@ class TestAngularGrid:
             with pytest.raises(ValueError, match=r"grid step must be in \[0\.01, 10\] degrees"):
                 cb.AngularGrid(step_deg=step)
 
-    def test_angles_are_read_only(self, grid):
-        with pytest.raises(ValueError):
-            grid.angles[0] = 5.0
+    def test_angles_are_read_only(self, grid, assert_frozen):
+        assert_frozen(grid.angles)
+        assert_frozen(cb.AngularGrid(0.5).angles)
 
 
 class TestFilteredPas:
@@ -53,13 +53,14 @@ class TestFilteredPas:
         with pytest.raises(ValueError):
             cb.FilteredPas(grid, values)
 
-    def test_values_copied_and_frozen(self, grid):
+    def test_values_copied_and_frozen(self, grid, gpp3_10, assert_frozen):
         src = np.ones(grid.n_points)
         pas = cb.FilteredPas(grid, src)
         src[0] = 99.0
         assert pas.values[0] == 1.0
-        with pytest.raises(ValueError):
-            pas.values[0] = 2.0
+        filtered = cb.filter_pas(cb.BandChannel(15.0, (ray(aoa=30.0),)), gpp3_10, grid)
+        for values in (pas.values, filtered.values, cb.FilteredPas(grid, filtered.values).values):
+            assert_frozen(values)
 
 
 class TestSpectrumCheck:
@@ -203,6 +204,15 @@ class TestNormalizePas:
         d1 = cb.normalize_pas(cb.filter_pas(ch1, pat, grid))
         d2 = cb.normalize_pas(cb.filter_pas(ch2, pat, grid))
         np.testing.assert_allclose(d1.density, d2.density, rtol=1e-12)
+
+    def test_density_copied_and_frozen(self, grid, gpp3_10, assert_frozen):
+        src = np.full(grid.n_points, 1.0 / 360.0)
+        dens = cb.NormalizedPas(grid, src)
+        src[0] = 99.0
+        assert dens.density[0] == 1.0 / 360.0
+        normalized = cb.normalize_pas(cb.filter_pas(cb.BandChannel(15.0, (ray(aoa=30.0),)), gpp3_10, grid))
+        for density in (dens.density, normalized.density):
+            assert_frozen(density)
 
     def test_non_unit_density_rejected(self, grid):
         with pytest.raises(ValueError):
