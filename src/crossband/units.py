@@ -47,13 +47,15 @@ def db_to_linear_each(values_db: np.ndarray) -> np.ndarray:
 
 
 def read_only(values: np.ndarray) -> np.ndarray:
-    """A read-only 1-d copy of the float64 ``values`` over immutable bytes.
+    """A read-only 1-d float64 copy of ``values`` over immutable bytes.
 
     Neither it, its views nor anything along its ``base`` chain can be made
-    writeable again; the price is one copy. The copy is flattened, so
-    callers check the shape before and the values after.
+    writeable again; the price is one copy. Values of another dtype, such as
+    the int64 product of a whole-number grid step, are converted first, never
+    reinterpreted. The copy is flattened, so callers check the shape before
+    and the values after.
     """
-    return np.frombuffer(values.tobytes(), dtype=float)
+    return np.frombuffer(np.asarray(values, dtype=float).tobytes(), dtype=float)
 
 
 def is_normal_power(power):

@@ -18,10 +18,12 @@ def ray(power=1.0, aoa=0.0, delay=0.0):
 
 
 class TestAngularGrid:
-    @pytest.mark.parametrize("step,n", [(1.0, 360), (0.5, 720), (2.0, 180), (10.0, 36)])
+    @pytest.mark.parametrize("step,n", [(1.0, 360), (0.5, 720), (2.0, 180), (10.0, 36), (2, 180), (1, 360)])
     def test_point_counts(self, step, n):
         g = cb.AngularGrid(step_deg=step)
         assert g.n_points == n
+        assert g.angles.dtype == np.float64
+        np.testing.assert_array_equal(g.angles, np.arange(n) * float(step))
         assert g.angles[0] == 0.0
         assert g.angles[-1] == 360.0 - step
 
