@@ -29,9 +29,9 @@ def build_configurations(delta_p_db: float):
 
 def write_curves(report: cb.BatchReport, out_dir: Path, tag: str) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    cb.write_curve_csv(out_dir / f"r_cdf_{tag}.csv", "power_ratio_db,cumulative_probability",
-                       report.r_cdf)
-    cb.write_curve_csv(out_dir / f"nf_pdf_{tag}.csv", "n_false,probability", report.nf_pdf.items())
+    curves = report.curves()
+    for name in ("r_cdf", "nf_pdf"):
+        cb.write_curve_csv(out_dir / f"{name}_{tag}.csv", *curves[name])
 
 
 def main() -> int:

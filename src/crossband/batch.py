@@ -98,6 +98,19 @@ class BatchReport:
             "failures": dict(self.failures),
         }
 
+    def curves(self) -> dict[str, tuple[str, object]]:
+        """The four distributions as ``{file name: (CSV header, rows)}``.
+
+        A file name has no extension; ``batch --out`` writes each entry to
+        ``<name>.csv`` through ``write_curve_csv``, in this order.
+        """
+        return {
+            "r_cdf": ("power_ratio_db,cumulative_probability", self.r_cdf),
+            "nf_pdf": ("n_false,probability", self.nf_pdf.items()),
+            "card_low_pdf": ("cardinality,probability", self.card_low_pdf.items()),
+            "card_high_pdf": ("cardinality,probability", self.card_high_pdf.items()),
+        }
+
 
 def empirical_cdf(samples) -> list[tuple[float, float]]:
     """Step CDF of a sample multiset.

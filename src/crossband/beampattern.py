@@ -259,6 +259,9 @@ class TabulatedPattern(_Pattern):
         if abs(float(self.gain_db(0.0))) > 1e-9:
             raise ValueError("tabulated pattern peak must sit at 0 deg offset")
 
+    def __reduce__(self):  # a copy or pickle is checked and frozen again
+        return TabulatedPattern, (self.offsets_deg, self.gains_db)
+
     def _gain_db_vec(self, off):
         return np.interp(off, self.offsets_deg, self.gains_db, period=360.0)
 

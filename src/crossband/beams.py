@@ -28,6 +28,7 @@ import numpy as np
 from .channel import BandChannel, LinkPair
 from .metrics import PspResult, psp
 from .pas import AngularGrid, FilteredPas, filter_pas, normalize_pas
+from .units import linear_to_db
 
 # The fixed m2 gate: a candidate is rejected when its beam response
 # correlates at or above this with an accepted one, the responses being
@@ -157,7 +158,7 @@ def select_m1(pas: FilteredPas, delta_th_db: float) -> DirectionSet:
     vmax = float(v.max())
     kept = [
         k for k in _plateau_maxima(v)
-        if 10.0 * math.log10(float(v[k]) / vmax) >= -delta_th_db
+        if linear_to_db(float(v[k]) / vmax) >= -delta_th_db
     ]
     return DirectionSet(pas.grid, tuple(kept))
 
@@ -211,7 +212,7 @@ def select_m2(channel: BandChannel, pattern, grid: AngularGrid, delta_th_db: flo
     pas = filter_pas(channel, pattern, grid)
     v = pas.values
     vmax = float(v.max())
-    candidates = np.flatnonzero(10.0 * np.log10(v / vmax) >= -delta_th_db)
+    candidates = np.flatnonzero(linear_to_db(v / vmax) >= -delta_th_db)
     order = candidates[np.lexsort((grid.angles[candidates], -v[candidates]))]
     accepted = np.zeros(len(order), dtype=bool)
     kept, kept_norms = np.empty((0, M2_FREQUENCY_POINTS), complex), np.empty(0)
@@ -247,7 +248,7 @@ def power_ratio(a_low: DirectionSet, a_high: DirectionSet, pas_high: FilteredPas
     """
     num = float(_gather(pas_high, a_low).sum())
     den = float(_gather(pas_high, a_high).sum())
-    return 10.0 * math.log10(num / den)
+    return linear_to_db(num / den)
 
 
 def false_directions(
@@ -264,7 +265,7 @@ def false_directions(
         raise ValueError(f"delta_p_db must be < 0, got {delta_p_db!r}")
     best = float(_gather(pas_high, a_high).max())
     low_values = _gather(pas_high, a_low)
-    return int(np.count_nonzero(10.0 * np.log10(low_values / best) < delta_p_db))
+    return int(np.count_nonzero(linear_to_db(low_values / best) < delta_p_db))
 
 
 def analyze_pair(

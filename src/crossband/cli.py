@@ -197,28 +197,15 @@ def _export_batch(report: BatchReport, out_dir: Path, params: dict) -> None:
     doc = {"params": params}
     doc.update(report.to_dict())
     dump(round_floats(doc), out_dir / "report.json")
-    write_curve_csv(out_dir / "r_cdf.csv", "power_ratio_db,cumulative_probability", report.r_cdf)
-    write_curve_csv(out_dir / "nf_pdf.csv", "n_false,probability", report.nf_pdf.items())
-    write_curve_csv(out_dir / "card_low_pdf.csv", "cardinality,probability",
-                    report.card_low_pdf.items())
-    write_curve_csv(out_dir / "card_high_pdf.csv", "cardinality,probability",
-                    report.card_high_pdf.items())
+    for name, (header, rows) in report.curves().items():
+        write_curve_csv(out_dir / f"{name}.csv", header, rows)
 
 
 def _cmd_batch(args) -> int:
     report = _analyze(args, _load_pairs(args))
-    params = {
-        "data": args.data,
-        "low_ghz": args.low_ghz,
-        "high_ghz": args.high_ghz,
-        "pattern_low": args.pattern_low,
-        "pattern_high": args.pattern_high,
-        "method": args.method,
-        "delta_th_db": args.delta_th_db,
-        "delta_p_db": args.delta_p_db,
-        "grid_step_deg": args.grid_step_deg,
-    }
-    _export_batch(report, Path(args.out), params)
+    names = ("data", "low_ghz", "high_ghz", "pattern_low", "pattern_high", "method",
+             "delta_th_db", "delta_p_db", "grid_step_deg")
+    _export_batch(report, Path(args.out), {name: getattr(args, name) for name in names})
     return EXIT_OK
 
 

@@ -37,6 +37,9 @@ class AngularGrid:
         object.__setattr__(self, "_n", n)
         object.__setattr__(self, "_angles", read_only(np.arange(n) * self.step_deg))
 
+    def __reduce__(self):  # a copy or pickle is rebuilt, so its angles are frozen again
+        return AngularGrid, (self.step_deg,)
+
     @property
     def n_points(self) -> int:
         return self._n
@@ -65,6 +68,9 @@ class FilteredPas:
             raise ValueError("filtered spectrum values must be finite and strictly positive")
         object.__setattr__(self, "values", values)
 
+    def __reduce__(self):  # a copy or pickle is checked and frozen again
+        return FilteredPas, (self.grid, self.values)
+
 
 @dataclass(frozen=True, eq=False)
 class NormalizedPas:
@@ -84,6 +90,9 @@ class NormalizedPas:
         if abs(mass - 1.0) > 1e-9:
             raise ValueError(f"density mass must be 1 within 1e-9, got {mass!r}")
         object.__setattr__(self, "density", density)
+
+    def __reduce__(self):  # a copy or pickle is checked and frozen again
+        return NormalizedPas, (self.grid, self.density)
 
 
 def filter_pas(channel: BandChannel, pattern, grid: AngularGrid) -> FilteredPas:

@@ -1,10 +1,17 @@
-"""The rules every layer shares: dB scales, angle wrapping, the normal-power
-rule and the freeze of checked arrays.
+"""The rules every layer shares: dB scales and ratios, angle wrapping, the
+normal-power rule and the freeze of checked arrays.
 
 ``db_to_linear`` turns a dB power that overflows a float into inf, on a
-scalar as on an array. ``read_only`` is the one way a checked array is
-frozen: ray columns, filtered and normalized spectra, the steering grid and
-tabulated patterns all hold copies over immutable bytes.
+scalar as on an array. ``linear_to_db`` is the one way back, for the
+selection and false-direction thresholds, the power ratio, pattern gains and
+dataset powers: libm's ``math.log10`` for a Python float, numpy's
+``np.log10`` otherwise. As with ``**`` in ``db_to_linear``, numpy's form
+differs from libm's in the last bits of some values, so each caller keeps
+its bits by the kind of value it passes.
+
+``read_only`` is the one way a checked array is frozen: ray columns, filtered
+and normalized spectra, the steering grid and tabulated patterns all hold
+copies over immutable bytes.
 
 ``MIN_STEP_DEG``, 0.01 deg, is the finest angular step the package takes:
 for a steering grid, for a tabulated pattern file, and as the narrowest
@@ -69,7 +76,16 @@ def is_normal_power(power):
 
 
 def linear_to_db(value):
-    """Linear power ratio to dB."""
+    """Power ratio from linear to dB scale; works on scalars and arrays.
+
+    A Python float, ``np.float64`` included, goes through libm's scalar
+    ``math.log10``, which raises ValueError at or below zero; anything else
+    through numpy's ``np.log10``. The two are not bit for bit equal: on
+    uniform values in (0, 1) about one dB result in six differs in its last
+    bits, so each caller keeps its bits by the kind of value it passes.
+    """
+    if isinstance(value, float):
+        return 10.0 * math.log10(value)
     return 10.0 * np.log10(value)
 
 

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -41,3 +44,17 @@ def _assert_frozen(array):
 @pytest.fixture(scope="session")
 def assert_frozen():
     return _assert_frozen
+
+
+def _assert_copies_frozen(obj, *names):
+    """A copy, a deep copy and a pickle round trip of ``obj`` hold frozen, byte-equal arrays."""
+    for round_trip in (copy.copy, copy.deepcopy, lambda o: pickle.loads(pickle.dumps(o))):
+        twin = round_trip(obj)
+        for name in names:
+            _assert_frozen(getattr(twin, name))
+            assert getattr(twin, name).tobytes() == getattr(obj, name).tobytes()
+
+
+@pytest.fixture(scope="session")
+def assert_copies_frozen():
+    return _assert_copies_frozen

@@ -17,6 +17,7 @@ from crossband import beams, dataset, jsonio, pas
 ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "perfbench" / "spans.py"
 SOURCES = sorted((ROOT / "src").rglob("*.py"))
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
 
 def test_public_names_are_unique_and_resolve():
@@ -108,6 +109,21 @@ def test_normal_power_rule_is_spelled_by_units_only():
                        and ((isinstance(node.value, ast.Attribute) and node.value.attr == "float_info")
                             or (isinstance(node.value, ast.Name) and node.value.id == "float_info"))})
     assert spellers == ["units.py"]
+
+
+def test_db_ratios_are_spelled_by_units_only():
+    # units.linear_to_db is the one dB conversion, libm's log10 on a float and numpy's otherwise
+    spellers = sorted({path.name for path in SOURCES for node in _nodes(path)
+                       if isinstance(node, ast.Attribute) and node.attr == "log10"})
+    assert spellers == ["units.py"]
+
+
+def test_batch_curve_headers_are_spelled_by_batch_only():
+    # BatchReport.curves names each batch curve file's header once, for the CLI and the scripts
+    headers = {"power_ratio_db,cumulative_probability", "n_false,probability", "cardinality,probability"}
+    spellers = sorted({path.name for path in SOURCES + SCRIPTS for node in _nodes(path)
+                       if isinstance(node, ast.Constant) and node.value in headers})
+    assert spellers == ["batch.py"]
 
 
 def test_arrays_are_frozen_by_units_read_only_only():

@@ -379,12 +379,13 @@ class TestTabulated:
         pat = cb.TabulatedPattern(np.array([0.0, 180.0]), np.array([0.0, -3076.52]))
         assert float(pat.gain(180.0)) >= sys.float_info.min
 
-    def test_samples_are_read_only(self, tmp_path, gpp3_10, assert_frozen):
+    def test_samples_are_read_only(self, tmp_path, gpp3_10, assert_frozen, assert_copies_frozen):
         built = cb.TabulatedPattern(np.array([0.0, 90.0, -90.0]), np.array([3.0, -7.0, -7.0]))
         cb.pattern_to_csv(gpp3_10, tmp_path / "gpp3.csv", step_deg=1.0)
         for pat in (built, cb.pattern_from_csv(tmp_path / "gpp3.csv")):
             assert_frozen(pat.offsets_deg)
             assert_frozen(pat.gains_db)
+            assert_copies_frozen(pat, "offsets_deg", "gains_db")
 
     def test_duplicate_offsets_collapsed(self):
         pat = cb.TabulatedPattern(

@@ -14,7 +14,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import crossband as cb
-from crossband.units import is_normal_power, wrap_azimuths_deg
+from crossband.units import is_normal_power, linear_to_db, wrap_azimuths_deg
 
 
 def ray(power=1.0, delay=0.0, aoa=0.0, aod=None):
@@ -184,6 +184,20 @@ class TestIsNormalPower:
     def test_arrays_elementwise(self):
         powers = np.array([1.0, 0.0, 1e-310, np.inf, np.nan, sys.float_info.min])
         assert is_normal_power(powers).tolist() == [True, False, False, False, False, True]
+
+
+class TestLinearToDb:
+    # numpy's log10 and libm's differ in the last bits of about one value in six in (0, 1)
+    RATIOS = 1.0 - np.random.default_rng(20).random(100_000)  # in (0, 1]
+
+    def test_floats_take_libm(self):
+        for ratio in self.RATIOS.tolist():
+            expected = 10.0 * math.log10(ratio)
+            assert linear_to_db(ratio).hex() == expected.hex()
+            assert linear_to_db(np.float64(ratio)).hex() == expected.hex()
+
+    def test_arrays_take_numpy(self):
+        assert linear_to_db(self.RATIOS).tobytes() == (10.0 * np.log10(self.RATIOS)).tobytes()
 
 
 class TestLinkPair:

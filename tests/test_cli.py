@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from test_dataset import dataset_files
 
 import crossband as cb
+from crossband.beams import METHODS
 from crossband.cli import (
     _SPEC_KINDS,
     EXIT_IO,
@@ -314,6 +315,21 @@ class TestBatch:
         cdf_lines = (out_dir / "r_cdf.csv").read_text().splitlines()
         assert cdf_lines[0] == "power_ratio_db,cumulative_probability"
         assert len(cdf_lines) == 4
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_curve_files_are_the_report_curves(self, dataset_path, tmp_path, method):
+        out_dir = tmp_path / "report"
+        argv = ["batch", *analysis_argv(dataset_path, ["--method", method]), "--out", str(out_dir)]
+        assert main(argv) == EXIT_OK
+        pattern = cb.Gpp3Pattern(10.0, 30.0)
+        report = cb.analyze_dataset(cb.load_dataset(dataset_path, 15.0, 28.0), pattern, pattern,
+                                    cb.AngularGrid(), cb.SimilarityConfig(method=method))
+        curves = report.curves()
+        expected = sorted(["report.json", *(f"{name}.csv" for name in curves)])
+        assert sorted(p.name for p in out_dir.iterdir()) == expected
+        for name, (header, rows) in curves.items():
+            cb.write_curve_csv(tmp_path / "expected.csv", header, rows)
+            assert (out_dir / f"{name}.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
     def test_infinite_floor_spec_is_a_usage_error(self, dataset_path, tmp_path):
         argv = analysis_argv(dataset_path)
