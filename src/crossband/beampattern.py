@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jsonio import csv_rows, write_curve_csv
-from .units import MIN_STEP_DEG, db_to_linear, is_normal_power, linear_to_db, read_only, wrap_offset_deg
+from .units import MIN_STEP_DEG, Rebuilt, db_to_linear, is_normal_power, linear_to_db, read_only, wrap_offset_deg
 
 _HPBW_SCAN_STEP_DEG = 0.05
 _HPBW_RESOLUTION_DEG = 0.01
@@ -216,7 +216,7 @@ def _sum_rows_pairwise(terms):
 
 
 @dataclass(frozen=True, eq=False)
-class TabulatedPattern(_Pattern):
+class TabulatedPattern(Rebuilt, _Pattern):
     """Gain table over (-180, 180], interpolated linearly in dB.
 
     Samples are normalized so the strongest sample is 0 dB; the peak must sit
@@ -258,9 +258,6 @@ class TabulatedPattern(_Pattern):
         object.__setattr__(self, "gains_db", read_only(gains))
         if abs(float(self.gain_db(0.0))) > 1e-9:
             raise ValueError("tabulated pattern peak must sit at 0 deg offset")
-
-    def __reduce__(self):  # a copy or pickle is checked and frozen again
-        return TabulatedPattern, (self.offsets_deg, self.gains_db)
 
     def _gain_db_vec(self, off):
         return np.interp(off, self.offsets_deg, self.gains_db, period=360.0)

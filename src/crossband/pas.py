@@ -15,11 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import BandChannel
-from .units import MIN_STEP_DEG, read_only
+from .units import MIN_STEP_DEG, Rebuilt, read_only
 
 
 @dataclass(frozen=True)
-class AngularGrid:
+class AngularGrid(Rebuilt):
     """Uniform circular grid {0, step, ..., 360 - step} in degrees.
 
     The step divides 360 and lies in [``units.MIN_STEP_DEG``, 10], that is
@@ -37,9 +37,6 @@ class AngularGrid:
         object.__setattr__(self, "_n", n)
         object.__setattr__(self, "_angles", read_only(np.arange(n) * self.step_deg))
 
-    def __reduce__(self):  # a copy or pickle is rebuilt, so its angles are frozen again
-        return AngularGrid, (self.step_deg,)
-
     @property
     def n_points(self) -> int:
         return self._n
@@ -50,7 +47,7 @@ class AngularGrid:
 
 
 @dataclass(frozen=True, eq=False)
-class FilteredPas:
+class FilteredPas(Rebuilt):
     """Beam-collected power versus steering angle, one value per grid angle."""
 
     grid: AngularGrid
@@ -68,12 +65,9 @@ class FilteredPas:
             raise ValueError("filtered spectrum values must be finite and strictly positive")
         object.__setattr__(self, "values", values)
 
-    def __reduce__(self):  # a copy or pickle is checked and frozen again
-        return FilteredPas, (self.grid, self.values)
-
 
 @dataclass(frozen=True, eq=False)
-class NormalizedPas:
+class NormalizedPas(Rebuilt):
     """Per-degree probability density over steering angle; unit total mass."""
 
     grid: AngularGrid
@@ -90,9 +84,6 @@ class NormalizedPas:
         if abs(mass - 1.0) > 1e-9:
             raise ValueError(f"density mass must be 1 within 1e-9, got {mass!r}")
         object.__setattr__(self, "density", density)
-
-    def __reduce__(self):  # a copy or pickle is checked and frozen again
-        return NormalizedPas, (self.grid, self.density)
 
 
 def filter_pas(channel: BandChannel, pattern, grid: AngularGrid) -> FilteredPas:

@@ -11,7 +11,11 @@ its bits by the kind of value it passes.
 
 ``read_only`` is the one way a checked array is frozen: ray columns, filtered
 and normalized spectra, the steering grid and tabulated patterns all hold
-copies over immutable bytes.
+copies over immutable bytes. ``Rebuilt`` is the one way such an object is
+copied or pickled: the spectra, the grid and tabulated patterns are rebuilt
+through their constructors, so a copy is checked and frozen again.
+``RayTable``, whose constructor takes ``Ray``s and would drop the file
+columns it keeps, refreezes its columns itself.
 
 ``MIN_STEP_DEG``, 0.01 deg, is the finest angular step the package takes:
 for a steering grid, for a tabulated pattern file, and as the narrowest
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import math
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -63,6 +68,18 @@ def read_only(values: np.ndarray) -> np.ndarray:
     and the values after.
     """
     return np.frombuffer(np.asarray(values, dtype=float).tobytes(), dtype=float)
+
+
+class Rebuilt:
+    """Base of the frozen dataclasses that hold ``read_only`` arrays.
+
+    ``copy.copy``, ``copy.deepcopy`` and pickle rebuild an instance by calling
+    its class on its field values in field order, so the copy passes the
+    constructor's checks and its arrays are frozen again, byte-equal.
+    """
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, field.name) for field in fields(self))
 
 
 def is_normal_power(power):
