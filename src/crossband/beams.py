@@ -163,11 +163,13 @@ def select_m1(pas: FilteredPas, delta_th_db: float) -> DirectionSet:
     return DirectionSet(pas.grid, tuple(kept))
 
 
-def _cfr_matrix(channel, pattern, steer_deg):
+def _cfr_matrix(channel, pattern, steer_deg, out=None):
     """Rows of beam responses, one per steering angle, columns over frequency.
 
     Tap amplitudes are ``sqrt(power * gain)``; tap phases rotate with the path
-    delays over the fixed frequency sweep of the ``m2`` gate.
+    delays over the fixed frequency sweep of the ``m2`` gate. The product is
+    written into ``out`` when given, a C-contiguous complex array of
+    ``(len(steer_deg), M2_FREQUENCY_POINTS)``, with the same bits.
     """
     rays = channel.rays
     f_hz = np.linspace(
@@ -177,7 +179,7 @@ def _cfr_matrix(channel, pattern, steer_deg):
     )
     amplitudes = np.sqrt(rays.powers * pattern.gain(steer_deg[:, None] - rays.aoas))
     phasors = np.exp(-2j * np.pi * rays.delays[:, None] * f_hz)
-    return amplitudes.astype(complex) @ phasors
+    return np.matmul(amplitudes.astype(complex), phasors, out=out)
 
 
 def select_m2(channel: BandChannel, pattern, grid: AngularGrid, delta_th_db: float) -> DirectionSet:
@@ -205,7 +207,9 @@ def select_m2(channel: BandChannel, pattern, grid: AngularGrid, delta_th_db: flo
     direction, and one product per block against the directions accepted
     before it, so O(accepted x candidates) time. Memory is one block of
     ``M2_FREQUENCY_POINTS``-point complex128 responses (about 1.6 kB a row)
-    plus a copy of each accepted row, whatever the candidate count.
+    plus a copy of each accepted row, whatever the candidate count. The
+    blocks of a band share one buffer, allocated once per call, so the heap
+    does not hand a fresh 0.8 MB block back and fault it in again per block.
     """
     if not delta_th_db > 0.0:
         raise ValueError(f"delta_th_db must be > 0, got {delta_th_db!r}")
@@ -216,8 +220,10 @@ def select_m2(channel: BandChannel, pattern, grid: AngularGrid, delta_th_db: flo
     order = candidates[np.lexsort((grid.angles[candidates], -v[candidates]))]
     accepted = np.zeros(len(order), dtype=bool)
     kept, kept_norms = np.empty((0, M2_FREQUENCY_POINTS), complex), np.empty(0)
+    buf = np.empty((min(len(order), _M2_BLOCK_ROWS), M2_FREQUENCY_POINTS), complex)
     for start in range(0, len(order), _M2_BLOCK_ROWS):
-        responses = _cfr_matrix(channel, pattern, grid.angles[order[start:start + _M2_BLOCK_ROWS]])
+        steer = grid.angles[order[start:start + _M2_BLOCK_ROWS]]
+        responses = _cfr_matrix(channel, pattern, steer, out=buf[:len(steer)])
         norms = np.linalg.norm(responses, axis=1)
         corr = np.abs(responses @ kept.conj().T) / (norms[:, None] * kept_norms)
         alive = (corr < M2_CORRELATION_THRESHOLD).all(axis=1)

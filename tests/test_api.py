@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import crossband as cb
-from crossband import beams, dataset, jsonio, pas
+from crossband import beams, dataset, jsonio, pas, units
 
 ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "perfbench" / "spans.py"
@@ -223,3 +223,18 @@ def test_output_precision_is_not_spelled_as_a_literal():
                and any(isinstance(part, ast.Constant) and "12g" in part.value
                        for part in node.format_spec.values)]
     assert literal == []
+
+
+def test_frozen_types_are_rebuilt_by_units_only():
+    # units.Rebuilt is the one copy and pickle rule for the classes that freeze arrays;
+    # RayTable's constructor takes Rays and would drop its file columns, so it keeps its own
+    reducers = sorted({path.name for path in SOURCES for node in _nodes(path)
+                       if isinstance(node, ast.FunctionDef) and node.name == "__reduce__"})
+    assert reducers == ["channel.py", "units.py"]
+    freezers = [getattr(importlib.import_module(f"crossband.{path.stem}"), node.name)
+                for path in SOURCES for node in _nodes(path)
+                if isinstance(node, ast.ClassDef) and any(
+                    isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == "read_only"
+                    for call in ast.walk(node))]
+    assert len(freezers) == 5
+    assert [cls.__name__ for cls in freezers if not issubclass(cls, units.Rebuilt)] == ["RayTable"]

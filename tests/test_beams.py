@@ -228,6 +228,22 @@ class TestBeamCfr:
         assert abs(h[49]) == pytest.approx(expected, rel=1e-9)
         assert abs(h[51]) == pytest.approx(expected, rel=1e-9)
 
+    @pytest.mark.parametrize("pattern", ["ula4", "ula8", "gpp3_10"])
+    def test_out_buffer_holds_the_allocated_bits(self, pattern, request):
+        # select_m2 builds each block's responses into one buffer per band
+        pattern = request.getfixturevalue(pattern)
+        rng = np.random.default_rng(5)
+        buf = np.full((beams._M2_BLOCK_ROWS, beams.M2_FREQUENCY_POINTS), complex(np.nan, np.nan))
+        for _ in range(30):
+            rays = tuple(cb.Ray(float(10.0 ** rng.uniform(-6.0, 0.0)), float(rng.uniform(0.0, 500e-9)),
+                                float(rng.uniform(0.0, 360.0)))
+                         for _ in range(int(rng.integers(1, 13))))
+            ch = cb.BandChannel(float(rng.uniform(10.0, 80.0)), rays)
+            steer = rng.uniform(0.0, 360.0, int(rng.integers(1, beams._M2_BLOCK_ROWS + 1)))
+            got = _cfr_matrix(ch, pattern, steer, out=buf[:len(steer)])
+            assert np.shares_memory(got, buf)
+            assert got.tobytes() == _cfr_matrix(ch, pattern, steer).tobytes()
+
 
 class TestSelectM2:
     # two paths inside one ULA4 lobe, 30 ns apart: the spectrum fuses them,
