@@ -11,11 +11,12 @@ its bits by the kind of value it passes.
 
 ``read_only`` is the one way a checked array is frozen: ray columns, filtered
 and normalized spectra, the steering grid and tabulated patterns all hold
-copies over immutable bytes. ``Rebuilt`` is the one way such an object is
-copied or pickled: the spectra, the grid and tabulated patterns are rebuilt
-through their constructors, so a copy is checked and frozen again.
-``RayTable``, whose constructor takes ``Ray``s and would drop the file
-columns it keeps, refreezes its columns itself.
+copies over immutable bytes. ``Rebuilt`` is the one rule by which such an
+object is copied or pickled: the spectra, the grid and tabulated patterns
+inherit it, so a copy goes through the constructor's checks and is frozen
+again. ``RayTable`` is the exception: its constructor takes ``Ray``s and
+would drop the file columns a table keeps, so it refreezes its columns
+itself.
 
 ``MIN_STEP_DEG``, 0.01 deg, is the finest angular step the package takes:
 for a steering grid, for a tabulated pattern file, and as the narrowest
