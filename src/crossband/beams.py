@@ -9,7 +9,9 @@ from a filtered spectrum:
   them greedily, strongest first, skipping any candidate whose synthesized
   channel frequency response correlates too strongly with an already accepted
   direction. Distinct path delays decorrelate responses, so ``m2`` can split
-  directions that merge into a single lobe of the spectrum.
+  directions that merge into a single lobe of the spectrum. The responses'
+  tap amplitudes come from ``pas._weighted_gains``, the spectral kernel
+  whose rows ``filter_pas`` sums.
 
 Given a low-band and a high-band direction set on the high band's grid,
 ``power_ratio`` measures how much high-band power the low-band directions
@@ -27,7 +29,7 @@ import numpy as np
 
 from .channel import BandChannel, LinkPair
 from .metrics import PspResult, psp
-from .pas import AngularGrid, FilteredPas, filter_pas, normalize_pas
+from .pas import AngularGrid, FilteredPas, _weighted_gains, filter_pas, normalize_pas
 from .units import linear_to_db
 
 # The fixed m2 gate: a candidate is rejected when its beam response
@@ -166,19 +168,19 @@ def select_m1(pas: FilteredPas, delta_th_db: float) -> DirectionSet:
 def _cfr_matrix(channel, pattern, steer_deg, out=None):
     """Rows of beam responses, one per steering angle, columns over frequency.
 
-    Tap amplitudes are ``sqrt(power * gain)``; tap phases rotate with the path
-    delays over the fixed frequency sweep of the ``m2`` gate. The product is
-    written into ``out`` when given, a C-contiguous complex array of
-    ``(len(steer_deg), M2_FREQUENCY_POINTS)``, with the same bits.
+    Tap amplitudes are ``sqrt(power * gain)``, the square roots of the
+    columns of ``pas._weighted_gains`` over ``steer_deg``; tap phases rotate
+    with the path delays over the fixed frequency sweep of the ``m2`` gate.
+    The product is written into ``out`` when given, a C-contiguous complex
+    array of ``(len(steer_deg), M2_FREQUENCY_POINTS)``, with the same bits.
     """
-    rays = channel.rays
     f_hz = np.linspace(
         (channel.frequency - 0.5 * M2_BANDWIDTH_GHZ) * 1e9,
         (channel.frequency + 0.5 * M2_BANDWIDTH_GHZ) * 1e9,
         M2_FREQUENCY_POINTS,
     )
-    amplitudes = np.sqrt(rays.powers * pattern.gain(steer_deg[:, None] - rays.aoas))
-    phasors = np.exp(-2j * np.pi * rays.delays[:, None] * f_hz)
+    amplitudes = np.sqrt(_weighted_gains(channel, pattern, steer_deg).T)
+    phasors = np.exp(-2j * np.pi * channel.rays.delays[:, None] * f_hz)
     return np.matmul(amplitudes.astype(complex), phasors, out=out)
 
 

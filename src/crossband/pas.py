@@ -4,7 +4,10 @@ A discrete channel is turned into a spectrum by steering a beampattern to
 every grid angle and collecting the gain-weighted sum of ray powers. Ray
 arrival angles are never snapped to the grid: the pattern is evaluated at the
 exact per-ray offset, so refining the grid reproduces coarse-grid values bit
-for bit. Normalizing a spectrum to unit mass (with the grid step as the
+for bit. One kernel, ``_weighted_gains``, weights each ray's gain by its power
+over a rays x angles matrix: ``filter_pas`` sums its rows, and the ``m2`` beam
+responses in ``beams`` take the square roots of its columns as tap
+amplitudes. Normalizing a spectrum to unit mass (with the grid step as the
 integration measure) makes it comparable as a probability density.
 """
 
@@ -86,23 +89,32 @@ class NormalizedPas(Rebuilt):
         object.__setattr__(self, "density", density)
 
 
+def _weighted_gains(channel: BandChannel, pattern, angles: np.ndarray) -> np.ndarray:
+    """Each ray's power times the gain of the pattern steered to each angle.
+
+    One row per ray, one column per steering angle: the pattern is evaluated
+    once over the rays x angles matrix of exact offsets, and that fresh
+    matrix is weighted in place. Each column depends only on its own angle,
+    so a column equals, bit for bit, the one computed for that angle alone.
+    """
+    gains = pattern.gain(angles[None, :] - channel.rays.aoas[:, None])
+    gains *= channel.rays.powers[:, None]
+    return gains
+
+
 def filter_pas(channel: BandChannel, pattern, grid: AngularGrid) -> FilteredPas:
     """Filter a discrete channel through a beampattern on a circular grid.
 
     For every grid angle the pattern is steered there and the ray powers are
     accumulated with the gain at the exact angular offset of each ray. The
-    pattern is evaluated once over a rays x grid matrix of offsets; the
-    weighted rows are then summed along the ray axis, which adds them in ray
-    order at every grid point. The result is bit for bit that of a per-ray
-    ``values += power * pattern.gain(angles - aoa)`` loop.
+    rows of ``_weighted_gains`` are summed along the ray axis, which adds
+    them in ray order at every grid point. The result is bit for bit that of
+    a per-ray ``values += power * pattern.gain(angles - aoa)`` loop.
 
     Raises ValueError, naming the band and the first such steering angle,
     when a value is not positive because every ray's product underflowed.
     """
-    rays = channel.rays
-    gains = pattern.gain(grid.angles[None, :] - rays.aoas[:, None])
-    gains *= rays.powers[:, None]  # a fresh matrix, weighted in place
-    values = gains.sum(axis=0)
+    values = _weighted_gains(channel, pattern, grid.angles).sum(axis=0)
     if not values.min() > 0.0:
         raise ValueError(f"{channel.frequency:g} GHz band: filtered spectrum is zero at steering angle "
                          f"{grid.angles[np.argmin(values)]:g} deg, where every ray's power times its "

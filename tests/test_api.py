@@ -237,3 +237,19 @@ def test_frozen_types_are_rebuilt_by_units_only():
                     isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == "read_only"
                     for call in ast.walk(node))]
     assert [cls.__name__ for cls in freezers if not issubclass(cls, units.Rebuilt)] == ["RayTable"]
+
+
+def _is_gain_call(node):
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "gain"
+
+
+def test_pattern_gains_are_weighted_by_pas_only():
+    # pas._weighted_gains is the one spectral kernel: filter_pas sums its rows and
+    # the m2 responses take their amplitudes from its columns
+    calls = [f"{path.name}:{node.lineno}" for path in SOURCES if path.name != "beampattern.py"
+             for node in _nodes(path) if _is_gain_call(node)]
+    kernels = [node for node in _nodes(Path(pas.__file__))
+               if isinstance(node, ast.FunctionDef) and node.name == "_weighted_gains"]
+    assert calls == [f"pas.py:{node.lineno}" for kernel in kernels for node in ast.walk(kernel)
+                     if _is_gain_call(node)]
+    assert len(kernels) == len(calls) == 1

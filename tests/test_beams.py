@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import crossband as cb
 from crossband import beams
 from crossband.beams import _cfr_matrix, _plateau_maxima
+from crossband.pas import _weighted_gains
 from oracles import (
     beam_response,
     count_false,
@@ -204,6 +205,37 @@ class TestPlateauMaxima:
         assert _plateau_maxima(values) == local_maxima(values.tolist())
 
 
+CFR_PATTERNS = {
+    "ula4": cb.UlaPattern(4),
+    "ula8": cb.UlaPattern(8),
+    "ula16": cb.UlaPattern(16),
+    "gpp3_10": cb.Gpp3Pattern(10.0, 30.0),
+    "tabulated": cb.TabulatedPattern(
+        np.array([-170.0, -30.0, 0.0, 45.0, 175.0]),
+        np.array([-25.0, -8.0, 0.0, -6.0, -20.0]),
+    ),
+}
+
+
+def random_band(rng, dyadic=False):
+    """1-12 rays of random power, delay and arrival angle (eighths of a degree if dyadic)."""
+    rays = tuple(cb.Ray(float(10.0 ** rng.uniform(-6.0, 0.0)), float(rng.uniform(0.0, 500e-9)),
+                        float(rng.integers(0, 2880) / 8.0 if dyadic else rng.uniform(0.0, 360.0)))
+                 for _ in range(int(rng.integers(1, 13))))
+    return cb.BandChannel(float(rng.uniform(10.0, 80.0)), rays)
+
+
+def per_row_responses(channel, pattern, steer):
+    """Beam responses with each row's amplitudes ``sqrt(powers * gain(steer - aoas))``."""
+    rays = channel.rays
+    f_hz = np.linspace((channel.frequency - 0.5 * beams.M2_BANDWIDTH_GHZ) * 1e9,
+                       (channel.frequency + 0.5 * beams.M2_BANDWIDTH_GHZ) * 1e9,
+                       beams.M2_FREQUENCY_POINTS)
+    phasors = np.exp(-2j * np.pi * rays.delays[:, None] * f_hz)
+    amplitudes = np.sqrt(rays.powers * pattern.gain(steer[:, None] - rays.aoas))
+    return np.matmul(amplitudes.astype(complex), phasors)
+
+
 class TestBeamCfr:
     def test_zero_delay_gives_flat_response(self, gpp3_10):
         ch = cb.BandChannel(15.0, (cb.Ray(4.0, 0.0, 30.0),))
@@ -228,21 +260,49 @@ class TestBeamCfr:
         assert abs(h[49]) == pytest.approx(expected, rel=1e-9)
         assert abs(h[51]) == pytest.approx(expected, rel=1e-9)
 
-    @pytest.mark.parametrize("pattern", ["ula4", "ula8", "gpp3_10"])
-    def test_out_buffer_holds_the_allocated_bits(self, pattern, request):
+    @pytest.mark.parametrize("pattern", ["ula4", "ula8", "gpp3_10", "tabulated"])
+    def test_out_buffer_holds_the_allocated_bits(self, pattern):
         # select_m2 builds each block's responses into one buffer per band
-        pattern = request.getfixturevalue(pattern)
+        pattern = CFR_PATTERNS[pattern]
         rng = np.random.default_rng(5)
         buf = np.full((beams._M2_BLOCK_ROWS, beams.M2_FREQUENCY_POINTS), complex(np.nan, np.nan))
         for _ in range(30):
-            rays = tuple(cb.Ray(float(10.0 ** rng.uniform(-6.0, 0.0)), float(rng.uniform(0.0, 500e-9)),
-                                float(rng.uniform(0.0, 360.0)))
-                         for _ in range(int(rng.integers(1, 13))))
-            ch = cb.BandChannel(float(rng.uniform(10.0, 80.0)), rays)
+            ch = random_band(rng)
             steer = rng.uniform(0.0, 360.0, int(rng.integers(1, beams._M2_BLOCK_ROWS + 1)))
             got = _cfr_matrix(ch, pattern, steer, out=buf[:len(steer)])
             assert np.shares_memory(got, buf)
             assert got.tobytes() == _cfr_matrix(ch, pattern, steer).tobytes()
+
+    @pytest.mark.parametrize("pattern", sorted(CFR_PATTERNS))
+    def test_amplitudes_from_the_kernel_keep_the_per_row_bits(self, pattern):
+        # _cfr_matrix takes the square roots of pas._weighted_gains' transposed
+        # rays x angles matrix; the products are those of a steering x rays one
+        pattern = CFR_PATTERNS[pattern]
+        rng = np.random.default_rng(22)
+        for i in range(40):
+            ch = random_band(rng, dyadic=i % 2 == 0)
+            steer = rng.uniform(0.0, 360.0, int(rng.integers(1, beams._M2_BLOCK_ROWS + 1)))
+            # some rows steer exactly +-90 and 180 degrees off a ray when its angle is dyadic:
+            # the ULA front half-plane edge and the wrap point of every pattern
+            rows = rng.integers(0, len(steer), min(len(steer), 8))
+            steer[rows] = (ch.rays.aoas[rng.integers(0, len(ch.rays), len(rows))]
+                           + rng.choice([90.0, -90.0, 180.0], len(rows))) % 360.0
+            got = _cfr_matrix(ch, pattern, steer)
+            assert got.tobytes() == per_row_responses(ch, pattern, steer).tobytes()
+
+    @pytest.mark.parametrize("pattern", sorted(CFR_PATTERNS))
+    def test_kernel_columns_do_not_depend_on_the_other_angles(self, pattern):
+        # a column of one band's grid-wide matrix equals the column computed for its angle
+        # alone, so the m2 blocks may take theirs from the spectrum's matrix
+        pattern = CFR_PATTERNS[pattern]
+        rng = np.random.default_rng(23)
+        for step in (0.1, 0.5, 1.0):
+            grid = cb.AngularGrid(step)
+            for _ in range(5):
+                ch = random_band(rng)
+                idx = rng.integers(0, grid.n_points, int(rng.integers(1, beams._M2_BLOCK_ROWS + 1)))
+                whole = _weighted_gains(ch, pattern, grid.angles)
+                assert whole[:, idx].tobytes() == _weighted_gains(ch, pattern, grid.angles[idx]).tobytes()
 
 
 class TestSelectM2:
