@@ -5,10 +5,12 @@ every grid angle and collecting the gain-weighted sum of ray powers. Ray
 arrival angles are never snapped to the grid: the pattern is evaluated at the
 exact per-ray offset, so refining the grid reproduces coarse-grid values bit
 for bit. One kernel, ``_weighted_gains``, weights each ray's gain by its power
-over a rays x angles matrix: ``filter_pas`` sums its rows, and the ``m2`` beam
-responses in ``beams`` take the square roots of its columns as tap
-amplitudes. Normalizing a spectrum to unit mass (with the grid step as the
-integration measure) makes it comparable as a probability density.
+over a rays x angles matrix: ``filter_pas`` sums its rows and, given an
+``out`` array, copies the matrix there, so that the ``m2`` beam responses in
+``beams`` take the square roots of its columns as tap amplitudes without
+evaluating the pattern again. Normalizing a spectrum to unit mass (with the
+grid step as the integration measure) makes it comparable as a probability
+density.
 """
 
 from __future__ import annotations
@@ -102,7 +104,7 @@ def _weighted_gains(channel: BandChannel, pattern, angles: np.ndarray) -> np.nda
     return gains
 
 
-def filter_pas(channel: BandChannel, pattern, grid: AngularGrid) -> FilteredPas:
+def filter_pas(channel: BandChannel, pattern, grid: AngularGrid, *, out=None) -> FilteredPas:
     """Filter a discrete channel through a beampattern on a circular grid.
 
     For every grid angle the pattern is steered there and the ray powers are
@@ -111,10 +113,20 @@ def filter_pas(channel: BandChannel, pattern, grid: AngularGrid) -> FilteredPas:
     them in ray order at every grid point. The result is bit for bit that of
     a per-ray ``values += power * pattern.gain(angles - aoa)`` loop.
 
+    ``out``, when given, is a float array of shape ``(len(channel.rays),
+    grid.n_points)`` that receives a copy of that weighted matrix, in any
+    memory layout. The spectrum is summed from the kernel's own C-ordered
+    matrix, so its bits do not depend on ``out``.
+
     Raises ValueError, naming the band and the first such steering angle,
     when a value is not positive because every ray's product underflowed.
     """
-    values = _weighted_gains(channel, pattern, grid.angles).sum(axis=0)
+    weighted = _weighted_gains(channel, pattern, grid.angles)
+    values = weighted.sum(axis=0)
+    if out is not None:
+        if out.shape != weighted.shape:
+            raise ValueError(f"out must have shape {weighted.shape}, got {out.shape}")
+        out[...] = weighted
     if not values.min() > 0.0:
         raise ValueError(f"{channel.frequency:g} GHz band: filtered spectrum is zero at steering angle "
                          f"{grid.angles[np.argmin(values)]:g} deg, where every ray's power times its "

@@ -15,6 +15,7 @@ import crossband as cb
 from crossband import beams
 from crossband.beams import _cfr_matrix, _plateau_maxima
 from crossband.pas import _weighted_gains
+from crossband.units import linear_to_db
 from oracles import (
     beam_response,
     count_false,
@@ -239,20 +240,23 @@ def per_row_responses(channel, pattern, steer):
 class TestBeamCfr:
     def test_zero_delay_gives_flat_response(self, gpp3_10):
         ch = cb.BandChannel(15.0, (cb.Ray(4.0, 0.0, 30.0),))
-        h = _cfr_matrix(ch, gpp3_10, np.array([30.0]))[0]
+        steer = np.array([30.0])
+        h = _cfr_matrix(ch, _weighted_gains(ch, gpp3_10, steer), steer)[0]
         assert h.shape == (beams.M2_FREQUENCY_POINTS,)
         np.testing.assert_allclose(np.abs(h), 2.0, rtol=1e-12)
 
     def test_gain_scales_tap_amplitude(self, gpp3_10):
         ch = cb.BandChannel(15.0, (cb.Ray(1.0, 0.0, 5.0),))
-        h = _cfr_matrix(ch, gpp3_10, np.array([0.0]))[0]
+        steer = np.array([0.0])
+        h = _cfr_matrix(ch, _weighted_gains(ch, gpp3_10, steer), steer)[0]
         assert h.shape == (beams.M2_FREQUENCY_POINTS,)
         np.testing.assert_allclose(np.abs(h), math.sqrt(10.0 ** -0.3), rtol=1e-12)
 
     def test_two_tap_interference_null(self, gpp3_10):
         # equal taps, 0.5 ns apart: phase difference 15*pi at 15 GHz
         ch = cb.BandChannel(15.0, (cb.Ray(1.0, 0.0, 0.0), cb.Ray(1.0, 0.5e-9, 0.0)))
-        h = _cfr_matrix(ch, gpp3_10, np.array([0.0]))[0]
+        steer = np.array([0.0])
+        h = _cfr_matrix(ch, _weighted_gains(ch, gpp3_10, steer), steer)[0]
         assert h.shape == (beams.M2_FREQUENCY_POINTS,)
         assert abs(h[50]) < 1e-12
         # one bin off the null: 20 MHz shifts the tap phase by 0.02*pi
@@ -269,13 +273,14 @@ class TestBeamCfr:
         for _ in range(30):
             ch = random_band(rng)
             steer = rng.uniform(0.0, 360.0, int(rng.integers(1, beams._M2_BLOCK_ROWS + 1)))
-            got = _cfr_matrix(ch, pattern, steer, out=buf[:len(steer)])
+            weighted = _weighted_gains(ch, pattern, steer)
+            got = _cfr_matrix(ch, weighted, steer, out=buf[:len(steer)])
             assert np.shares_memory(got, buf)
-            assert got.tobytes() == _cfr_matrix(ch, pattern, steer).tobytes()
+            assert got.tobytes() == _cfr_matrix(ch, weighted, steer).tobytes()
 
     @pytest.mark.parametrize("pattern", sorted(CFR_PATTERNS))
     def test_amplitudes_from_the_kernel_keep_the_per_row_bits(self, pattern):
-        # _cfr_matrix takes the square roots of pas._weighted_gains' transposed
+        # _cfr_matrix takes the square roots of a transposed pas._weighted_gains
         # rays x angles matrix; the products are those of a steering x rays one
         pattern = CFR_PATTERNS[pattern]
         rng = np.random.default_rng(22)
@@ -287,8 +292,32 @@ class TestBeamCfr:
             rows = rng.integers(0, len(steer), min(len(steer), 8))
             steer[rows] = (ch.rays.aoas[rng.integers(0, len(ch.rays), len(rows))]
                            + rng.choice([90.0, -90.0, 180.0], len(rows))) % 360.0
-            got = _cfr_matrix(ch, pattern, steer)
+            got = _cfr_matrix(ch, _weighted_gains(ch, pattern, steer), steer)
             assert got.tobytes() == per_row_responses(ch, pattern, steer).tobytes()
+
+    @pytest.mark.parametrize("pattern", sorted(CFR_PATTERNS))
+    def test_columns_of_the_band_matrix_keep_the_per_row_bits(self, pattern):
+        # select_m2 hands each block its candidates' columns of the matrix filter_pas copied out
+        pattern = CFR_PATTERNS[pattern]
+        rng = np.random.default_rng(24)
+        for step in (0.1, 0.5, 1.0):
+            grid = cb.AngularGrid(step)
+            for _ in range(5):
+                ch = random_band(rng)
+                weighted = np.empty((len(ch.rays), grid.n_points))
+                cb.filter_pas(ch, pattern, grid, out=weighted)
+                block = rng.permutation(grid.n_points)[:int(rng.integers(1, beams._M2_BLOCK_ROWS + 1))]
+                steer = grid.angles[block]
+                got = _cfr_matrix(ch, weighted[:, block], steer)
+                assert got.tobytes() == per_row_responses(ch, pattern, steer).tobytes()
+
+    @pytest.mark.parametrize("columns", [0, 2, 4])
+    def test_refuses_a_block_whose_columns_are_not_its_steering_angles(self, ula4, columns):
+        ch = cb.BandChannel(28.0, (cb.Ray(1.0, 0.0, 0.0), cb.Ray(0.5, 30e-9, 22.0)))
+        steer = np.array([0.0, 10.0, 20.0])
+        weighted = _weighted_gains(ch, ula4, np.arange(columns, dtype=float))
+        with pytest.raises(ValueError, match=f"{columns} weighted gain columns for 3 steering angles"):
+            _cfr_matrix(ch, weighted, steer)
 
     @pytest.mark.parametrize("pattern", sorted(CFR_PATTERNS))
     def test_kernel_columns_do_not_depend_on_the_other_angles(self, pattern):
@@ -303,6 +332,41 @@ class TestBeamCfr:
                 idx = rng.integers(0, grid.n_points, int(rng.integers(1, beams._M2_BLOCK_ROWS + 1)))
                 whole = _weighted_gains(ch, pattern, grid.angles)
                 assert whole[:, idx].tobytes() == _weighted_gains(ch, pattern, grid.angles[idx]).tobytes()
+
+
+class TestFilterPasOut:
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("pattern", sorted(CFR_PATTERNS))
+    def test_out_receives_the_kernel_matrix(self, pattern, order):
+        # the spectrum is summed from the kernel's own matrix, whatever the layout of out
+        pattern = CFR_PATTERNS[pattern]
+        rng = np.random.default_rng(25)
+        for step in (0.1, 0.5, 1.0):
+            grid = cb.AngularGrid(step)
+            for _ in range(4):
+                ch = random_band(rng)
+                out = np.full((len(ch.rays), grid.n_points), np.nan, order=order)
+                got = cb.filter_pas(ch, pattern, grid, out=out)
+                assert out.tobytes() == _weighted_gains(ch, pattern, grid.angles).tobytes()
+                assert got.values.tobytes() == cb.filter_pas(ch, pattern, grid).values.tobytes()
+
+    @pytest.mark.parametrize("shape", [(2, 360), (3, 359), (1, 360), (360,)])
+    def test_out_of_another_shape_is_refused(self, gpp3_10, grid, shape):
+        ch = cb.BandChannel(15.0, (cb.Ray(1.0, 0.0, 10.0), cb.Ray(0.5, 1e-9, 40.0), cb.Ray(0.2, 2e-9, 80.0)))
+        with pytest.raises(ValueError, match=r"out must have shape \(3, 360\)"):
+            cb.filter_pas(ch, gpp3_10, grid, out=np.empty(shape))
+
+
+class CountingPattern:
+    """A pattern that counts the calls of its ``gain``."""
+
+    def __init__(self, pattern):
+        self.pattern = pattern
+        self.calls = 0
+
+    def gain(self, offsets):
+        self.calls += 1
+        return self.pattern.gain(offsets)
 
 
 class TestSelectM2:
@@ -380,6 +444,20 @@ class TestSelectM2:
         got, expected, n_candidates = self._gated(np.random.default_rng(21), 4, grid, 20.0)
         assert n_candidates > beams._M2_BLOCK_ROWS
         assert got == expected
+
+    @pytest.mark.parametrize("step, n_links", [(1.0, 3), (0.1, 2)])
+    def test_evaluates_the_pattern_once_per_band(self, step, n_links):
+        # the blocks take their amplitudes from the spectrum's own matrix, at 0.1 degrees
+        # from more than one block of candidates
+        grid = cb.AngularGrid(step)
+        for pair in cb.generate_dataset(cb.GenConfig(seed=17), n_links):
+            for band, pattern in ((pair.low, cb.UlaPattern(4)), (pair.high, cb.Gpp3Pattern(10.0, 30.0))):
+                v = cb.filter_pas(band, pattern, grid).values
+                n_candidates = np.count_nonzero(linear_to_db(v / v.max()) >= -20.0)
+                assert (n_candidates > beams._M2_BLOCK_ROWS) == (step == 0.1)
+                counting = CountingPattern(pattern)
+                assert cb.select_m2(band, counting, grid, 20.0) == cb.select_m2(band, pattern, grid, 20.0)
+                assert counting.calls == 1
 
     def test_memory_stays_within_the_spectrum_filter(self):
         # the gate once held three candidates x 101 complex arrays: 110 MB here
