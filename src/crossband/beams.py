@@ -13,7 +13,8 @@ from a filtered spectrum:
   tap amplitudes come from the band's ``pas._weighted_gains`` matrix, the
   spectral kernel whose rows ``filter_pas`` sums: ``select_m2`` has its one
   ``filter_pas`` call copy the matrix into ``out`` and hands each block of
-  candidates its columns, so the pattern is evaluated once per band.
+  candidates its columns, so the pattern is evaluated once per band; the
+  tap phases over the sweep are one table per band as well.
 
 Given a low-band and a high-band direction set on the high band's grid,
 ``power_ratio`` measures how much high-band power the low-band directions
@@ -167,16 +168,15 @@ def select_m1(pas: FilteredPas, delta_th_db: float) -> DirectionSet:
     return DirectionSet(pas.grid, tuple(kept))
 
 
-def _cfr_matrix(channel, weighted, steer_deg, out=None):
+def _cfr_matrix(phasors, weighted, steer_deg, out=None):
     """Rows of beam responses, one per steering angle, columns over frequency.
 
-    Row ``i`` is the response of the beam steered to ``steer_deg[i]``, and
-    column ``i`` of ``weighted`` is that angle's column of the band's
-    ``pas._weighted_gains`` matrix (one row per ray), which ``select_m2``
-    takes from the matrix its ``filter_pas`` call copied out; the pattern is
-    not evaluated here. Tap amplitudes are ``sqrt(power * gain)``, the
-    square roots of those columns; tap phases rotate with the path delays
-    over the fixed frequency sweep of the ``m2`` gate. The product is
+    Row ``i`` is the response of the beam steered to ``steer_deg[i]``:
+    column ``i`` of ``weighted``, that angle's column of the band's
+    ``pas._weighted_gains`` matrix (one row per ray), gives the tap
+    amplitudes ``sqrt(power * gain)``, which multiply ``phasors``, the
+    band's ``(rays, M2_FREQUENCY_POINTS)`` table of tap phases over the
+    ``m2`` sweep that ``select_m2`` builds once per call. The product is
     written into ``out`` when given, a C-contiguous complex array of
     ``(len(steer_deg), M2_FREQUENCY_POINTS)``, with the same bits. The
     angles are not read, but the benchmark counts ``m2`` candidates from
@@ -185,14 +185,7 @@ def _cfr_matrix(channel, weighted, steer_deg, out=None):
     """
     if weighted.shape[1] != len(steer_deg):
         raise ValueError(f"{weighted.shape[1]} weighted gain columns for {len(steer_deg)} steering angles")
-    f_hz = np.linspace(
-        (channel.frequency - 0.5 * M2_BANDWIDTH_GHZ) * 1e9,
-        (channel.frequency + 0.5 * M2_BANDWIDTH_GHZ) * 1e9,
-        M2_FREQUENCY_POINTS,
-    )
-    amplitudes = np.sqrt(weighted.T)
-    phasors = np.exp(-2j * np.pi * channel.rays.delays[:, None] * f_hz)
-    return np.matmul(amplitudes.astype(complex), phasors, out=out)
+    return np.matmul(np.sqrt(weighted.T).astype(complex), phasors, out=out)
 
 
 def select_m2(channel: BandChannel, pattern, grid: AngularGrid, delta_th_db: float) -> DirectionSet:
@@ -205,9 +198,14 @@ def select_m2(channel: BandChannel, pattern, grid: AngularGrid, delta_th_db: flo
     response stays below ``M2_CORRELATION_THRESHOLD``. The global maximum is
     accepted first, so at least one direction survives.
 
-    The pattern is evaluated once: the spectrum's ``filter_pas`` call also
-    copies the band's weighted gain matrix into a buffer, and each block's
-    tap amplitudes are its candidates' columns of that matrix.
+    Candidate indices ascend with angle, so one stable sort of the negated
+    spectrum values ranks them with ties broken by angle.
+
+    Each band value is computed once per call: the spectrum's ``filter_pas``
+    call also copies the band's weighted gain matrix into a buffer, whose
+    columns are each block's tap amplitudes, and the tap phases over the
+    frequency sweep, ``exp(-2j*pi*delay*f)``, form one ``(rays,
+    M2_FREQUENCY_POINTS)`` table that every block multiplies.
 
     The walk takes the ranked candidates in blocks of ``_M2_BLOCK_ROWS``.
     A block's rows that correlate at ``corr >= M2_CORRELATION_THRESHOLD``
@@ -225,9 +223,9 @@ def select_m2(channel: BandChannel, pattern, grid: AngularGrid, delta_th_db: flo
     before it, so O(accepted x candidates) time. Memory is one block of
     ``M2_FREQUENCY_POINTS``-point complex128 responses (about 1.6 kB a row)
     plus a copy of each accepted row, whatever the candidate count, and the
-    band's rays x grid weighted gain matrix. The blocks of a band share one
-    buffer, allocated once per call, so the heap does not hand a fresh
-    0.8 MB block back and fault it in again per block.
+    band's rays x grid weighted gain matrix and phasor table. The blocks of
+    a band share one buffer, allocated once per call, so the heap does not
+    hand a fresh 0.8 MB block back and fault it in again per block.
     """
     if not delta_th_db > 0.0:
         raise ValueError(f"delta_th_db must be > 0, got {delta_th_db!r}")
@@ -236,13 +234,16 @@ def select_m2(channel: BandChannel, pattern, grid: AngularGrid, delta_th_db: flo
     v = pas.values
     vmax = float(v.max())
     candidates = np.flatnonzero(linear_to_db(v / vmax) >= -delta_th_db)
-    order = candidates[np.lexsort((grid.angles[candidates], -v[candidates]))]
+    order = candidates[np.argsort(-v[candidates], kind="stable")]
+    f_hz = np.linspace((channel.frequency - 0.5 * M2_BANDWIDTH_GHZ) * 1e9,
+                       (channel.frequency + 0.5 * M2_BANDWIDTH_GHZ) * 1e9, M2_FREQUENCY_POINTS)
+    phasors = np.exp(-2j * np.pi * channel.rays.delays[:, None] * f_hz)
     accepted = np.zeros(len(order), dtype=bool)
     kept, kept_norms = np.empty((0, M2_FREQUENCY_POINTS), complex), np.empty(0)
     buf = np.empty((min(len(order), _M2_BLOCK_ROWS), M2_FREQUENCY_POINTS), complex)
     for start in range(0, len(order), _M2_BLOCK_ROWS):
         block = order[start:start + _M2_BLOCK_ROWS]
-        responses = _cfr_matrix(channel, weighted[:, block], grid.angles[block], out=buf[:len(block)])
+        responses = _cfr_matrix(phasors, weighted[:, block], grid.angles[block], out=buf[:len(block)])
         norms = np.linalg.norm(responses, axis=1)
         corr = np.abs(responses @ kept.conj().T) / (norms[:, None] * kept_norms)
         alive = (corr < M2_CORRELATION_THRESHOLD).all(axis=1)

@@ -167,15 +167,16 @@ def _channels(freqs, powers, delay_ns, aoa_deg, bounds, aods=None, power_db=None
     """Channels over the slices ``[bounds[b], bounds[b + 1])`` of checked path columns.
 
     Band ``b`` is at ``freqs[b]`` GHz. The float64 columns hold linear
-    powers, delays in ns and finite azimuths in degrees, as files and the
+    powers, delays in ns and azimuths in [0, 360) degrees, as files and the
     generator do; their callers have checked every value, so nothing is
-    checked again. The delays are scaled to seconds and the azimuths wrapped
-    once per column. The columns are made read-only and the tables hold
+    checked again. The delays are scaled to seconds once per column and the
+    angles kept as given, so a file's ``-0.0`` stays ``-0.0`` and writes
+    back as it was read. The columns are made read-only and the tables hold
     views of them; ``aods``, if given, is a list with one angle or None per
     path. ``power_db``, if given, makes each table keep its slices of the
     file's ``(power_db, delay_ns)`` columns, which the writer writes back.
     """
-    delays, aoas = read_only(delay_ns * 1e-9), read_only(wrap_azimuths_deg(aoa_deg))
+    delays, aoas = read_only(delay_ns * 1e-9), read_only(aoa_deg)
     file = None if power_db is None else (read_only(power_db), read_only(delay_ns))
     powers = read_only(powers)
     return [BandChannel(freq, _table(

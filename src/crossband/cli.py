@@ -214,6 +214,10 @@ def _cmd_psp(args) -> int:
     pattern = Gpp3Pattern(args.hpbw_deg, args.amax_db)
     grid = AngularGrid(args.grid_step_deg)
 
+    # This repeats metrics.pair_psp on purpose: perfbench times the analysis of
+    # psp through the names crossband.cli.filter_pas, normalize_pas and psp
+    # (tests/test_api.py::test_benchmark_trace_sites_resolve), so the closure
+    # can become pair_psp only together with a change to the benchmark.
     def overlap(pair: LinkPair) -> float:
         low = normalize_pas(filter_pas(pair.low, pattern, grid))
         high = normalize_pas(filter_pas(pair.high, pattern, grid))

@@ -27,11 +27,11 @@ each row starts on, as ``jsonio.csv_rows`` hands it over. Only a file that
 fails is walked again, over those records, to name the first bad entry.
 ``channel._channels`` makes each band a ``BandChannel`` over slices of
 those columns that keeps the file's ``power_db`` and ``delay_ns``
-values, which the writers write back as they are, so a loaded file rewrites
-byte for byte. The writers work on the same columns, through the same
-number checks. A file may carry more bands than any one analysis uses, so
-loading takes the two band frequencies explicitly instead of guessing from
-the file.
+values, which the writers write back as they are. Angles are kept as read,
+a ``-0.0`` included, so a loaded file rewrites byte for byte. The writers
+work on the same columns, through the same number checks. A file may carry
+more bands than any one analysis uses, so loading takes the two band
+frequencies explicitly instead of guessing from the file.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ import numpy as np
 
 from .channel import BandChannel, LinkPair, _channels
 from .jsonio import csv_lines, csv_rows, dump_items, load, write_csv
-from .units import db_to_linear, db_to_linear_each, is_normal_power, linear_to_db, wrap_azimuths_deg
+from .units import db_to_linear, db_to_linear_each, is_normal_power, linear_to_db
 
 SCHEMA_VERSION = "1"
 FREQ_MATCH_TOLERANCE_GHZ = 1e-6
@@ -367,7 +367,7 @@ def _read_links_json(path) -> list[tuple[str, list[BandChannel]]]:
     aods = None
     if aod_paths:
         aods = [None] * len(powers)
-        for n, aod in zip(aod_paths, wrap_azimuths_deg(aod_deg).tolist()):
+        for n, aod in zip(aod_paths, aod_deg.tolist()):
             aods[n] = aod
     bounds = [0, *accumulate(len(paths) for _, _, paths in bands)]
     channels = iter(_channels(freq_ghz.tolist(), powers, delay_ns, aoa_deg, bounds, aods, power_db))

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .channel import LinkPair, _channels
-from .units import db_to_linear_each, is_normal_power
+from .units import db_to_linear_each, is_normal_power, wrap_azimuths_deg
 
 GENERATOR_NAME = "numpy-pcg64"
 
@@ -138,7 +138,8 @@ def _generate(config: GenConfig, link_indices: range) -> list[LinkPair]:
             for ok, what, settings in checks:
                 if not ok[start:stop].all():
                     raise ValueError(f"link {link_indices[band // 2]}: a drawn {what}; lower {settings}")
+    # the jitter can take a drawn angle off [0, 360)
     channels = _channels([config.low_freq_ghz, config.high_freq_ghz] * len(link_indices),
-                         powers, delays_ns, aoas, bounds)
+                         powers, delays_ns, wrap_azimuths_deg(aoas), bounds)
     return [LinkPair(low=low, high=high, link_id=f"link-{link_index:05d}")
             for link_index, low, high in zip(link_indices, channels[::2], channels[1::2])]

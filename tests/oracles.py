@@ -204,13 +204,8 @@ def _frequency(value, where: str) -> float:
     return freq
 
 
-def _azimuth(angle: float) -> float:
-    wrapped = angle % 360.0
-    return wrapped if wrapped < 360.0 else 0.0
-
-
 def _path(where: str, power_db, delay_ns, aoa_deg, *aod_deg) -> tuple:
-    """One checked path as (linear power, delay in s, aoa, aod or None)."""
+    """One checked path as (linear power, delay in s, aoa, aod or None), angles as read."""
     power_db = _number(power_db, f"{where}.power_db")
     try:
         power = 10.0 ** (power_db / 10.0)
@@ -221,7 +216,7 @@ def _path(where: str, power_db, delay_ns, aoa_deg, *aod_deg) -> tuple:
     delay_ns = _number(delay_ns, f"{where}.delay_ns", minimum=0.0)
     aoa = _number(aoa_deg, f"{where}.aoa_deg", minimum=0.0, below=360.0)
     aods = [_number(a, f"{where}.aod_deg", minimum=0.0, below=360.0) for a in aod_deg]
-    return (power, delay_ns * 1e-9, _azimuth(aoa), _azimuth(aods[0]) if aods else None)
+    return (power, delay_ns * 1e-9, aoa, aods[0] if aods else None)
 
 
 def _links_json(path) -> list:

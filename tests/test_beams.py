@@ -226,29 +226,33 @@ def random_band(rng, dyadic=False):
     return cb.BandChannel(float(rng.uniform(10.0, 80.0)), rays)
 
 
-def per_row_responses(channel, pattern, steer):
-    """Beam responses with each row's amplitudes ``sqrt(powers * gain(steer - aoas))``."""
-    rays = channel.rays
+def sweep_phasors(channel):
+    """The band's tap phases ``exp(-2j*pi*delay*f)`` over the m2 sweep, one row per ray."""
     f_hz = np.linspace((channel.frequency - 0.5 * beams.M2_BANDWIDTH_GHZ) * 1e9,
                        (channel.frequency + 0.5 * beams.M2_BANDWIDTH_GHZ) * 1e9,
                        beams.M2_FREQUENCY_POINTS)
-    phasors = np.exp(-2j * np.pi * rays.delays[:, None] * f_hz)
+    return np.exp(-2j * np.pi * channel.rays.delays[:, None] * f_hz)
+
+
+def per_row_responses(channel, pattern, steer):
+    """Beam responses with each row's amplitudes ``sqrt(powers * gain(steer - aoas))``."""
+    rays = channel.rays
     amplitudes = np.sqrt(rays.powers * pattern.gain(steer[:, None] - rays.aoas))
-    return np.matmul(amplitudes.astype(complex), phasors)
+    return np.matmul(amplitudes.astype(complex), sweep_phasors(channel))
 
 
 class TestBeamCfr:
     def test_zero_delay_gives_flat_response(self, gpp3_10):
         ch = cb.BandChannel(15.0, (cb.Ray(4.0, 0.0, 30.0),))
         steer = np.array([30.0])
-        h = _cfr_matrix(ch, _weighted_gains(ch, gpp3_10, steer), steer)[0]
+        h = _cfr_matrix(sweep_phasors(ch), _weighted_gains(ch, gpp3_10, steer), steer)[0]
         assert h.shape == (beams.M2_FREQUENCY_POINTS,)
         np.testing.assert_allclose(np.abs(h), 2.0, rtol=1e-12)
 
     def test_gain_scales_tap_amplitude(self, gpp3_10):
         ch = cb.BandChannel(15.0, (cb.Ray(1.0, 0.0, 5.0),))
         steer = np.array([0.0])
-        h = _cfr_matrix(ch, _weighted_gains(ch, gpp3_10, steer), steer)[0]
+        h = _cfr_matrix(sweep_phasors(ch), _weighted_gains(ch, gpp3_10, steer), steer)[0]
         assert h.shape == (beams.M2_FREQUENCY_POINTS,)
         np.testing.assert_allclose(np.abs(h), math.sqrt(10.0 ** -0.3), rtol=1e-12)
 
@@ -256,7 +260,7 @@ class TestBeamCfr:
         # equal taps, 0.5 ns apart: phase difference 15*pi at 15 GHz
         ch = cb.BandChannel(15.0, (cb.Ray(1.0, 0.0, 0.0), cb.Ray(1.0, 0.5e-9, 0.0)))
         steer = np.array([0.0])
-        h = _cfr_matrix(ch, _weighted_gains(ch, gpp3_10, steer), steer)[0]
+        h = _cfr_matrix(sweep_phasors(ch), _weighted_gains(ch, gpp3_10, steer), steer)[0]
         assert h.shape == (beams.M2_FREQUENCY_POINTS,)
         assert abs(h[50]) < 1e-12
         # one bin off the null: 20 MHz shifts the tap phase by 0.02*pi
@@ -273,10 +277,10 @@ class TestBeamCfr:
         for _ in range(30):
             ch = random_band(rng)
             steer = rng.uniform(0.0, 360.0, int(rng.integers(1, beams._M2_BLOCK_ROWS + 1)))
-            weighted = _weighted_gains(ch, pattern, steer)
-            got = _cfr_matrix(ch, weighted, steer, out=buf[:len(steer)])
+            phasors, weighted = sweep_phasors(ch), _weighted_gains(ch, pattern, steer)
+            got = _cfr_matrix(phasors, weighted, steer, out=buf[:len(steer)])
             assert np.shares_memory(got, buf)
-            assert got.tobytes() == _cfr_matrix(ch, weighted, steer).tobytes()
+            assert got.tobytes() == _cfr_matrix(phasors, weighted, steer).tobytes()
 
     @pytest.mark.parametrize("pattern", sorted(CFR_PATTERNS))
     def test_amplitudes_from_the_kernel_keep_the_per_row_bits(self, pattern):
@@ -292,7 +296,7 @@ class TestBeamCfr:
             rows = rng.integers(0, len(steer), min(len(steer), 8))
             steer[rows] = (ch.rays.aoas[rng.integers(0, len(ch.rays), len(rows))]
                            + rng.choice([90.0, -90.0, 180.0], len(rows))) % 360.0
-            got = _cfr_matrix(ch, _weighted_gains(ch, pattern, steer), steer)
+            got = _cfr_matrix(sweep_phasors(ch), _weighted_gains(ch, pattern, steer), steer)
             assert got.tobytes() == per_row_responses(ch, pattern, steer).tobytes()
 
     @pytest.mark.parametrize("pattern", sorted(CFR_PATTERNS))
@@ -308,7 +312,7 @@ class TestBeamCfr:
                 cb.filter_pas(ch, pattern, grid, out=weighted)
                 block = rng.permutation(grid.n_points)[:int(rng.integers(1, beams._M2_BLOCK_ROWS + 1))]
                 steer = grid.angles[block]
-                got = _cfr_matrix(ch, weighted[:, block], steer)
+                got = _cfr_matrix(sweep_phasors(ch), weighted[:, block], steer)
                 assert got.tobytes() == per_row_responses(ch, pattern, steer).tobytes()
 
     @pytest.mark.parametrize("columns", [0, 2, 4])
@@ -317,7 +321,7 @@ class TestBeamCfr:
         steer = np.array([0.0, 10.0, 20.0])
         weighted = _weighted_gains(ch, ula4, np.arange(columns, dtype=float))
         with pytest.raises(ValueError, match=f"{columns} weighted gain columns for 3 steering angles"):
-            _cfr_matrix(ch, weighted, steer)
+            _cfr_matrix(sweep_phasors(ch), weighted, steer)
 
     @pytest.mark.parametrize("pattern", sorted(CFR_PATTERNS))
     def test_kernel_columns_do_not_depend_on_the_other_angles(self, pattern):
@@ -458,6 +462,24 @@ class TestSelectM2:
                 counting = CountingPattern(pattern)
                 assert cb.select_m2(band, counting, grid, 20.0) == cb.select_m2(band, pattern, grid, 20.0)
                 assert counting.calls == 1
+
+    def test_builds_one_phasor_table_per_band(self, monkeypatch):
+        # every block of one call multiplies the same table, built once from the band's delays
+        band = cb.generate_dataset(cb.GenConfig(seed=17), 1)[0].low
+        grid, pattern = cb.AngularGrid(0.1), cb.UlaPattern(4)
+        tables = []
+
+        def recording(phasors, weighted, steer_deg, out=None):
+            tables.append(phasors)
+            return _cfr_matrix(phasors, weighted, steer_deg, out=out)
+
+        monkeypatch.setattr(beams, "_cfr_matrix", recording)
+        cb.select_m2(band, pattern, grid, 20.0)
+        assert len(tables) > 1
+        assert all(table is tables[0] for table in tables)
+        assert tables[0].shape == (len(band.rays), beams.M2_FREQUENCY_POINTS)
+        assert tables[0].dtype == complex
+        assert tables[0].tobytes() == sweep_phasors(band).tobytes()
 
     def test_memory_stays_within_the_spectrum_filter(self):
         # the gate once held three candidates x 101 complex arrays: 110 MB here

@@ -5,7 +5,10 @@ from __future__ import annotations
 import dataclasses
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -294,6 +297,28 @@ class TestAnalyze:
         first = capsys.readouterr().out
         main(["analyze", *analysis_argv(dataset_path), "--link", "c"])
         assert capsys.readouterr().out == first
+
+
+class TestNoLinkCarriesBothBands:
+    @pytest.mark.parametrize("command, extra", [
+        ("analyze", ["--pattern-low", "ula:n=4", "--pattern-high", "ula:n=4"]),
+        ("batch", ["--pattern-low", "ula:n=4", "--pattern-high", "ula:n=4", "--out", "out"]),
+        ("psp", ["--hpbw-deg", "10"]),
+    ])
+    def test_refused_after_the_skip_warning(self, tmp_path, command, extra):
+        # in a child process, where main's logging setup writes the warning to stderr
+        rays = (cb.Ray(1.0, 0.0, 10.0),)
+        path = tmp_path / "links.json"
+        cb.write_dataset([cb.LinkPair(cb.BandChannel(15.0, rays), cb.BandChannel(60.0, rays), "a")], path)
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cb.__file__))}
+        argv = [command, "--data", str(path), "--low-ghz", "15", "--high-ghz", "28", *extra]
+        done = subprocess.run([sys.executable, "-m", "crossband.cli", *argv], cwd=tmp_path, env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == EXIT_VALIDATION
+        assert done.stdout == ""
+        assert done.stderr == (f"WARNING: {path}: skipped 1 of 1 links: 1 with no band at 28 GHz (first: a)\n"
+                               f"error: no links in {path} carry both 15 and 28 GHz\n")
+        assert not (tmp_path / "out").exists()
 
 
 class TestBatch:

@@ -677,6 +677,49 @@ class TestRoundTrip:
         assert second.read_bytes() == source.read_bytes()
 
 
+def _zero_angle_files(directory, name):
+    """A written link whose angles at 0 degrees read ``0.0`` in one file and ``-0.0`` in another.
+
+    Ray-traced exports can write ``-0.0``, for example from ``atan2(-0.0, x)``.
+    A JSON file carries the sign on ``aoa_deg`` and ``aod_deg``, a CSV file on ``aoa_deg``.
+    """
+    json_file = name.endswith(".json")
+    rays = (cb.Ray(1.0, 12.5e-9, 0.0, 0.0 if json_file else None), cb.Ray(0.5, 30e-9, 40.0))
+    plain, signed = directory / f"plain_{name}", directory / f"signed_{name}"
+    cb.write_dataset([cb.LinkPair(cb.BandChannel(15.0, rays), cb.BandChannel(28.0, rays), "l")], plain)
+    zero_angle = r'("ao[ad]_deg": )0\.0\b' if json_file else r"^(l,[^,]+,[^,]+,[^,]+,)0\.0$"
+    text, n = re.subn(zero_angle, r"\g<1>-0.0", plain.read_text(), flags=re.M)
+    assert n == (4 if json_file else 2)
+    signed.write_text(text)
+    return plain, signed
+
+
+class TestNegativeZeroAngles:
+    # the loaders keep a file's angles as read, so the sign of a zero survives a rewrite
+    @pytest.mark.parametrize("name", ["links.json", "links.csv"])
+    def test_rewrites_byte_for_byte(self, tmp_path, name):
+        _, signed = _zero_angle_files(tmp_path, name)
+        again = tmp_path / f"again_{name}"
+        cb.write_dataset(cb.load_dataset(signed, 15.0, 28.0), again)
+        assert again.read_bytes() == signed.read_bytes()
+
+    @pytest.mark.parametrize("name", ["links.json", "links.csv"])
+    def test_columns_keep_the_sign_and_the_report_ignores_it(self, tmp_path, name):
+        plain, signed = _zero_angle_files(tmp_path, name)
+        signed_pair, plain_pair = (cb.load_dataset(path, 15.0, 28.0)[0] for path in (signed, plain))
+        for rays in (signed_pair.low.rays, signed_pair.high.rays):
+            assert math.copysign(1.0, rays.aoas[0]) == -1.0
+            assert rays[0].aoa_azimuth == 0.0
+            if name.endswith(".json"):
+                assert math.copysign(1.0, rays.aods[0]) == -1.0
+                assert rays[0].aod_azimuth == 0.0
+        grid, pattern = cb.AngularGrid(1.0), cb.UlaPattern(4)
+        for method in ("m1", "m2"):
+            config = cb.SimilarityConfig(method=method)
+            assert (cb.analyze_pair(signed_pair, pattern, pattern, grid, config).to_dict()
+                    == cb.analyze_pair(plain_pair, pattern, pattern, grid, config).to_dict())
+
+
 class TestColumnChecksKeepFileOrder:
     # numbers are checked as whole columns, after the structure walk; the
     # first error in file order must still win
@@ -805,14 +848,18 @@ PAIRED_BANDS = st.sampled_from([[15.0, 28.0], [28, 15], [6.0, 15.0000004, 28.0],
 NEAR_EQUAL_BANDS = st.lists(st.sampled_from([15.0, 15, 15.0000004, 14.9999996]), min_size=2, max_size=2)
 
 
+# a file may write a zero angle as -0.0, which the loaders keep
+FILE_ANGLES = ANGLES | st.just(-0.0)
+
+
 @st.composite
 def dataset_files(draw, csv: bool, bands=PAIRED_BANDS):
     """A random valid dataset, as a JSON document or CSV rows, with at most one corruption."""
     paths = st.fixed_dictionaries(
         {"power_db": st.floats(-300.0, 300.0) | st.integers(-300, 300),
          "delay_ns": st.floats(0.0, 1e6) | st.just(-0.0),
-         "aoa_deg": ANGLES},
-        optional={} if csv else {"aod_deg": ANGLES},
+         "aoa_deg": FILE_ANGLES},
+        optional={} if csv else {"aod_deg": FILE_ANGLES},
     )
     links = [
         {"link_id": f"l{i}",
