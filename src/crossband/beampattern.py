@@ -315,7 +315,9 @@ def pattern_from_csv(path) -> TabulatedPattern:
     exactly two finite numbers; a row that is not, or a file
     ``jsonio.csv_rows`` cannot read, raises ValueError as
     ``<path>:<line>: <reason>``. A ValueError from ``TabulatedPattern`` is
-    raised again as ``<path>: <reason>``.
+    raised again as ``<path>: <reason>``; that covers a file with fewer
+    than two samples (``<path>: a tabulated pattern needs at least two
+    samples``).
     """
     offsets, gains = [], []
     with closing(csv_rows(path)) as rows:
@@ -331,8 +333,6 @@ def pattern_from_csv(path) -> TabulatedPattern:
                 raise ValueError(f"{path}:{line}: expected two finite numbers, got {row!r}")
             offsets.append(numbers[0])
             gains.append(numbers[1])
-    if len(offsets) < 2:
-        raise ValueError(f"{path}: fewer than two pattern samples")
     try:
         return TabulatedPattern(np.asarray(offsets), np.asarray(gains))
     except ValueError as exc:

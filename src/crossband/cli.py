@@ -159,8 +159,6 @@ def _analyze(args, pairs: list[LinkPair]) -> BatchReport:
 
 def _cmd_generate(args) -> int:
     config = GenConfig() if args.config is None else GenConfig.from_dict(load(args.config))
-    if args.n_links < 1:
-        raise ValueError(f"--n-links must be >= 1, got {args.n_links}")
     dataset = generate_dataset(config, args.n_links)
     metadata = {
         "generator": GENERATOR_NAME,

@@ -305,10 +305,10 @@ def _read_links_json(path) -> list[tuple[str, list[BandChannel]]]:
         _fail(str(path), f"schema_version must be {SCHEMA_VERSION!r}, got {doc.get('schema_version')!r}")
     if not isinstance(doc.get("links"), list) or not doc["links"]:
         _fail(str(path), "links must be a nonempty array")
-    # The walk checks structure in file order and records each link as
-    # (link_id, band count) and each band as (location, freq_ghz, paths),
+    # The walk checks structure in file order and records each link's band
+    # count under its link_id and each band as (location, freq_ghz, paths),
     # paths holding only the entries that passed the structure checks.
-    links, bands = [], []
+    links, bands = {}, []
 
     def columns():
         """The collected numbers as checked float64 columns, and which paths have aod_deg."""
@@ -330,7 +330,6 @@ def _read_links_json(path) -> list[tuple[str, list[BandChannel]]]:
             for k, entry in enumerate(paths):
                 _check_path(f"{where}.paths[{k}]", *(entry[key] for key in _PATH_KEYS if key in entry))
 
-    seen_ids = set()
     try:
         for i, link in enumerate(doc["links"]):
             where = f"links[{i}]"
@@ -339,9 +338,8 @@ def _read_links_json(path) -> list[tuple[str, list[BandChannel]]]:
             link_id = link["link_id"]
             if not isinstance(link_id, str) or not link_id:
                 _fail(f"{where}.link_id", "must be a nonempty string")
-            if link_id in seen_ids:
+            if link_id in links:
                 _fail(f"{where}.link_id", f"duplicate link_id {link_id!r}")
-            seen_ids.add(link_id)
             if not isinstance(link["bands"], list) or not link["bands"]:
                 _fail(f"{where}.bands", "must be a nonempty array")
             for j, band in enumerate(link["bands"]):
@@ -359,7 +357,7 @@ def _read_links_json(path) -> list[tuple[str, list[BandChannel]]]:
                         if problem:
                             bands[-1] = (bwhere, band["freq_ghz"], paths[:k])
                             _fail(f"{bwhere}.paths[{k}]", problem)
-            links.append((link_id, len(link["bands"])))
+            links[link_id] = len(link["bands"])
     except DatasetFormatError:
         columns()  # a bad number before the structural error comes first
         raise
@@ -371,7 +369,7 @@ def _read_links_json(path) -> list[tuple[str, list[BandChannel]]]:
             aods[n] = aod
     bounds = [0, *accumulate(len(paths) for _, _, paths in bands)]
     channels = iter(_channels(freq_ghz.tolist(), powers, delay_ns, aoa_deg, bounds, aods, power_db))
-    return [(link_id, [next(channels) for _ in range(count)]) for link_id, count in links]
+    return [(link_id, [next(channels) for _ in range(count)]) for link_id, count in links.items()]
 
 
 def _float_column(values: list) -> np.ndarray:

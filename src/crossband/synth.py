@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numbers
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -32,6 +32,11 @@ class GenConfig:
     ``shared_power_decay_db`` sets the nominal power ramp over shared paths
     (path i sits i times that many dB below path 0); the jitters are standard
     deviations of the per-band Gaussian perturbations applied on top.
+
+    Every setting is checked by its declared type: an ``int`` setting must
+    be an integer >= 0, a ``float`` setting a finite int or float >= 0, kept
+    as given. With several bad settings, the first in declaration order is
+    the one named.
     """
 
     n_shared_paths: int = 4
@@ -46,17 +51,15 @@ class GenConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_shared_paths", "n_low_only_paths", "n_high_only_paths", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-                raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
-        for name in ("shared_power_decay_db", "angle_jitter_deg", "power_jitter_db",
-                     "delay_spread_ns", "low_freq_ghz", "high_freq_ghz"):
-            value = getattr(self, name)
+        for field in fields(self):  # postponed annotations: field.type is "int" or "float"
+            value = getattr(self, field.name)
+            if field.type == "int":
+                if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+                    raise ValueError(f"{field.name} must be an integer >= 0, got {value!r}")
             # a comparison: math.isfinite raises OverflowError on a huge int
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            elif (isinstance(value, bool) or not isinstance(value, numbers.Real)
                     or not 0.0 <= value <= sys.float_info.max):
-                raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
+                raise ValueError(f"{field.name} must be a finite number >= 0, got {value!r}")
         if self.n_shared_paths + self.n_low_only_paths < 1:
             raise ValueError("the low band needs at least one path")
         if self.n_shared_paths + self.n_high_only_paths < 1:

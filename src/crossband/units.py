@@ -144,7 +144,8 @@ def wrap_azimuths_deg(angles_deg) -> np.ndarray:
 
     ``np.remainder`` is Python's float ``%``. A negative angle too small for
     ``angle + 360`` to fall below 360 leaves 360.0, which wraps to 0, its
-    nearest point on the circle.
+    nearest point on the circle. A value that is not finite gives NaN, so a
+    caller that checks after wrapping still sees it.
     """
     r = np.remainder(angles_deg, 360.0)
-    return np.where(r < 360.0, r, 0.0)
+    return np.where(r == 360.0, 0.0, r)

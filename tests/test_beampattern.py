@@ -472,9 +472,17 @@ class TestCsvRoundTrip:
         assert pat.gains_db.tolist() == [-20.0, 0.0, -10.0]
 
     def test_one_sample_refused(self, tmp_path):
+        # TabulatedPattern's one refusal, with the file name in front
         path = tmp_path / "one.csv"
         path.write_text("offset_deg,gain_db\n0,0\n\n")
-        with pytest.raises(ValueError, match=r"one\.csv: fewer than two pattern samples$"):
+        with pytest.raises(ValueError, match=r"one\.csv: a tabulated pattern needs at least two samples$"):
+            cb.pattern_from_csv(path)
+
+    @pytest.mark.parametrize("text", ["", "offset_deg,gain_db\n"], ids=["empty", "header-only"])
+    def test_file_without_samples_refused_as_one_sample_is(self, tmp_path, text):
+        path = tmp_path / "none.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=r"none\.csv: a tabulated pattern needs at least two samples$"):
             cb.pattern_from_csv(path)
 
     def test_two_gains_at_one_direction_refused(self, tmp_path):

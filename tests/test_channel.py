@@ -48,6 +48,23 @@ class TestRay:
         for wrapped in (float(wrap_azimuths_deg(angle)), wrap_azimuths_deg(np.array([angle]))[0]):
             assert (wrapped, math.copysign(1.0, wrapped)) == (python, math.copysign(1.0, python))
 
+    @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+    def test_a_wrapped_value_that_is_not_finite_is_nan(self, angle):
+        with np.errstate(invalid="ignore"):  # np.remainder warns on an infinity
+            assert np.isnan(wrap_azimuths_deg(angle))
+            assert np.isnan(wrap_azimuths_deg(np.array([90.0, angle]))).tolist() == [False, True]
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    @example(-1e-20)
+    @example(-0.0)
+    @example(360.0)
+    @example(math.nextafter(360.0, 0.0))
+    @example(1e300)
+    @example(-1e300)
+    def test_finite_wrap_keeps_the_bits_of_the_masked_remainder(self, angle):
+        r = np.remainder(angle, 360.0)
+        assert wrap_azimuths_deg(angle).tobytes() == np.where(r < 360.0, r, 0.0).tobytes()
+
     @given(st.floats(allow_nan=False, allow_infinity=False))
     def test_angles_land_in_the_documented_range(self, angle):
         r = ray(aoa=angle, aod=angle)

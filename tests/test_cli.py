@@ -219,9 +219,12 @@ class TestGenerate:
                      "--n-links", "1", "--out", str(tmp_path / "x.json")])
         assert code == EXIT_IO
 
-    def test_zero_links_rejected(self, tmp_path):
+    def test_zero_links_rejected(self, tmp_path, capsys):
+        # refused by generate_dataset, the one check of n_links
         code = main(["generate", "--n-links", "0", "--out", str(tmp_path / "x.json")])
         assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == "error: n_links must be >= 1, got 0\n"
+        assert not (tmp_path / "x.json").exists()
 
 
 class TestAnalyze:

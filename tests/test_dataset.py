@@ -344,7 +344,7 @@ class TestJsonValidation:
     def test_duplicate_link_ids(self, tmp_path):
         doc = minimal_doc()
         doc["links"].append(dict(doc["links"][0]))
-        self.check(tmp_path, doc, "duplicate")
+        self.check(tmp_path, doc, r"^links\[1\]\.link_id: duplicate link_id 'l1'$")
 
     def test_unknown_path_keys_located(self, tmp_path):
         doc = minimal_doc()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 import crossband as cb
@@ -34,6 +36,15 @@ class TestGenConfig:
     def test_bad_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             cb.GenConfig(**kwargs)
+
+    def test_first_bad_setting_in_declaration_order_named(self):
+        with pytest.raises(ValueError, match=r"^angle_jitter_deg must be a finite number >= 0, got -1$"):
+            cb.GenConfig(angle_jitter_deg=-1, seed=-1)
+
+    @pytest.mark.parametrize("field", dataclasses.fields(cb.GenConfig), ids=lambda f: f.name)
+    def test_every_setting_is_checked(self, field):
+        with pytest.raises(ValueError, match=rf"^{field.name} must be an? (integer|finite number) >= 0, got -1$"):
+            cb.GenConfig(**{field.name: -1})
 
     def test_integer_settings_kept_as_given(self):
         # written verbatim into the dataset metadata
