@@ -218,11 +218,11 @@ CFR_PATTERNS = {
 }
 
 
-def random_band(rng, dyadic=False):
-    """1-12 rays of random power, delay and arrival angle (eighths of a degree if dyadic)."""
+def random_band(rng, dyadic=False, n_rays=None):
+    """``n_rays`` (else 1-12) rays of random power, delay and arrival angle (eighths of a degree if dyadic)."""
     rays = tuple(cb.Ray(float(10.0 ** rng.uniform(-6.0, 0.0)), float(rng.uniform(0.0, 500e-9)),
                         float(rng.integers(0, 2880) / 8.0 if dyadic else rng.uniform(0.0, 360.0)))
-                 for _ in range(int(rng.integers(1, 13))))
+                 for _ in range(n_rays or int(rng.integers(1, 13))))
     return cb.BandChannel(float(rng.uniform(10.0, 80.0)), rays)
 
 
@@ -413,14 +413,14 @@ class TestSelectM2:
             cb.select_m2(self.CH, ula4, grid, delta_th_db)
 
     @staticmethod
-    def _gated(rng, n_elements, grid, delta_th_db):
+    def _gated(rng, n_elements, grid, delta_th_db, n_rays=None):
         """``select_m2`` on a random channel, the oracle gate's choice, and the candidate count."""
         f0, bw, n_freq = 28.0, beams.M2_BANDWIDTH_GHZ, beams.M2_FREQUENCY_POINTS
         freqs = [(f0 - 0.5 * bw + bw * k / (n_freq - 1)) * 1e9 for k in range(n_freq)]
         rays = [
             (float(10.0 ** rng.uniform(-3.0, 0.0)), float(rng.uniform(0.0, 360.0)),
              float(rng.uniform(0.0, 200e-9)))
-            for _ in range(int(rng.integers(2, 9)))
+            for _ in range(n_rays or int(rng.integers(2, 9)))
         ]
         ch = cb.BandChannel(f0, tuple(cb.Ray(p, d, a) for p, a, d in rays))
         pattern = cb.UlaPattern(n_elements)
@@ -437,8 +437,9 @@ class TestSelectM2:
         # blocks of 3 rows put most of the walk past a block boundary
         monkeypatch.setattr(beams, "_M2_BLOCK_ROWS", 3)
         rng = np.random.default_rng(int(delta_th_db))
-        for n_elements in (4, 8, 4, 8):
-            got, expected, n_candidates = self._gated(rng, n_elements, grid, delta_th_db)
+        # the last draw has 12 rays, so the gate's basis has 12 columns
+        for n_elements, n_rays in ((4, None), (8, None), (4, None), (8, None), (4, 12)):
+            got, expected, n_candidates = self._gated(rng, n_elements, grid, delta_th_db, n_rays)
             assert n_candidates > 3
             assert got == expected
 
@@ -463,23 +464,68 @@ class TestSelectM2:
                 assert cb.select_m2(band, counting, grid, 20.0) == cb.select_m2(band, pattern, grid, 20.0)
                 assert counting.calls == 1
 
-    def test_builds_one_phasor_table_per_band(self, monkeypatch):
-        # every block of one call multiplies the same table, built once from the band's delays
-        band = cb.generate_dataset(cb.GenConfig(seed=17), 1)[0].low
-        grid, pattern = cb.AngularGrid(0.1), cb.UlaPattern(4)
-        tables = []
+    @staticmethod
+    def _tables(monkeypatch, band, pattern, grid):
+        """The table and output columns of every ``_cfr_matrix`` call of one ``select_m2``."""
+        calls = []
 
         def recording(phasors, weighted, steer_deg, out=None):
-            tables.append(phasors)
+            calls.append((phasors, out.shape[1]))
             return _cfr_matrix(phasors, weighted, steer_deg, out=out)
 
         monkeypatch.setattr(beams, "_cfr_matrix", recording)
         cb.select_m2(band, pattern, grid, 20.0)
-        assert len(tables) > 1
-        assert all(table is tables[0] for table in tables)
-        assert tables[0].shape == (len(band.rays), beams.M2_FREQUENCY_POINTS)
-        assert tables[0].dtype == complex
-        assert tables[0].tobytes() == sweep_phasors(band).tobytes()
+        return calls
+
+    @pytest.mark.parametrize("n_rays", [None, 120], ids=["generated", "120_rays"])
+    def test_builds_one_basis_per_band(self, monkeypatch, n_rays):
+        # every block of one call multiplies the same table, built once from the band's delays:
+        # the R factor of the phasor table's QR, min(rays, 101) columns
+        if n_rays is None:
+            band = cb.generate_dataset(cb.GenConfig(seed=17), 1)[0].low
+        else:
+            band = random_band(np.random.default_rng(26), n_rays=n_rays)
+        grid, pattern = cb.AngularGrid(0.1), cb.UlaPattern(4)
+        qr_calls = []
+        qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda *a, **kw: qr_calls.append(a) or qr(*a, **kw))
+        calls = self._tables(monkeypatch, band, pattern, grid)
+        k = min(len(band.rays), beams.M2_FREQUENCY_POINTS)
+        assert len(calls) > 1
+        assert len(qr_calls) == 1
+        assert all(table is calls[0][0] and columns == k for table, columns in calls)
+        assert calls[0][0].shape == (len(band.rays), k)
+        assert calls[0][0].dtype == complex
+        assert calls[0][0].tobytes() == np.linalg.qr(sweep_phasors(band).T, mode="r").T.tobytes()
+
+    @pytest.mark.parametrize("pattern", sorted(CFR_PATTERNS))
+    def test_basis_keeps_the_inner_products_of_the_responses(self, monkeypatch, pattern):
+        # the gate reads its rows only through inner products and norms, which the basis must keep
+        pattern, grid = CFR_PATTERNS[pattern], cb.AngularGrid(1.0)
+        rng = np.random.default_rng(27)
+        for n_rays in [None] * 20 + [101, 150]:
+            ch = random_band(rng, dyadic=rng.integers(2) == 0, n_rays=n_rays)
+            basis = self._tables(monkeypatch, ch, pattern, grid)[0][0]
+            steer = rng.uniform(0.0, 360.0, 64)
+            steer[:8] = (ch.rays.aoas[rng.integers(0, len(ch.rays), 8)]
+                         + rng.choice([0.0, 90.0, -90.0, 180.0], 8)) % 360.0
+            got = _cfr_matrix(basis, _weighted_gains(ch, pattern, steer), steer)
+            full = per_row_responses(ch, pattern, steer)
+            norms = np.linalg.norm(full, axis=1)
+            bound = 1e-13 * np.outer(norms, norms)
+            assert np.all(np.abs(got @ got.conj().T - full @ full.conj().T) <= bound)
+            assert np.all(np.abs(np.linalg.norm(got, axis=1) - norms) <= 1e-13 * norms)
+
+    @pytest.mark.parametrize("pattern, expected", [(cb.UlaPattern(4), (10.0, 30.0)),
+                                                   (cb.Gpp3Pattern(10.0, 30.0), (30.0,))],
+                             ids=["ula4", "gpp3_10"])
+    def test_taps_that_cancel_in_every_bin(self, grid, pattern, expected):
+        # two equal taps 50 ns apart are in antiphase at every point of the 15.01 GHz sweep;
+        # a Gram matrix of the phasor table would square its conditioning here
+        ch = cb.BandChannel(15.01, (cb.Ray(1.0, 0.0, 30.0), cb.Ray(1.0, 50e-9, 30.0),
+                                    cb.Ray(0.3, 10e-9, 100.0)))
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            assert cb.select_m2(ch, pattern, grid, 20.0).angles == expected
 
     def test_memory_stays_within_the_spectrum_filter(self):
         # the gate once held three candidates x 101 complex arrays: 110 MB here
