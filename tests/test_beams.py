@@ -219,7 +219,7 @@ CFR_PATTERNS = {
 
 
 def random_band(rng, dyadic=False, n_rays=None):
-    """``n_rays`` (else 1-12) rays of random power, delay and arrival angle (eighths of a degree if dyadic)."""
+    """``n_rays`` (else 1-12) rays of random power, delay and angle (eighths of a degree if dyadic)."""
     rays = tuple(cb.Ray(float(10.0 ** rng.uniform(-6.0, 0.0)), float(rng.uniform(0.0, 500e-9)),
                         float(rng.integers(0, 2880) / 8.0 if dyadic else rng.uniform(0.0, 360.0)))
                  for _ in range(n_rays or int(rng.integers(1, 13))))
