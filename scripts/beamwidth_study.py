@@ -12,9 +12,11 @@ curves as CSV.
 from __future__ import annotations
 
 import argparse
+import sys
 from pathlib import Path
 
 import crossband as cb
+from crossband.cli import EXIT_VALIDATION
 
 
 def build_configurations(delta_p_db: float):
@@ -44,7 +46,14 @@ def main() -> int:
     parser.add_argument("--delta-p-db", type=float, default=-30.0)
     parser.add_argument("--out", help="directory for CDF/PDF CSV exports")
     args = parser.parse_args()
+    try:
+        return study(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
 
+
+def study(args) -> int:
     if args.data:
         dataset = cb.load_dataset(args.data, args.low_ghz, args.high_ghz)
         print(f"dataset: {args.data} ({len(dataset)} links)")

@@ -10,9 +10,11 @@ makes a compact before/after plot of how fast congruence decays.
 from __future__ import annotations
 
 import argparse
+import sys
 from pathlib import Path
 
 import crossband as cb
+from crossband.cli import EXIT_VALIDATION
 
 
 def main() -> int:
@@ -23,7 +25,14 @@ def main() -> int:
     parser.add_argument("--hpbw-deg", type=float, default=10.0)
     parser.add_argument("--out", help="directory for overlap CDF CSV files")
     args = parser.parse_args()
+    try:
+        return sweep(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
 
+
+def sweep(args) -> int:
     grid = cb.AngularGrid(1.0)
     pattern = cb.Gpp3Pattern(args.hpbw_deg)
     sim = cb.SimilarityConfig()

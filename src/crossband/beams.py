@@ -12,11 +12,11 @@ from a filtered spectrum:
   directions that merge into a single lobe of the spectrum. The responses'
   tap amplitudes come from the band's ``pas._weighted_gains`` matrix, the
   spectral kernel whose rows ``filter_pas`` sums: ``select_m2`` has its one
-  ``filter_pas`` call copy the matrix into ``out`` and hands each block of
-  candidates its columns, so the pattern is evaluated once per band; the
-  tap phases over the sweep are one table per band as well, and the gate
-  correlates the responses in an orthonormal basis of that table's span,
-  ``min(rays, M2_FREQUENCY_POINTS)`` coordinates a response.
+  ``filter_pas`` call copy the matrix into ``out`` and takes its candidates'
+  columns, so the pattern is evaluated once per band; the tap phases over
+  the sweep are one table per band as well, and the gate builds every
+  candidate's response at once, as ``min(rays, M2_FREQUENCY_POINTS)``
+  coordinates in an orthonormal basis of that table's span.
 
 Given a low-band and a high-band direction set on the high band's grid,
 ``power_ratio`` measures how much high-band power the low-band directions
@@ -43,9 +43,6 @@ from .units import linear_to_db
 M2_CORRELATION_THRESHOLD = 0.7
 M2_FREQUENCY_POINTS = 101
 M2_BANDWIDTH_GHZ = 2.0
-# Ranked m2 candidates per block of the gate: 512 responses of min(rays, 101)
-# complex coordinates, 57 kB at 7 rays and at most about 0.8 MB.
-_M2_BLOCK_ROWS = 512
 
 # The direction selection methods, in the order the CLI lists them.
 METHODS = ("m1", "m2")
@@ -171,7 +168,7 @@ def select_m1(pas: FilteredPas, delta_th_db: float) -> DirectionSet:
     return DirectionSet(pas.grid, tuple(kept))
 
 
-def _cfr_matrix(phasors, weighted, steer_deg, out=None):
+def _cfr_matrix(phasors, weighted, steer_deg):
     """Rows of beam responses, one per steering angle, columns over frequency.
 
     Row ``i`` is the response of the beam steered to ``steer_deg[i]``:
@@ -180,16 +177,13 @@ def _cfr_matrix(phasors, weighted, steer_deg, out=None):
     amplitudes ``sqrt(power * gain)``, which multiply ``phasors``, a
     ``(rays, columns)`` table over the band's ``m2`` sweep: its tap phases,
     one column per frequency, or, as ``select_m2`` passes it, their
-    coordinates in an orthonormal basis. The product is written into
-    ``out`` when given, a C-contiguous complex array of
-    ``(len(steer_deg), columns)``, with the same bits. The
-    angles are not read, but the benchmark counts ``m2`` candidates from
-    ``steer_deg``, so a block whose column count differs from it raises
-    ValueError.
+    coordinates in an orthonormal basis. The angles are not read, but the
+    benchmark counts ``m2`` candidates from ``steer_deg``, so a matrix whose
+    column count differs from it raises ValueError.
     """
     if weighted.shape[1] != len(steer_deg):
         raise ValueError(f"{weighted.shape[1]} weighted gain columns for {len(steer_deg)} steering angles")
-    return np.matmul(np.sqrt(weighted.T).astype(complex), phasors, out=out)
+    return np.matmul(np.sqrt(weighted.T).astype(complex), phasors)
 
 
 def select_m2(channel: BandChannel, pattern, grid: AngularGrid, delta_th_db: float) -> DirectionSet:
@@ -207,14 +201,14 @@ def select_m2(channel: BandChannel, pattern, grid: AngularGrid, delta_th_db: flo
 
     Each band value is computed once per call: the spectrum's ``filter_pas``
     call also copies the band's weighted gain matrix into a buffer, whose
-    columns are each block's tap amplitudes ``a``, and the tap phases over
+    columns are the candidates' tap amplitudes ``a``, and the tap phases over
     the frequency sweep, ``exp(-2j*pi*delay*f)``, form one ``(rays,
     M2_FREQUENCY_POINTS)`` table ``P``. A response ``a @ P`` lies in the
     span of ``P``'s rows, at most ``rays`` dimensions, so the gate works in
     coordinates: with ``P.T = Q R`` and ``Q``'s columns orthonormal, ``a @
     P`` has the coordinates ``a @ R.T`` in them, and ``R.T``, of ``(rays,
     k)`` with ``k = min(rays, M2_FREQUENCY_POINTS)``, is the one table that
-    every block multiplies. Inner products and norms of the coordinates
+    the amplitudes multiply. Inner products and norms of the coordinates
     equal those of the ``M2_FREQUENCY_POINTS``-point responses in exact
     arithmetic; in floating point, the correlations of every candidate with
     every accepted direction in the 50-link datasets of config seeds 0-23
@@ -223,26 +217,24 @@ def select_m2(channel: BandChannel, pattern, grid: AngularGrid, delta_th_db: flo
     its squared norms can round below zero where taps cancel across the
     whole sweep.
 
-    The walk takes the ranked candidates in blocks of ``_M2_BLOCK_ROWS``.
-    A block's rows that correlate at ``corr >= M2_CORRELATION_THRESHOLD``
-    with a direction accepted in an earlier block are dropped in one matrix
-    product. Inside the block the walk visits accepted candidates only: each
-    one correlates its response with every later row in one matrix-vector
-    product and rejects those at or above the threshold; the next row still
-    alive is accepted. This is the pairwise greedy rule, but the inner
-    products are summed in BLAS order over the ``k`` coordinates, so a
-    correlation within about 1e-15 of the threshold may fall on the other
-    side of it than a pairwise ``np.vdot`` of the ``M2_FREQUENCY_POINTS``-
-    point responses would put it.
+    One ``_cfr_matrix`` call builds the responses of all ranked candidates,
+    one row each in rank order, and the walk visits accepted candidates
+    only: each one correlates its response with every later row in one
+    matrix-vector product and rejects those at ``corr >=
+    M2_CORRELATION_THRESHOLD``; the next row still alive is accepted. This
+    is the pairwise greedy rule, but the inner products are summed in BLAS
+    order over the ``k`` coordinates, so a correlation within about 1e-15 of
+    the threshold may fall on the other side of it than a pairwise
+    ``np.vdot`` of the ``M2_FREQUENCY_POINTS``-point responses would put it.
 
     Cost: one QR of the phasor table per band, then one ``k``-column
-    matrix-vector product over the rest of its block per accepted
-    direction, and one product per block against the directions accepted
-    before it, so O(accepted x candidates x k) time. Memory is one block of
-    ``k``-coordinate complex128 responses (16 * k bytes a row) plus a copy of
-    each accepted row, whatever the candidate count, and the band's rays x
-    grid weighted gain matrix, phasor table and basis. The blocks of a band
-    share one buffer, allocated once per call.
+    matrix-vector product over the candidates ranked after it per accepted
+    direction, so O(accepted x candidates x k) time. Memory is the band's
+    rays x grid weighted gain matrix, phasor table and basis, and the
+    candidates' columns of the matrix and their ``k``-coordinate complex128
+    responses (16 * k bytes a row). With ``k <= rays`` and at most one
+    candidate per grid angle, the responses take at most twice the bytes of
+    the weighted gain matrix.
     """
     if not delta_th_db > 0.0:
         raise ValueError(f"delta_th_db must be > 0, got {delta_th_db!r}")
@@ -256,24 +248,15 @@ def select_m2(channel: BandChannel, pattern, grid: AngularGrid, delta_th_db: flo
                        (channel.frequency + 0.5 * M2_BANDWIDTH_GHZ) * 1e9, M2_FREQUENCY_POINTS)
     phasors = np.exp(-2j * np.pi * channel.rays.delays[:, None] * f_hz)
     basis = np.linalg.qr(phasors.T, mode="r").T
-    accepted = np.zeros(len(order), dtype=bool)
-    kept, kept_norms = np.empty((0, basis.shape[1]), complex), np.empty(0)
-    buf = np.empty((min(len(order), _M2_BLOCK_ROWS), basis.shape[1]), complex)
-    for start in range(0, len(order), _M2_BLOCK_ROWS):
-        block = order[start:start + _M2_BLOCK_ROWS]
-        responses = _cfr_matrix(basis, weighted[:, block], grid.angles[block], out=buf[:len(block)])
-        norms = np.linalg.norm(responses, axis=1)
-        corr = np.abs(responses @ kept.conj().T) / (norms[:, None] * kept_norms)
-        alive = (corr < M2_CORRELATION_THRESHOLD).all(axis=1)
-        i = -1
-        while (later := np.flatnonzero(alive[i + 1:])).size:
-            i += 1 + int(later[0])
-            corr = np.abs(responses[i + 1:] @ responses[i].conj()) / (norms[i] * norms[i + 1:])
-            alive[i + 1:] &= corr < M2_CORRELATION_THRESHOLD
-        accepted[start:start + len(alive)] = alive
-        kept = np.concatenate((kept, responses[alive]))
-        kept_norms = np.concatenate((kept_norms, norms[alive]))
-    return DirectionSet(grid, tuple(sorted(order[accepted].tolist())))
+    responses = _cfr_matrix(basis, weighted[:, order], grid.angles[order])
+    norms = np.linalg.norm(responses, axis=1)
+    alive = np.ones(len(order), dtype=bool)
+    i = -1
+    while (later := np.flatnonzero(alive[i + 1:])).size:
+        i += 1 + int(later[0])
+        corr = np.abs(responses[i + 1:] @ responses[i].conj()) / (norms[i] * norms[i + 1:])
+        alive[i + 1:] &= corr < M2_CORRELATION_THRESHOLD
+    return DirectionSet(grid, tuple(sorted(order[alive].tolist())))
 
 
 def _gather(pas: FilteredPas, directions: DirectionSet) -> np.ndarray:

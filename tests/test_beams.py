@@ -268,20 +268,6 @@ class TestBeamCfr:
         assert abs(h[49]) == pytest.approx(expected, rel=1e-9)
         assert abs(h[51]) == pytest.approx(expected, rel=1e-9)
 
-    @pytest.mark.parametrize("pattern", ["ula4", "ula8", "gpp3_10", "tabulated"])
-    def test_out_buffer_holds_the_allocated_bits(self, pattern):
-        # select_m2 builds each block's responses into one buffer per band
-        pattern = CFR_PATTERNS[pattern]
-        rng = np.random.default_rng(5)
-        buf = np.full((beams._M2_BLOCK_ROWS, beams.M2_FREQUENCY_POINTS), complex(np.nan, np.nan))
-        for _ in range(30):
-            ch = random_band(rng)
-            steer = rng.uniform(0.0, 360.0, int(rng.integers(1, beams._M2_BLOCK_ROWS + 1)))
-            phasors, weighted = sweep_phasors(ch), _weighted_gains(ch, pattern, steer)
-            got = _cfr_matrix(phasors, weighted, steer, out=buf[:len(steer)])
-            assert np.shares_memory(got, buf)
-            assert got.tobytes() == _cfr_matrix(phasors, weighted, steer).tobytes()
-
     @pytest.mark.parametrize("pattern", sorted(CFR_PATTERNS))
     def test_amplitudes_from_the_kernel_keep_the_per_row_bits(self, pattern):
         # _cfr_matrix takes the square roots of a transposed pas._weighted_gains
@@ -290,7 +276,7 @@ class TestBeamCfr:
         rng = np.random.default_rng(22)
         for i in range(40):
             ch = random_band(rng, dyadic=i % 2 == 0)
-            steer = rng.uniform(0.0, 360.0, int(rng.integers(1, beams._M2_BLOCK_ROWS + 1)))
+            steer = rng.uniform(0.0, 360.0, int(rng.integers(1, 512 + 1)))
             # some rows steer exactly +-90 and 180 degrees off a ray when its angle is dyadic:
             # the ULA front half-plane edge and the wrap point of every pattern
             rows = rng.integers(0, len(steer), min(len(steer), 8))
@@ -301,7 +287,7 @@ class TestBeamCfr:
 
     @pytest.mark.parametrize("pattern", sorted(CFR_PATTERNS))
     def test_columns_of_the_band_matrix_keep_the_per_row_bits(self, pattern):
-        # select_m2 hands each block its candidates' columns of the matrix filter_pas copied out
+        # select_m2 hands _cfr_matrix its candidates' columns of the matrix filter_pas copied out
         pattern = CFR_PATTERNS[pattern]
         rng = np.random.default_rng(24)
         for step in (0.1, 0.5, 1.0):
@@ -310,7 +296,7 @@ class TestBeamCfr:
                 ch = random_band(rng)
                 weighted = np.empty((len(ch.rays), grid.n_points))
                 cb.filter_pas(ch, pattern, grid, out=weighted)
-                block = rng.permutation(grid.n_points)[:int(rng.integers(1, beams._M2_BLOCK_ROWS + 1))]
+                block = rng.permutation(grid.n_points)[:int(rng.integers(1, 512 + 1))]
                 steer = grid.angles[block]
                 got = _cfr_matrix(sweep_phasors(ch), weighted[:, block], steer)
                 assert got.tobytes() == per_row_responses(ch, pattern, steer).tobytes()
@@ -326,14 +312,14 @@ class TestBeamCfr:
     @pytest.mark.parametrize("pattern", sorted(CFR_PATTERNS))
     def test_kernel_columns_do_not_depend_on_the_other_angles(self, pattern):
         # a column of one band's grid-wide matrix equals the column computed for its angle
-        # alone, so the m2 blocks may take theirs from the spectrum's matrix
+        # alone, so the m2 gate may take its candidates' from the spectrum's matrix
         pattern = CFR_PATTERNS[pattern]
         rng = np.random.default_rng(23)
         for step in (0.1, 0.5, 1.0):
             grid = cb.AngularGrid(step)
             for _ in range(5):
                 ch = random_band(rng)
-                idx = rng.integers(0, grid.n_points, int(rng.integers(1, beams._M2_BLOCK_ROWS + 1)))
+                idx = rng.integers(0, grid.n_points, int(rng.integers(1, 512 + 1)))
                 whole = _weighted_gains(ch, pattern, grid.angles)
                 assert whole[:, idx].tobytes() == _weighted_gains(ch, pattern, grid.angles[idx]).tobytes()
 
@@ -433,9 +419,7 @@ class TestSelectM2:
         return got.angles, tuple(sorted(float(grid.angles[order[i]]) for i in accepted)), len(order)
 
     @pytest.mark.parametrize("delta_th_db", [10.0, 20.0])
-    def test_matches_pairwise_greedy_gate(self, grid, delta_th_db, monkeypatch):
-        # blocks of 3 rows put most of the walk past a block boundary
-        monkeypatch.setattr(beams, "_M2_BLOCK_ROWS", 3)
+    def test_matches_pairwise_greedy_gate(self, grid, delta_th_db):
         rng = np.random.default_rng(int(delta_th_db))
         # the last draw has 12 rays, so the gate's basis has 12 columns
         for n_elements, n_rays in ((4, None), (8, None), (4, None), (8, None), (4, 12)):
@@ -444,34 +428,36 @@ class TestSelectM2:
             assert got == expected
 
     def test_matches_pairwise_greedy_gate_past_a_full_block(self):
-        # 922 candidates, two of the four accepted directions in the second block
+        # 922 candidates, two of the four accepted directions past the 512th, where the
+        # gate's walk once crossed from one block of rows into the next
         grid = cb.AngularGrid(0.25)
         got, expected, n_candidates = self._gated(np.random.default_rng(21), 4, grid, 20.0)
-        assert n_candidates > beams._M2_BLOCK_ROWS
+        assert n_candidates > 512
         assert got == expected
 
     @pytest.mark.parametrize("step, n_links", [(1.0, 3), (0.1, 2)])
     def test_evaluates_the_pattern_once_per_band(self, step, n_links):
-        # the blocks take their amplitudes from the spectrum's own matrix, at 0.1 degrees
-        # from more than one block of candidates
+        # the gate takes its amplitudes from the spectrum's own matrix, at 0.1 degrees
+        # for more than 512 candidates
         grid = cb.AngularGrid(step)
         for pair in cb.generate_dataset(cb.GenConfig(seed=17), n_links):
             for band, pattern in ((pair.low, cb.UlaPattern(4)), (pair.high, cb.Gpp3Pattern(10.0, 30.0))):
                 v = cb.filter_pas(band, pattern, grid).values
                 n_candidates = np.count_nonzero(linear_to_db(v / v.max()) >= -20.0)
-                assert (n_candidates > beams._M2_BLOCK_ROWS) == (step == 0.1)
+                assert (n_candidates > 512) == (step == 0.1)
                 counting = CountingPattern(pattern)
                 assert cb.select_m2(band, counting, grid, 20.0) == cb.select_m2(band, pattern, grid, 20.0)
                 assert counting.calls == 1
 
     @staticmethod
     def _tables(monkeypatch, band, pattern, grid):
-        """The table and output columns of every ``_cfr_matrix`` call of one ``select_m2``."""
+        """The table, steering angles and result of every ``_cfr_matrix`` call of one ``select_m2``."""
         calls = []
 
-        def recording(phasors, weighted, steer_deg, out=None):
-            calls.append((phasors, out.shape[1]))
-            return _cfr_matrix(phasors, weighted, steer_deg, out=out)
+        def recording(phasors, weighted, steer_deg):
+            responses = _cfr_matrix(phasors, weighted, steer_deg)
+            calls.append((phasors, steer_deg.copy(), responses))
+            return responses
 
         monkeypatch.setattr(beams, "_cfr_matrix", recording)
         cb.select_m2(band, pattern, grid, 20.0)
@@ -479,8 +465,9 @@ class TestSelectM2:
 
     @pytest.mark.parametrize("n_rays", [None, 120], ids=["generated", "120_rays"])
     def test_builds_one_basis_per_band(self, monkeypatch, n_rays):
-        # every block of one call multiplies the same table, built once from the band's delays:
-        # the R factor of the phasor table's QR, min(rays, 101) columns
+        # one call builds every candidate's response at once, in rank order, from one table
+        # built from the band's delays: the R factor of the phasor table's QR, min(rays, 101)
+        # columns. The benchmark counts the m2 candidates from the steering angles passed
         if n_rays is None:
             band = cb.generate_dataset(cb.GenConfig(seed=17), 1)[0].low
         else:
@@ -491,12 +478,16 @@ class TestSelectM2:
         monkeypatch.setattr(np.linalg, "qr", lambda *a, **kw: qr_calls.append(a) or qr(*a, **kw))
         calls = self._tables(monkeypatch, band, pattern, grid)
         k = min(len(band.rays), beams.M2_FREQUENCY_POINTS)
-        assert len(calls) > 1
+        order = m2_walk_order(cb.filter_pas(band, pattern, grid).values.tolist(), 20.0)
+        assert len(order) > 512
+        assert len(calls) == 1
+        (table, steer, responses), = calls
+        assert steer.tobytes() == grid.angles[order].tobytes()
+        assert responses.shape == (len(order), k)
         assert len(qr_calls) == 1
-        assert all(table is calls[0][0] and columns == k for table, columns in calls)
-        assert calls[0][0].shape == (len(band.rays), k)
-        assert calls[0][0].dtype == complex
-        assert calls[0][0].tobytes() == np.linalg.qr(sweep_phasors(band).T, mode="r").T.tobytes()
+        assert table.shape == (len(band.rays), k)
+        assert table.dtype == complex
+        assert table.tobytes() == np.linalg.qr(sweep_phasors(band).T, mode="r").T.tobytes()
 
     @pytest.mark.parametrize("pattern", sorted(CFR_PATTERNS))
     def test_basis_keeps_the_inner_products_of_the_responses(self, monkeypatch, pattern):
@@ -527,10 +518,17 @@ class TestSelectM2:
         with np.errstate(divide="raise", over="raise", invalid="raise"):
             assert cb.select_m2(ch, pattern, grid, 20.0).angles == expected
 
-    def test_memory_stays_within_the_spectrum_filter(self):
-        # the gate once held three candidates x 101 complex arrays: 110 MB here
-        band = cb.generate_dataset(cb.GenConfig(seed=0), 1)[0].low
-        grid, pattern = cb.AngularGrid(0.01), cb.UlaPattern(4)
+    @pytest.mark.parametrize("n_rays, step", [(None, 0.01), (120, 0.1)], ids=["generated", "120_rays"])
+    def test_memory_stays_within_the_spectrum_filter(self, n_rays, step):
+        # the gate once held three candidates x 101 complex arrays: 110 MB for the generated
+        # band; now it holds the band's weighted gain matrix beside the spectrum filter's
+        # own peak, and every candidate's min(rays, 101) coordinates below that peak
+        if n_rays is None:
+            band = cb.generate_dataset(cb.GenConfig(seed=0), 1)[0].low
+        else:
+            band = random_band(np.random.default_rng(28), n_rays=n_rays)
+        grid, pattern = cb.AngularGrid(step), cb.UlaPattern(4)
+        weighted_nbytes = len(band.rays) * grid.n_points * 8
 
         def peak_of(call):
             tracemalloc.start()
@@ -542,7 +540,7 @@ class TestSelectM2:
 
         filtered = peak_of(lambda: cb.filter_pas(band, pattern, grid))
         selected = peak_of(lambda: cb.select_m2(band, pattern, grid, 20.0))
-        assert selected <= filtered + 4 * 2**20
+        assert selected <= filtered + weighted_nbytes + 2**20
 
 
 class TestPowerRatio:

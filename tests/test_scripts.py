@@ -13,11 +13,11 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 NUMBER = r"-?\d+(\.\d+)?(e[+-]\d+)?"
 
 
-def run_script(name, monkeypatch, *args):
+def run_script(name, monkeypatch, *args, code=0):
     monkeypatch.setattr(sys, "argv", [name, *args])
     with pytest.raises(SystemExit) as exit_info:
         runpy.run_path(str(SCRIPTS / name), run_name="__main__")
-    assert exit_info.value.code == 0
+    assert exit_info.value.code == code
 
 
 def read_curve(path):
@@ -58,3 +58,13 @@ def test_congruence_sweep_curves(tmp_path, monkeypatch):
         header, rows = read_curve(path)
         assert header == "psp_percent,cumulative_probability"
         assert rows[-1].endswith(",1")
+
+
+@pytest.mark.parametrize("name, args, message", [
+    ("congruence_sweep.py", ["--n-links", "0"], "n_links must be >= 1, got 0"),
+    ("beamwidth_study.py", ["--low-ghz", "30", "--high-ghz", "28"], "need 0 < low_freq_ghz <= high_freq_ghz"),
+], ids=["congruence_sweep", "beamwidth_study"])
+def test_bad_value_exits_4_with_the_message(monkeypatch, capsys, name, args, message):
+    # as the crossband CLI does: one line on stderr, exit 4, no traceback
+    run_script(name, monkeypatch, *args, code=4)
+    assert capsys.readouterr().err == f"error: {message}\n"
