@@ -428,8 +428,7 @@ class TestSelectM2:
             assert got == expected
 
     def test_matches_pairwise_greedy_gate_past_a_full_block(self):
-        # 922 candidates, two of the four accepted directions past the 512th, where the
-        # gate's walk once crossed from one block of rows into the next
+        # 922 candidates, two of the four accepted directions ranked past the 512th
         grid = cb.AngularGrid(0.25)
         got, expected, n_candidates = self._gated(np.random.default_rng(21), 4, grid, 20.0)
         assert n_candidates > 512
@@ -467,7 +466,7 @@ class TestSelectM2:
     def test_builds_one_basis_per_band(self, monkeypatch, n_rays):
         # one call builds every candidate's response at once, in rank order, from one table
         # built from the band's delays: the R factor of the phasor table's QR, min(rays, 101)
-        # columns. The benchmark counts the m2 candidates from the steering angles passed
+        # columns. The benchmark counts the m2 candidates from the steering angles passed.
         if n_rays is None:
             band = cb.generate_dataset(cb.GenConfig(seed=17), 1)[0].low
         else:
