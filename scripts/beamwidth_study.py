@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 import crossband as cb
-from crossband.cli import EXIT_VALIDATION
+from crossband.cli import EXIT_IO, EXIT_VALIDATION
 
 
 def build_configurations(delta_p_db: float):
@@ -51,6 +51,9 @@ def main() -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 def study(args) -> int:

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 import crossband as cb
-from crossband.cli import EXIT_VALIDATION
+from crossband.cli import EXIT_IO, EXIT_VALIDATION
 
 
 def main() -> int:
@@ -30,6 +30,9 @@ def main() -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 def sweep(args) -> int:

@@ -194,7 +194,9 @@ def select_m2(channel: BandChannel, pattern, grid: AngularGrid, delta_th_db: flo
     spectrum order (angle breaks ties), a candidate is accepted when the
     normalized inner product of its beam response with every already accepted
     response stays below ``M2_CORRELATION_THRESHOLD``. The global maximum is
-    accepted first, so at least one direction survives.
+    accepted first, so at least one direction survives. A band whose largest
+    tap phase over the sweep, ``2*pi*delay*f``, overflows is refused with a
+    ``ValueError`` naming the band and its largest delay.
 
     Candidate indices ascend with angle, so one stable sort of the negated
     spectrum values ranks them with ties broken by angle.
@@ -238,14 +240,19 @@ def select_m2(channel: BandChannel, pattern, grid: AngularGrid, delta_th_db: flo
     """
     if not delta_th_db > 0.0:
         raise ValueError(f"delta_th_db must be > 0, got {delta_th_db!r}")
+    f_top_hz = (channel.frequency + 0.5 * M2_BANDWIDTH_GHZ) * 1e9
+    # the largest tap phase, in Python floats so no numpy errstate raises first
+    max_delay = float(channel.rays.delays.max())
+    if math.isinf(2.0 * math.pi * max_delay * f_top_hz):
+        raise ValueError(f"{channel.frequency:g} GHz band: ray delay {max_delay!r} s times the m2 sweep's "
+                         f"top frequency {f_top_hz:g} Hz overflows")
     weighted = np.empty((len(channel.rays), grid.n_points))
     pas = filter_pas(channel, pattern, grid, out=weighted)
     v = pas.values
     vmax = float(v.max())
     candidates = np.flatnonzero(linear_to_db(v / vmax) >= -delta_th_db)
     order = candidates[np.argsort(-v[candidates], kind="stable")]
-    f_hz = np.linspace((channel.frequency - 0.5 * M2_BANDWIDTH_GHZ) * 1e9,
-                       (channel.frequency + 0.5 * M2_BANDWIDTH_GHZ) * 1e9, M2_FREQUENCY_POINTS)
+    f_hz = np.linspace((channel.frequency - 0.5 * M2_BANDWIDTH_GHZ) * 1e9, f_top_hz, M2_FREQUENCY_POINTS)
     phasors = np.exp(-2j * np.pi * channel.rays.delays[:, None] * f_hz)
     basis = np.linalg.qr(phasors.T, mode="r").T
     responses = _cfr_matrix(basis, weighted[:, order], grid.angles[order])

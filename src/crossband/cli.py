@@ -14,7 +14,9 @@ field's class default.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import logging
+import os
 import sys
 from dataclasses import MISSING, fields
 from pathlib import Path
@@ -33,6 +35,17 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_VALIDATION = 4
+
+# glibc's mallopt parameter M_TOP_PAD and the pad main sets with it: the heap
+# keeps this much free memory at its top instead of trimming it, so the
+# temporaries each band frees are not faulted in again by the next band.
+_M_TOP_PAD = -2
+_HEAP_TOP_PAD = 4 << 20
+# The process's C library symbols; where it has no mallopt, main sets no pad.
+_LIBC = ctypes.CDLL(None) if os.name == "posix" else None
+if hasattr(_LIBC, "mallopt"):
+    _LIBC.mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    _LIBC.mallopt.restype = ctypes.c_int
 
 
 class PatternSpecError(ValueError):
@@ -237,6 +250,8 @@ def _cmd_pattern(args) -> int:
 
 
 def main(argv=None) -> int:
+    if (mallopt := getattr(_LIBC, "mallopt", None)) is not None:
+        mallopt(_M_TOP_PAD, _HEAP_TOP_PAD)
     logging.basicConfig(stream=sys.stderr, level=logging.WARNING, format="%(levelname)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -397,6 +398,42 @@ class TestSelectM2:
     def test_bad_threshold_rejected(self, grid, ula4, delta_th_db):
         with pytest.raises(ValueError):
             cb.select_m2(self.CH, ula4, grid, delta_th_db)
+
+    # a 1e299 s tap: its phase 2*pi*delay*f overflows at the sweep's top frequency, 29 GHz
+    OVERFLOWING = cb.BandChannel(28.0, [cb.Ray(1.0, 1e299, 10.0), cb.Ray(0.5, 0.0, 40.0),
+                                        cb.Ray(0.5, 1e-8, 200.0)])
+    OVERFLOW = "28 GHz band: ray delay 1e+299 s times the m2 sweep's top frequency 2.9e+10 Hz overflows"
+
+    def test_delay_whose_phase_overflows_is_refused(self):
+        # it used to warn of an overflow in multiply and select (10.0,) from NaN phasors
+        with pytest.raises(ValueError) as exc_info:
+            cb.select_m2(self.OVERFLOWING, cb.UlaPattern(8), cb.AngularGrid(1.0), 20.0)
+        assert str(exc_info.value) == self.OVERFLOW
+
+    def test_refused_exactly_where_the_phasors_would_overflow(self, grid, ula4):
+        top_hz = (28.0 + 0.5 * beams.M2_BANDWIDTH_GHZ) * 1e9
+        delay = sys.float_info.max / (2.0 * math.pi) / top_hz
+        while math.isinf(2.0 * math.pi * delay * top_hz):
+            delay = math.nextafter(delay, 0.0)
+        while not math.isinf(2.0 * math.pi * math.nextafter(delay, math.inf) * top_hz):
+            delay = math.nextafter(delay, math.inf)
+        band = lambda d: cb.BandChannel(28.0, (cb.Ray(1.0, d, 10.0), cb.Ray(0.5, 0.0, 40.0)))  # noqa: E731
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            cb.select_m2(band(delay), ula4, grid, 20.0)
+            with pytest.raises(ValueError, match="overflows"):
+                cb.select_m2(band(math.nextafter(delay, math.inf)), ula4, grid, 20.0)
+
+    def test_batch_names_the_band_of_an_overflowing_delay(self, tmp_path):
+        # the loader takes any finite delay_ns; the link's failure used to read only
+        # "overflow encountered in multiply", raised under map_links' errstate
+        good = cb.generate_dataset(cb.GenConfig(seed=0), 1)[0]
+        path = tmp_path / "links.json"
+        cb.write_dataset([good, cb.LinkPair(good.low, self.OVERFLOWING, "bad")], path)
+        assert '"delay_ns": 1e+308' in path.read_text()
+        report = cb.analyze_dataset(cb.load_dataset(path, 15.0, 28.0), cb.UlaPattern(4), cb.UlaPattern(8),
+                                    cb.AngularGrid(1.0), cb.SimilarityConfig(20.0, method="m2"))
+        assert report.failures == {"bad": self.OVERFLOW}
+        assert list(report.per_link) == [good.link_id]
 
     @staticmethod
     def _gated(rng, n_elements, grid, delta_th_db, n_rays=None):

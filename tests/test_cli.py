@@ -6,6 +6,7 @@ import dataclasses
 import io
 import json
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from test_dataset import dataset_files
 
 import crossband as cb
+from crossband import cli
 from crossband.beams import METHODS
 from crossband.cli import (
     _SPEC_KINDS,
@@ -461,6 +463,56 @@ class TestPsp:
         assert code == EXIT_IO
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+
+class FakeLibc:
+    """A C library handle that records its mallopt calls."""
+
+    def __init__(self):
+        self.calls = []
+
+    def mallopt(self, param, value):
+        self.calls.append((param, value))
+        return 1
+
+
+class TestHeapTopPad:
+    COMMANDS = {
+        "batch_m2": lambda data, out: ["batch", *analysis_argv(data, ["--method", "m2"]), "--out", str(out)],
+        "analyze": lambda data, out: ["analyze", *analysis_argv(data), "--link", "b"],
+        "psp_missing_file": lambda data, out: ["psp", "--data", str(out / "absent.json"),
+                                               "--low-ghz", "15", "--high-ghz", "28", "--hpbw-deg", "10"],
+    }
+
+    @staticmethod
+    def _outcome(argv, out_dir, capsys):
+        code = main(argv)
+        captured = capsys.readouterr()
+        files = {p.name: p.read_bytes() for p in out_dir.iterdir()} if out_dir.is_dir() else None
+        return code, captured.out, captured.err, files
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_each_call_sets_a_4_mib_top_pad_once(self, dataset_path, tmp_path, monkeypatch, capsys, command):
+        argv = self.COMMANDS[command](dataset_path, tmp_path / "out")
+        expected = self._outcome(argv, tmp_path / "out", capsys)
+        libc = FakeLibc()
+        monkeypatch.setattr(cli, "_LIBC", libc)
+        for n_calls in (1, 2):
+            assert self._outcome(argv, tmp_path / "out", capsys) == expected
+            assert libc.calls == [(-2, 4 << 20)] * n_calls
+
+    @pytest.mark.parametrize("libc", [object(), None], ids=["no_mallopt", "no_handle"])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_a_library_without_mallopt_changes_nothing(self, dataset_path, tmp_path, monkeypatch, capsys,
+                                                        libc, command):
+        argv = self.COMMANDS[command](dataset_path, tmp_path / "out")
+        expected = self._outcome(argv, tmp_path / "out", capsys)
+        monkeypatch.setattr(cli, "_LIBC", libc)
+        assert self._outcome(argv, tmp_path / "out", capsys) == expected
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
+    def test_glibc_handle_has_mallopt(self):
+        assert cli._LIBC.mallopt(-2, 4 << 20) == 1
 
 
 class TestFloatFaults:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import errno
+import os
 import re
 import runpy
 import sys
@@ -68,3 +70,17 @@ def test_bad_value_exits_4_with_the_message(monkeypatch, capsys, name, args, mes
     # as the crossband CLI does: one line on stderr, exit 4, no traceback
     run_script(name, monkeypatch, *args, code=4)
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("name, flag, target, errno_", [
+    ("beamwidth_study.py", "--data", "absent.json", errno.ENOENT),
+    ("beamwidth_study.py", "--out", "file.txt", errno.EEXIST),
+    ("congruence_sweep.py", "--out", "file.txt", errno.EEXIST),
+], ids=["beamwidth_study-data", "beamwidth_study-out", "congruence_sweep-out"])
+def test_os_error_exits_3_with_the_message(tmp_path, monkeypatch, capsys, name, flag, target, errno_):
+    # as the crossband CLI does: one line on stderr, exit 3, no traceback
+    (tmp_path / "file.txt").write_text("kept\n")
+    path = str(tmp_path / target)
+    run_script(name, monkeypatch, "--n-links", "2", flag, path, code=3)
+    assert capsys.readouterr().err == f"error: {OSError(errno_, os.strerror(errno_), path)}\n"
+    assert (tmp_path / "file.txt").read_text() == "kept\n"
