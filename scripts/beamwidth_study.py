@@ -12,11 +12,10 @@ curves as CSV.
 from __future__ import annotations
 
 import argparse
-import sys
 from pathlib import Path
 
 import crossband as cb
-from crossband.cli import EXIT_IO, EXIT_VALIDATION
+from crossband.cli import load_pairs, run
 
 
 def build_configurations(delta_p_db: float):
@@ -30,7 +29,6 @@ def build_configurations(delta_p_db: float):
 
 
 def write_curves(report: cb.BatchReport, out_dir: Path, tag: str) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
     curves = report.curves()
     for name in ("r_cdf", "nf_pdf"):
         cb.write_curve_csv(out_dir / f"{name}_{tag}.csv", *curves[name])
@@ -45,21 +43,15 @@ def main() -> int:
     parser.add_argument("--high-ghz", type=float, default=28.0)
     parser.add_argument("--delta-p-db", type=float, default=-30.0)
     parser.add_argument("--out", help="directory for CDF/PDF CSV exports")
-    args = parser.parse_args()
-    try:
-        return study(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    return run(study, parser.parse_args())
 
 
-def study(args) -> int:
+def study(args) -> None:
+    # every setting is checked and every report computed before the first line prints
+    configurations = build_configurations(args.delta_p_db)
     if args.data:
-        dataset = cb.load_dataset(args.data, args.low_ghz, args.high_ghz)
-        print(f"dataset: {args.data} ({len(dataset)} links)")
+        dataset = load_pairs(args)
+        source = f"{args.data} ({len(dataset)} links)"
     else:
         gen = cb.GenConfig(
             n_shared_paths=8, n_low_only_paths=3, n_high_only_paths=1,
@@ -68,14 +60,21 @@ def study(args) -> int:
             seed=args.seed,
         )
         dataset = cb.generate_dataset(gen, args.n_links)
-        print(f"dataset: synthetic, {args.n_links} links, seed {args.seed}")
-
+        source = f"synthetic, {args.n_links} links, seed {args.seed}"
     grid = cb.AngularGrid(1.0)
+    reports = {name: cb.analyze_dataset(dataset, pat_low, pat_high, grid, cfg)
+               for name, pat_low, pat_high, cfg in configurations}
+    if args.out:
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, report in reports.items():
+            write_curves(report, out_dir, name.replace(" ", "_"))
+
+    print(f"dataset: {source}")
     header = f"{'configuration':<16} {'p10':>7} {'p50':>7} {'p90':>7} {'nf=0':>7} {'nf<=1':>7}"
     print(header)
     print("-" * len(header))
-    for name, pat_low, pat_high, cfg in build_configurations(args.delta_p_db):
-        report = cb.analyze_dataset(dataset, pat_low, pat_high, grid, cfg)
+    for name, report in reports.items():
         p = report.percentiles
         f = report.nf_fractions
         print(
@@ -84,10 +83,7 @@ def study(args) -> int:
         )
         if report.failures:
             print(f"  {len(report.failures)} links failed analysis")
-        if args.out:
-            write_curves(report, Path(args.out), name.replace(" ", "_"))
     print("\npercentiles are power loss in dB (negated power ratio)")
-    return 0
 
 
 if __name__ == "__main__":

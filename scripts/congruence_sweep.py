@@ -10,11 +10,10 @@ makes a compact before/after plot of how fast congruence decays.
 from __future__ import annotations
 
 import argparse
-import sys
 from pathlib import Path
 
 import crossband as cb
-from crossband.cli import EXIT_IO, EXIT_VALIDATION
+from crossband.cli import run
 
 
 def main() -> int:
@@ -24,42 +23,36 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--hpbw-deg", type=float, default=10.0)
     parser.add_argument("--out", help="directory for overlap CDF CSV files")
-    args = parser.parse_args()
-    try:
-        return sweep(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    return run(sweep, parser.parse_args())
 
 
-def sweep(args) -> int:
+def sweep(args) -> None:
+    # every setting is checked and every row computed before the first line prints
     grid = cb.AngularGrid(1.0)
     pattern = cb.Gpp3Pattern(args.hpbw_deg)
     sim = cb.SimilarityConfig()
-
-    header = f"{'jitter':>8} {'median overlap':>15} {'median loss':>12}"
-    print(header)
-    print("-" * len(header))
-    for jitter in args.jitters_deg:
-        gen = cb.GenConfig(
-            angle_jitter_deg=jitter, power_jitter_db=0.0,
-            n_low_only_paths=0, n_high_only_paths=0, seed=args.seed,
-        )
+    configs = [cb.GenConfig(angle_jitter_deg=jitter, power_jitter_db=0.0,
+                            n_low_only_paths=0, n_high_only_paths=0, seed=args.seed)
+               for jitter in args.jitters_deg]
+    rows = []
+    for jitter, gen in zip(args.jitters_deg, configs):
         report = cb.analyze_dataset(cb.generate_dataset(gen, args.n_links), pattern, pattern, grid, sim)
         psp_cdf = cb.empirical_cdf([r.psp.psp_percent for r in report.per_link.values()])
         median_overlap = cb.percentiles(psp_cdf, levels=(50,))[50]
         median_loss = report.percentiles[50] + 0.0  # drop negative zero
-        print(f"{jitter:>7.1f}d {median_overlap:>14.2f}% {median_loss:>9.2f} dB")
-
-        if args.out:
-            out_dir = Path(args.out)
-            out_dir.mkdir(parents=True, exist_ok=True)
+        rows.append((jitter, psp_cdf, median_overlap, median_loss))
+    if args.out:
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for jitter, psp_cdf, _, _ in rows:
             cb.write_curve_csv(out_dir / f"psp_cdf_jitter_{jitter:g}.csv",
                                "psp_percent,cumulative_probability", psp_cdf)
-    return 0
+
+    header = f"{'jitter':>8} {'median overlap':>15} {'median loss':>12}"
+    print(header)
+    print("-" * len(header))
+    for jitter, _, median_overlap, median_loss in rows:
+        print(f"{jitter:>7.1f}d {median_overlap:>14.2f}% {median_loss:>9.2f} dB")
 
 
 if __name__ == "__main__":

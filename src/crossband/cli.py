@@ -1,7 +1,10 @@
 """Command-line surface: generate, analyze, batch, psp, pattern.
 
-Exit codes: 0 success, 2 usage errors (bad flags or pattern-spec grammar),
-3 I/O errors, 4 validation and analysis errors. All outputs are
+Exit codes, for every command here and for the study scripts under
+``scripts/``, all of which end through ``run``: 0 success, 2 usage errors
+(bad flags or pattern-spec grammar), 3 I/O errors, 4 validation and analysis
+errors, including a request too large to allocate. A failed run prints one
+``error: <message>`` line on stderr and no traceback. All outputs are
 deterministic: rerunning a command on the same inputs yields byte-identical
 files and stdout.
 
@@ -36,12 +39,12 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_VALIDATION = 4
 
-# glibc's mallopt parameter M_TOP_PAD and the pad main sets with it: the heap
+# glibc's mallopt parameter M_TOP_PAD and the pad run sets with it: the heap
 # keeps this much free memory at its top instead of trimming it, so the
 # temporaries each band frees are not faulted in again by the next band.
 _M_TOP_PAD = -2
 _HEAP_TOP_PAD = 4 << 20
-# The process's C library symbols; where it has no mallopt, main sets no pad.
+# The process's C library symbols; where it has no mallopt, run sets no pad.
 _LIBC = ctypes.CDLL(None) if os.name == "posix" else None
 if hasattr(_LIBC, "mallopt"):
     _LIBC.mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
@@ -151,7 +154,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_pairs(args) -> list[LinkPair]:
+def load_pairs(args) -> list[LinkPair]:
+    """The links of ``args.data`` that carry both ``args.low_ghz`` and ``args.high_ghz``.
+
+    Raises ValueError when no link does.
+    """
     pairs = load_dataset(args.data, args.low_ghz, args.high_ghz)
     if not pairs:
         raise ValueError(
@@ -170,7 +177,7 @@ def _analyze(args, pairs: list[LinkPair]) -> BatchReport:
     )
 
 
-def _cmd_generate(args) -> int:
+def _cmd_generate(args) -> None:
     config = GenConfig() if args.config is None else GenConfig.from_dict(load(args.config))
     dataset = generate_dataset(config, args.n_links)
     metadata = {
@@ -179,7 +186,6 @@ def _cmd_generate(args) -> int:
         "n_links": args.n_links,
     }
     write_dataset(dataset, args.out, metadata)
-    return EXIT_OK
 
 
 def _select_pair(pairs: list[LinkPair], link_id: str | None) -> LinkPair:
@@ -195,12 +201,11 @@ def _select_pair(pairs: list[LinkPair], link_id: str | None) -> LinkPair:
     raise ValueError(f"no link {link_id!r} in dataset")
 
 
-def _cmd_analyze(args) -> int:
-    pair = _select_pair(_load_pairs(args), args.link)
+def _cmd_analyze(args) -> None:
+    pair = _select_pair(load_pairs(args), args.link)
     out = {"link_id": pair.link_id}
     out.update(_analyze(args, [pair]).per_link[pair.link_id].to_dict())
     sys.stdout.write(dumps(round_floats(out)))
-    return EXIT_OK
 
 
 def _export_batch(report: BatchReport, out_dir: Path, params: dict) -> None:
@@ -212,16 +217,15 @@ def _export_batch(report: BatchReport, out_dir: Path, params: dict) -> None:
         write_curve_csv(out_dir / f"{name}.csv", header, rows)
 
 
-def _cmd_batch(args) -> int:
-    report = _analyze(args, _load_pairs(args))
+def _cmd_batch(args) -> None:
+    report = _analyze(args, load_pairs(args))
     names = ("data", "low_ghz", "high_ghz", "pattern_low", "pattern_high", "method",
              "delta_th_db", "delta_p_db", "grid_step_deg")
     _export_batch(report, Path(args.out), {name: getattr(args, name) for name in names})
-    return EXIT_OK
 
 
-def _cmd_psp(args) -> int:
-    pairs = _load_pairs(args)
+def _cmd_psp(args) -> None:
+    pairs = load_pairs(args)
     pattern = Gpp3Pattern(args.hpbw_deg, args.amax_db)
     grid = AngularGrid(args.grid_step_deg)
 
@@ -241,31 +245,34 @@ def _cmd_psp(args) -> int:
         cdf = empirical_cdf(list(per_link.values()))
         write_curve_csv(args.out, "psp_percent,cumulative_probability", cdf)
     sys.stdout.write(dumps(round_floats(out)))
-    return EXIT_OK
 
 
-def _cmd_pattern(args) -> int:
+def _cmd_pattern(args) -> None:
     pattern_to_csv(parse_pattern_spec(args.spec), args.out, args.step_deg)
+
+
+def run(command, args) -> int:
+    """Run ``command(args)`` as every entry point does and return the exit code.
+
+    Sets the heap top pad and logs warnings to stderr as ``WARNING: ...``
+    first. An error ends the run with one ``error: <message>`` line.
+    """
+    if (mallopt := getattr(_LIBC, "mallopt", None)) is not None:
+        mallopt(_M_TOP_PAD, _HEAP_TOP_PAD)
+    logging.basicConfig(stream=sys.stderr, level=logging.WARNING, format="%(levelname)s: %(message)s")
+    try:
+        command(args)
+    except (OSError, ValueError, FloatingPointError, MemoryError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, PatternSpecError):
+            return EXIT_USAGE
+        return EXIT_IO if isinstance(exc, OSError) else EXIT_VALIDATION
     return EXIT_OK
 
 
 def main(argv=None) -> int:
-    if (mallopt := getattr(_LIBC, "mallopt", None)) is not None:
-        mallopt(_M_TOP_PAD, _HEAP_TOP_PAD)
-    logging.basicConfig(stream=sys.stderr, level=logging.WARNING, format="%(levelname)s: %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except PatternSpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (ValueError, FloatingPointError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    args = build_parser().parse_args(argv)
+    return run(args.func, args)
 
 
 if __name__ == "__main__":

@@ -253,3 +253,24 @@ def test_pattern_gains_are_weighted_by_pas_only():
     assert calls == [f"pas.py:{node.lineno}" for kernel in kernels for node in ast.walk(kernel)
                      if _is_gain_call(node)]
     assert len(kernels) == len(calls) == 1
+
+
+def _name(node):
+    return {ast.Name: "id", ast.alias: "name", ast.Attribute: "attr"}.get(type(node), "")
+
+
+def test_errors_end_in_cli_run_only():
+    # cli.run is the one place that sets the heap top pad, prints an error: line
+    # and picks the exit code, for the CLI and both study scripts
+    files = SOURCES + SCRIPTS
+    exit_namers = sorted({path.name for path in files for node in _nodes(path)
+                          if getattr(node, _name(node), "").startswith("EXIT_")})
+    error_printers = sorted({path.name for path in files for node in _nodes(path)
+                             if isinstance(node, ast.JoinedStr) and node.values and isinstance(node.values[0], ast.Constant)
+                             and node.values[0].value == "error: "})
+    pad_setters = sorted({f"{path.name}:{func.name}" for path in files for func in _nodes(path)
+                          if isinstance(func, ast.FunctionDef)
+                          for node in ast.walk(func) if isinstance(node, ast.Call)
+                          and getattr(node.func, _name(node.func), "") == "mallopt"})
+    catchers = [path.name for path in SCRIPTS for node in _nodes(path) if isinstance(node, ast.Try)]
+    assert (exit_namers, error_printers, pad_setters, catchers) == (["cli.py"], ["cli.py"], ["cli.py:run"], [])
