@@ -34,6 +34,12 @@ def sweep(args) -> None:
     configs = [cb.GenConfig(angle_jitter_deg=jitter, power_jitter_db=0.0,
                             n_low_only_paths=0, n_high_only_paths=0, seed=args.seed)
                for jitter in args.jitters_deg]
+    paths = ([Path(args.out) / f"psp_cdf_jitter_{jitter:g}.csv" for jitter in args.jitters_deg]
+             if args.out else [])
+    first = {}
+    for path, jitter in zip(paths, args.jitters_deg):
+        if first.setdefault(path, jitter) != jitter:
+            raise ValueError(f"{path}: jitters {first[path]!r} and {jitter!r} deg would share this file")
     rows = []
     for jitter, gen in zip(args.jitters_deg, configs):
         report = cb.analyze_dataset(cb.generate_dataset(gen, args.n_links), pattern, pattern, grid, sim)
@@ -42,11 +48,9 @@ def sweep(args) -> None:
         median_loss = report.percentiles[50] + 0.0  # drop negative zero
         rows.append((jitter, psp_cdf, median_overlap, median_loss))
     if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for jitter, psp_cdf, _, _ in rows:
-            cb.write_curve_csv(out_dir / f"psp_cdf_jitter_{jitter:g}.csv",
-                               "psp_percent,cumulative_probability", psp_cdf)
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+        for path, (_, psp_cdf, _, _) in zip(paths, rows):
+            cb.write_curve_csv(path, "psp_percent,cumulative_probability", psp_cdf)
 
     header = f"{'jitter':>8} {'median overlap':>15} {'median loss':>12}"
     print(header)

@@ -153,42 +153,34 @@ def _written_columns(pairs: list[LinkPair]):
     not load back is named by its link and ``links[i].bands[j].paths[k]``
     (path ``k`` of band ``j`` of ``pairs[i]``), in either format. Frequencies
     and angles are written as the channels hold them, which the loader
-    accepts. The lists are sliced from the columns one link at a time.
+    accepts. Every walk slices the columns by one bounds list, band ``n``
+    being band ``n % 2`` of ``pairs[n // 2]``; the lists are sliced from the
+    columns one link at a time.
     """
-    tables = [channel.rays for pair in pairs for channel in (pair.low, pair.high)]
-    power_db = linear_to_db(np.concatenate([t.powers for t in tables]))
+    channels = [channel for pair in pairs for channel in (pair.low, pair.high)]
+    bounds = [0, *accumulate(len(channel.rays) for channel in channels)]
+    power_db = linear_to_db(np.concatenate([channel.rays.powers for channel in channels]))
     with np.errstate(over="ignore"):  # a delay infinite in ns is refused by name below
-        delay_ns = np.concatenate([t.delays for t in tables]) * 1e9
-    start = 0
-    for table in tables:
-        stop = start + len(table)
-        if table._file is not None:
-            power_db[start:stop], delay_ns[start:stop] = table._file
-        start = stop
+        delay_ns = np.concatenate([channel.rays.delays for channel in channels]) * 1e9
+    for channel, start, stop in zip(channels, bounds, bounds[1:]):
+        if channel.rays._file is not None:
+            power_db[start:stop], delay_ns[start:stop] = channel.rays._file
+
+    def bands():
+        for channel, start, stop in zip(channels, bounds, bounds[1:]):
+            yield (channel, power_db[start:stop].tolist(), delay_ns[start:stop].tolist(),
+                   channel.rays.aoas.tolist())
 
     def replay():
-        written = zip(power_db.tolist(), delay_ns.tolist())
-        for i, pair in enumerate(pairs):
-            for j, channel in enumerate((pair.low, pair.high)):
-                for k, aoa in enumerate(channel.rays.aoas.tolist()):
-                    _check_path(f"link {pair.link_id!r}: links[{i}].bands[{j}].paths[{k}]",
-                                *next(written), aoa)
+        for n, (_, *columns) in enumerate(bands()):
+            where = f"link {pairs[n // 2].link_id!r}: links[{n // 2}].bands[{n % 2}]"
+            for k, path in enumerate(zip(*columns)):
+                _check_path(f"{where}.paths[{k}]", *path)
 
     empty = np.empty(0)
     _checked_powers(replay, empty, power_db, delay_ns, empty, empty)
-
-    def links():
-        start = 0
-        for pair in pairs:
-            bands = []
-            for channel in (pair.low, pair.high):
-                stop = start + len(channel.rays)
-                bands.append((channel, power_db[start:stop].tolist(), delay_ns[start:stop].tolist(),
-                              channel.rays.aoas.tolist()))
-                start = stop
-            yield pair, bands
-
-    return links()
+    written = bands()
+    return ((pair, [next(written), next(written)]) for pair in pairs)
 
 
 def _file_link(link) -> dict:

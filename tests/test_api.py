@@ -7,6 +7,7 @@ import dataclasses
 import importlib
 import importlib.util
 import inspect
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,14 @@ SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 def test_public_names_are_unique_and_resolve():
     assert len(set(cb.__all__)) == len(cb.__all__)
     assert [name for name in cb.__all__ if not hasattr(cb, name)] == []
+
+
+def test_console_script_names_a_callable():
+    # what `pip install .` turns into the crossband command
+    with open(ROOT / "pyproject.toml", "rb") as file:
+        target = tomllib.load(file)["project"]["scripts"]["crossband"]
+    module, _, attribute = target.partition(":")
+    assert callable(getattr(importlib.import_module(module), attribute))
 
 
 def test_benchmark_trace_sites_resolve():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import csv as csv_module
 import io
@@ -20,6 +21,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import crossband as cb
+from crossband.cli import main
 
 
 def small_dataset(n=4):
@@ -1051,3 +1053,29 @@ class TestJsonCsvRoundTrip:
         loaded = cb.load_dataset(work / "a.json", pairs[0].low.frequency, pairs[0].high.frequency)
         cb.write_dataset(loaded, work / "b.csv")
         assert (work / "b.csv").read_bytes() == (work / "direct.csv").read_bytes()
+
+    @settings(deadline=None, max_examples=25)  # each example runs four batches
+    @given(pairs=link_pairs(csv=True, mirror=True))
+    @example(pairs=small_dataset())  # most drawn m2 runs end in exit 4 on a delay's phase
+    def test_json_and_csv_give_the_same_batch_report(self, tmp_path_factory, pairs):
+        work = tmp_path_factory.mktemp("mirror")
+        assume(self._written(pairs, work / "links.csv"))
+        cb.write_dataset(pairs, work / "links.json")
+        for method in ("m1", "m2"):
+            runs = []
+            for name in ("links.json", "links.csv"):
+                out_dir, out, err = work / f"{method}-{name}", io.StringIO(), io.StringIO()
+                argv = ["batch", "--data", str(work / name), "--low-ghz", repr(pairs[0].low.frequency),
+                        "--high-ghz", repr(pairs[0].high.frequency), "--pattern-low", "ula:n=4",
+                        "--pattern-high", "ula:n=8", "--grid-step-deg", "5", "--method", method,
+                        "--out", str(out_dir)]
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(argv)
+                files = {}
+                if code == 0:
+                    files = {path.name: path.read_bytes() for path in out_dir.iterdir()}
+                    report = json.loads(files.pop("report.json"))
+                    assert report["params"].pop("data") == str(work / name)
+                    files["report.json"] = report
+                runs.append((code, out.getvalue(), err.getvalue().replace(name, "links.*"), files))
+            assert runs[0] == runs[1]

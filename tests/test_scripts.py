@@ -106,6 +106,25 @@ def test_refused_setting_prints_nothing_on_stdout(tmp_path, monkeypatch, capsys,
     assert not (tmp_path / "out").exists()
 
 
+def test_jitters_sharing_a_curve_file_name_are_refused(tmp_path, monkeypatch, capsys):
+    # ":g" prints six significant digits, so both would write psp_cdf_jitter_2.5.csv
+    out = tmp_path / "out"
+    run_script("congruence_sweep.py", monkeypatch, "--n-links", "2", "--jitters-deg", "0", "2.5",
+               "2.5000001", "--out", str(out), code=4)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {out / 'psp_cdf_jitter_2.5.csv'}: jitters 2.5 and 2.5000001 deg "
+                            "would share this file\n")
+    assert not out.exists()
+
+
+def test_a_repeated_jitter_writes_its_curve_file(tmp_path, monkeypatch, capsys):
+    run_script("congruence_sweep.py", monkeypatch, "--n-links", "2", "--jitters-deg", "5", "5",
+               "--out", str(tmp_path))
+    assert len(capsys.readouterr().out.splitlines()) == 4
+    assert [p.name for p in tmp_path.iterdir()] == ["psp_cdf_jitter_5.csv"]
+
+
 @pytest.mark.parametrize("name", ["beamwidth_study.py", "congruence_sweep.py"])
 def test_out_directory_is_made_once(tmp_path, monkeypatch, name):
     made = []
