@@ -90,7 +90,7 @@ def write_dataset(pairs: list[LinkPair], path, metadata: dict | None = None) -> 
     seen_ids = set()
     for pair in pairs:
         if not isinstance(pair.link_id, str) or not pair.link_id or pair.link_id in seen_ids:
-            raise DatasetFormatError(f"link {pair.link_id!r}: link ids must be nonempty and unique")
+            _fail(f"link {pair.link_id!r}", "link ids must be nonempty and unique")
         seen_ids.add(pair.link_id)
         if to_csv:
             _check_csv_pair(pair)
@@ -199,20 +199,15 @@ def _file_link(link) -> dict:
 
 def _check_csv_pair(pair: LinkPair) -> None:
     if abs(pair.low.frequency - pair.high.frequency) <= FREQ_MATCH_TOLERANCE_GHZ:
-        raise DatasetFormatError(
-            f"link {pair.link_id!r}: CSV cannot hold two bands at one frequency "
-            f"({pair.low.frequency!r} and {pair.high.frequency!r} GHz); write JSON instead"
-        )
-    if pair.low.rays.aods is not None or pair.high.rays.aods is not None:
-        raise DatasetFormatError(
-            f"link {pair.link_id!r}: CSV cannot hold departure angles; write JSON instead"
-        )
+        reason = f"two bands at one frequency ({pair.low.frequency!r} and {pair.high.frequency!r} GHz)"
+    elif pair.low.rays.aods is not None or pair.high.rays.aods is not None:
+        reason = "departure angles"
     # csv.writer leaves "\r" unquoted under a "\n" terminator; UTF-8 has no surrogates
-    if any(c == "\r" or "\ud800" <= c <= "\udfff" for c in pair.link_id):
-        raise DatasetFormatError(
-            f"link {pair.link_id!r}: CSV cannot hold a carriage return or a surrogate "
-            "in a link_id; write JSON instead"
-        )
+    elif any(c == "\r" or "\ud800" <= c <= "\udfff" for c in pair.link_id):
+        reason = "a carriage return or a surrogate in a link_id"
+    else:
+        return
+    _fail(f"link {pair.link_id!r}", f"CSV cannot hold {reason}; write JSON instead")
 
 
 def _csv_bands(pairs: list[LinkPair], links):
@@ -303,18 +298,19 @@ def _read_links_json(path) -> list[tuple[str, list[BandChannel]]]:
     links, bands = {}, []
 
     def columns():
-        """The collected numbers as checked float64 columns, and which paths have aod_deg."""
+        """The collected numbers as checked float64 columns, and each path's aod_deg or None."""
         entries = [entry for _, _, paths in bands for entry in paths]
-        aod_paths = [n for n, entry in enumerate(entries) if len(entry) == 4]
         try:
             freq_ghz = _float_column([freq for _, freq, _ in bands])
             power_db, delay_ns, aoa_deg = (_float_column([entry[key] for entry in entries])
                                            for key in _PATH_KEYS[:3])
-            aod_deg = _float_column([entries[n]["aod_deg"] for n in aod_paths])
+            aod_deg = _float_column([entry["aod_deg"] for entry in entries if len(entry) == 4])
         except (TypeError, OverflowError):
             _raise_first_bad_entry(replay)
         powers = _checked_powers(replay, freq_ghz, power_db, delay_ns, aoa_deg, aod_deg)
-        return freq_ghz, powers, power_db, delay_ns, aoa_deg, aod_paths, aod_deg
+        aods = ([float(entry["aod_deg"]) if len(entry) == 4 else None for entry in entries]
+                if aod_deg.size else None)
+        return freq_ghz, powers, power_db, delay_ns, aoa_deg, aods
 
     def replay():
         for where, freq, paths in bands:
@@ -353,12 +349,7 @@ def _read_links_json(path) -> list[tuple[str, list[BandChannel]]]:
     except DatasetFormatError:
         columns()  # a bad number before the structural error comes first
         raise
-    freq_ghz, powers, power_db, delay_ns, aoa_deg, aod_paths, aod_deg = columns()
-    aods = None
-    if aod_paths:
-        aods = [None] * len(powers)
-        for n, aod in zip(aod_paths, aod_deg.tolist()):
-            aods[n] = aod
+    freq_ghz, powers, power_db, delay_ns, aoa_deg, aods = columns()
     bounds = [0, *accumulate(len(paths) for _, _, paths in bands)]
     channels = iter(_channels(freq_ghz.tolist(), powers, delay_ns, aoa_deg, bounds, aods, power_db))
     return [(link_id, [next(channels) for _ in range(count)]) for link_id, count in links.items()]

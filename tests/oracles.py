@@ -173,6 +173,44 @@ def count_false(low_indices, high_indices, values, delta_p_db: float) -> int:
     return count
 
 
+def analyze_link(low, high, gain_low, gain_high, step_deg: float, method: str) -> dict:
+    """One link's report entry: power ratio, false count, set sizes and overlap percentage.
+
+    ``low`` and ``high`` are ``(freq_ghz, paths)`` bands as ``load_dataset``
+    returns them; ``gain_low`` and ``gain_high`` map an unwrapped offset to
+    linear gain. The thresholds are the CLI's defaults, 10 dB for selection
+    and -30 dB for false directions. Method ``m1`` selects the thresholded
+    local maxima; ``m2`` walks the thresholded candidates through the greedy
+    gate at correlation 0.7, each candidate's response sampled at 101
+    frequencies over 2 GHz around its band, spaced as numpy's linspace.
+    """
+    delta_th_db, delta_p_db = 10.0, -30.0
+    angles = [k * step_deg for k in range(round(360.0 / step_deg))]
+    spectra, selected = [], []
+    for (freq_ghz, paths), gain_of in ((low, gain_low), (high, gain_high)):
+        values = filter_values([(power, aoa) for power, _, aoa, _ in paths], gain_of, angles)
+        if method == "m1":
+            indices = select_directions(values, delta_th_db)
+        else:
+            order = m2_walk_order(values, delta_th_db)
+            low_hz, high_hz = (freq_ghz - 1.0) * 1e9, (freq_ghz + 1.0) * 1e9
+            sweep = [k * ((high_hz - low_hz) / 100) + low_hz for k in range(100)] + [high_hz]
+            rays = [(power, aoa, delay) for power, delay, aoa, _ in paths]
+            rows = [beam_response(rays, gain_of, angles[k], sweep) for k in order]
+            indices = sorted(order[i] for i in greedy_gate(rows, 0.7))
+        spectra.append(values)
+        selected.append(indices)
+    (low_indices, high_indices), high_values = selected, spectra[1]
+    densities = [[v / (math.fsum(values) * step_deg) for v in values] for values in spectra]
+    return {
+        "power_ratio_db": power_ratio_db(low_indices, high_indices, high_values),
+        "n_false": count_false(low_indices, high_indices, high_values, delta_p_db),
+        "card_low": len(low_indices),
+        "card_high": len(high_indices),
+        "psp_percent": (1.0 - total_variation(*densities, step_deg)) * 100.0,
+    }
+
+
 class DatasetRefused(ValueError):
     """A dataset file the reference loader refuses; the message is the loader's."""
 

@@ -25,6 +25,20 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 THREAD_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
+
+def _departure_links(aod) -> str:
+    """A one-link file with integer, float, ``-0.0``, absent and ``aod`` departure angles."""
+    return json.dumps({"schema_version": "1", "metadata": {}, "links": [{"link_id": "d", "bands": [
+        {"freq_ghz": 15.0, "paths": [
+            {"power_db": -1.0, "delay_ns": 5.0, "aoa_deg": 10.0, "aod_deg": 200},
+            {"power_db": -4.5, "delay_ns": 12.25, "aoa_deg": 359.99999999999994, "aod_deg": 12.5}]},
+        {"freq_ghz": 28.0, "paths": [
+            {"power_db": -2.0, "delay_ns": 5.5, "aoa_deg": 14.0, "aod_deg": -0.0},
+            {"power_db": -6.0, "delay_ns": 20.0, "aoa_deg": 95.0},
+            {"power_db": -3.5, "delay_ns": 9.0, "aoa_deg": 181.0, "aod_deg": aod}]},
+    ]}]}) + "\n"
+
+
 # Files the matrix reads besides those its commands write.
 INPUTS = {
     "gen-many.json": json.dumps({"n_shared_paths": 70, "n_low_only_paths": 6,
@@ -35,6 +49,8 @@ INPUTS = {
         {"freq_ghz": 15.0, "paths": [{"power_db": -0.0, "delay_ns": -0.0, "aoa_deg": -0.0}]},
         {"freq_ghz": 28.0, "paths": [{"power_db": -1.5, "delay_ns": 0.0, "aoa_deg": 359.99999999999994}]},
     ]}]}) + "\n",
+    "aod.json": _departure_links(271.25),
+    "aod-null.json": _departure_links(None),
 }
 
 ROUND_TRIP = "import sys, crossband as cb; cb.write_dataset(cb.load_dataset(sys.argv[1], 15, 28), sys.argv[2])"
@@ -68,10 +84,12 @@ MATRIX = [
       for stem in ("d", "m") for a, b in (("json", "json"), ("csv", "csv"), ("json", "csv"))),
     ("round-trip-zero-json-json", "round-trip", ["zero.json", "rt-zero-json.json"]),
     ("round-trip-zero-json-csv", "round-trip", ["zero.json", "rt-zero-json.csv"]),
+    ("round-trip-aod-json-json", "round-trip", ["aod.json", "rt-aod-json.json"]),
     ("pattern-ula4", "crossband", ["pattern", "--spec", "ula:n=4", "--out", "ula4.csv"]),
     ("pattern-ula8", "crossband", ["pattern", "--spec", "ula:n=8", "--out", "ula8.csv", "--step-deg", "0.5"]),
     *_batches(),
     ("batch-m1-csv", "crossband", ["batch", "--data", "d.csv", *BANDS, *ULA, "--out", "batch-m1-csv"]),
+    ("batch-m1-aod", "crossband", ["batch", "--data", "aod.json", *BANDS, *ULA, "--out", "batch-m1-aod"]),
     ("batch-m2-many", "crossband", ["batch", "--data", "m.json", *BANDS, *ULA, "--method", "m2",
                                     "--delta-th-db", "20", "--out", "batch-m2-many"]),
     ("analyze-link", "crossband", ["analyze", "--data", "d.json", *BANDS, *ULA, "--link", "link-00007"]),
@@ -96,6 +114,7 @@ MATRIX = [
     ("error-batch-no-pair", "crossband", ["batch", "--data", "d.csv", "--low-ghz", "15", "--high-ghz", "60",
                                           *ULA, "--out", "e"]),
     ("error-batch-bad-csv", "crossband", ["batch", "--data", "bad.csv", *BANDS, *ULA, "--out", "e"]),
+    ("error-batch-aod-null", "crossband", ["batch", "--data", "aod-null.json", *BANDS, *ULA, "--out", "e"]),
     ("error-analyze-no-link", "crossband", ["analyze", "--data", "d.json", *BANDS, *ULA]),
     ("error-psp-amax", "crossband", ["psp", "--data", "d.json", *BANDS, "--hpbw-deg", "10",
                                      "--amax-db", "1e300"]),

@@ -283,3 +283,20 @@ def test_errors_end_in_cli_run_only():
                           and getattr(node.func, _name(node.func), "") == "mallopt"})
     catchers = [path.name for path in SCRIPTS for node in _nodes(path) if isinstance(node, ast.Try)]
     assert (exit_namers, error_printers, pad_setters, catchers) == (["cli.py"], ["cli.py"], ["cli.py:run"], [])
+
+
+def _builds_a_dataset_error(node):
+    # a call of the class, or a raise of the bare class, which calls it
+    target = node.func if isinstance(node, ast.Call) else node.exc if isinstance(node, ast.Raise) else None
+    return getattr(target, _name(target), "") == "DatasetFormatError"
+
+
+def test_dataset_refusals_are_built_by_dataset_fail_only():
+    # dataset._fail is the one way to name a refusal, "<location>: <reason>";
+    # passing the class to jsonio.load and jsonio.csv_rows is not a call
+    builders = [f"{path.name}:{node.lineno}" for path in SOURCES for node in _nodes(path)
+                if _builds_a_dataset_error(node)]
+    fail = next(node for node in _nodes(Path(dataset.__file__))
+                if isinstance(node, ast.FunctionDef) and node.name == "_fail")
+    assert builders == [f"dataset.py:{node.lineno}" for node in ast.walk(fail) if _builds_a_dataset_error(node)]
+    assert len(builders) == 1
