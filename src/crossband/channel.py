@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -97,18 +96,11 @@ class RayTable:
                    None if self.aods is None else self.aods[k])
 
     def __iter__(self):
-        aods = repeat(None) if self.aods is None else self.aods
-        for row in zip(self.powers.tolist(), self.delays.tolist(), self.aoas.tolist(), aods):
-            yield Ray(*row)
+        return map(self.__getitem__, range(len(self)))
 
     def __eq__(self, other):
-        if isinstance(other, RayTable):
-            return (np.array_equal(self.powers, other.powers)
-                    and np.array_equal(self.delays, other.delays)
-                    and np.array_equal(self.aoas, other.aoas)
-                    and self.aods == other.aods)
-        if isinstance(other, tuple):
-            return tuple(self) == other
+        if isinstance(other, (RayTable, tuple)):
+            return tuple(self) == tuple(other)
         return NotImplemented
 
     def __hash__(self):

@@ -308,8 +308,7 @@ def _read_links_json(path) -> list[tuple[str, list[BandChannel]]]:
         except (TypeError, OverflowError):
             _raise_first_bad_entry(replay)
         powers = _checked_powers(replay, freq_ghz, power_db, delay_ns, aoa_deg, aod_deg)
-        aods = ([float(entry["aod_deg"]) if len(entry) == 4 else None for entry in entries]
-                if aod_deg.size else None)
+        aods = [float(entry["aod_deg"]) if len(entry) == 4 else None for entry in entries]
         return freq_ghz, powers, power_db, delay_ns, aoa_deg, aods
 
     def replay():
