@@ -66,7 +66,7 @@ class RayTable:
     else a tuple with one angle or None per path. ``RayTable(rays)`` builds
     the columns from a sequence of ``Ray``. Indexing and iteration yield
     ``Ray`` views of the rows; two tables, or a table and a tuple of ``Ray``,
-    are equal when their paths are.
+    are equal, and hash alike, exactly when their rows are.
     """
 
     __slots__ = ("powers", "delays", "aoas", "aods", "_file")
@@ -114,7 +114,11 @@ class RayTable:
 
 
 def _table(powers, delays, aoas, aods, file) -> RayTable:
-    """A table over checked read-only columns; ``file`` is None or its slices of a file's."""
+    """A table over checked read-only columns; ``file`` is None or its slices of a file's.
+
+    ``aods`` holds one angle or None per path, or is None; the table's
+    ``aods`` is None when no path has an angle.
+    """
     table = object.__new__(RayTable)
     object.__setattr__(table, "powers", powers)
     object.__setattr__(table, "delays", delays)

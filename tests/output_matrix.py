@@ -53,7 +53,8 @@ INPUTS = {
     "aod-null.json": _departure_links(None),
 }
 
-ROUND_TRIP = "import sys, crossband as cb; cb.write_dataset(cb.load_dataset(sys.argv[1], 15, 28), sys.argv[2])"
+ROUND_TRIP = ("import sys, crossband as cb; from crossband.cli import run; "
+              "sys.exit(run(lambda a: cb.write_dataset(cb.load_dataset(a[0], 15, 28), a[1]), sys.argv[1:]))")
 BANDS = ["--low-ghz", "15", "--high-ghz", "28"]
 ULA = ["--pattern-low", "ula:n=4", "--pattern-high", "ula:n=8"]
 
@@ -72,7 +73,8 @@ def _batches():
 
 
 # (name, program, arguments): the program is "crossband", a script under
-# scripts/, or "round-trip", which loads its first file and writes its second.
+# scripts/, or "round-trip", which loads its first file and writes its second,
+# ending as the CLI does: a refusal is one ``error:`` line and exit 4.
 MATRIX = [
     ("generate-json", "crossband", ["generate", "--n-links", "30", "--out", "d.json"]),
     ("generate-csv", "crossband", ["generate", "--n-links", "30", "--out", "d.csv"]),
@@ -85,6 +87,7 @@ MATRIX = [
     ("round-trip-zero-json-json", "round-trip", ["zero.json", "rt-zero-json.json"]),
     ("round-trip-zero-json-csv", "round-trip", ["zero.json", "rt-zero-json.csv"]),
     ("round-trip-aod-json-json", "round-trip", ["aod.json", "rt-aod-json.json"]),
+    ("round-trip-aod-json-csv", "round-trip", ["aod.json", "rt-aod-json.csv"]),
     ("pattern-ula4", "crossband", ["pattern", "--spec", "ula:n=4", "--out", "ula4.csv"]),
     ("pattern-ula8", "crossband", ["pattern", "--spec", "ula:n=8", "--out", "ula8.csv", "--step-deg", "0.5"]),
     *_batches(),

@@ -167,6 +167,11 @@ class TestRayTable:
         assert hash(a.rays) == hash(self.RAYS)
         assert a.rays != cb.BandChannel(15.0, self.RAYS[:2]).rays
         assert a.rays != cb.BandChannel(15.0, self.RAYS[:2] + (ray(0.25, 0.0, 359.0),)).rays
+        # tables equal in every column but one path's departure angle
+        other = cb.RayTable((self.RAYS[0], ray(0.5, 2e-9, 350.0, aod=21.0), self.RAYS[2]))
+        assert a.rays != other and other != a.rays
+        assert a.rays != tuple(other) and other != tuple(a.rays)
+        assert a.rays.aods is not None and hash(a.rays) == hash(tuple(a.rays))
 
     def test_fields_cannot_be_deleted(self):
         table = cb.BandChannel(15.0, self.RAYS).rays

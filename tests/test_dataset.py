@@ -724,11 +724,13 @@ class TestNegativeZeroAngles:
     def test_columns_keep_the_sign_and_the_report_ignores_it(self, tmp_path, name):
         plain, signed = _zero_angle_files(tmp_path, name)
         signed_pair, plain_pair = (cb.load_dataset(path, 15.0, 28.0)[0] for path in (signed, plain))
-        for rays in (signed_pair.low.rays, signed_pair.high.rays):
-            assert math.copysign(1.0, rays.aoas[0]) == -1.0
+        assert signed_pair == plain_pair and hash(signed_pair) == hash(plain_pair)
+        for rays, sign in ((signed_pair.low.rays, -1.0), (signed_pair.high.rays, -1.0),
+                           (plain_pair.low.rays, 1.0), (plain_pair.high.rays, 1.0)):
+            assert math.copysign(1.0, rays.aoas[0]) == sign
             assert rays[0].aoa_azimuth == 0.0
             if name.endswith(".json"):
-                assert math.copysign(1.0, rays.aods[0]) == -1.0
+                assert math.copysign(1.0, rays.aods[0]) == sign
                 assert rays[0].aod_azimuth == 0.0
         grid, pattern = cb.AngularGrid(1.0), cb.UlaPattern(4)
         for method in ("m1", "m2"):
@@ -1096,6 +1098,58 @@ class TestJsonCsvRoundTrip:
             assert runs[0] == runs[1]
 
 
+# a zero angle a ray tracer wrote as -0.0, the largest float below 360, and the rest
+EDGE_ANGLES = st.sampled_from([-0.0, 0.0, math.nextafter(360.0, 0.0)]) | ANGLES
+# dB values from the least one whose linear power is a normal float up to 3000 dB, a power of 1e300
+LEAST_POWER_DB = math.nextafter(10.0 * math.log10(sys.float_info.min), 0.0)
+EDGE_POWERS_DB = st.floats(-60.0, 0.0) | st.floats(LEAST_POWER_DB, 3000.0) | st.sampled_from([LEAST_POWER_DB, 3000.0])
+
+
+@st.composite
+def edge_datasets(draw, max_rays):
+    """A valid dataset at edge values, as ``(json_text, csv_text, low_ghz, high_ghz)``.
+
+    One or two links, each with a low and a high band of 1 to ``max_rays``
+    paths, counted band by band. Half the bands hold one delay on either side
+    of where its ``m2`` tap phase overflows, about ``1.8e308 / (2*pi*f_top)``
+    for the top sweep frequency ``f_top``. Half the draws give some paths a
+    departure angle, which only JSON can hold; their ``csv_text`` is None.
+    """
+    low = draw(st.floats(0.5, 100.0))
+    high = low + draw(st.floats(1e-3, 100.0))
+    with_aod = draw(st.booleans())
+    paths = st.fixed_dictionaries(
+        {"power_db": EDGE_POWERS_DB, "delay_ns": st.floats(0.0, 1e4) | st.just(-0.0), "aoa_deg": EDGE_ANGLES},
+        optional={"aod_deg": EDGE_ANGLES} if with_aod else {},
+    )
+    links = []
+    for i in range(draw(st.integers(1, 2))):
+        bands = []
+        for freq in (low, high):
+            n_rays = draw(st.integers(1, max_rays))
+            band = draw(st.lists(paths, min_size=n_rays, max_size=n_rays))
+            overflow_ns = sys.float_info.max / (2.0 * math.pi * (freq + 1.0))
+            if draw(st.booleans()):
+                band[draw(st.integers(0, len(band) - 1))]["delay_ns"] = draw(
+                    st.floats(0.5 * overflow_ns, 2.0 * overflow_ns))
+            bands.append({"freq_ghz": freq, "paths": band})
+        links.append({"link_id": f"l{i}", "bands": bands})
+    json_text = json.dumps({"schema_version": "1", "metadata": {}, "links": links})
+    if with_aod:
+        return json_text, None, low, high
+    out = io.StringIO()
+    csv_module.writer(out, lineterminator="\n").writerows(
+        [["link_id", "freq_ghz", "power_db", "delay_ns", "aoa_deg"],
+         *([link["link_id"], repr(band["freq_ghz"]), *(repr(entry[key]) for key in ("power_db", "delay_ns", "aoa_deg"))]
+           for link in links for band in link["bands"] for entry in band["paths"])])
+    return json_text, out.getvalue(), low, high
+
+
+def _names_a_band(bands):
+    """A pattern for the start of a message about one of ``bands``, ``(freq_ghz, paths)`` pairs."""
+    return "({}) GHz band: ".format("|".join(re.escape(f"{freq:g}") for freq, _ in bands))
+
+
 class TestBatchMatchesTheOracles:
     # a drawn dataset file through `crossband batch`, link by link against the oracle pipeline
 
@@ -1114,30 +1168,70 @@ class TestBatchMatchesTheOracles:
     def test_every_link_report_matches_the_oracle(self, tmp_path_factory, method, pairs):
         path = tmp_path_factory.mktemp("oracle") / "links.json"
         assume(TestJsonCsvRoundTrip._written(pairs, path))
-        low_ghz, high_ghz = pairs[0].low.frequency, pairs[0].high.frequency
-        links = {link_id: (low, high) for link_id, low, high in oracles.load_dataset(path, low_ghz, high_ghz)}
+        self._assert_batches_match_the_oracle([path], pairs[0].low.frequency, pairs[0].high.frequency, method)
+
+    # the oracle's m2 walk is pure Python over candidates x rays x 101 frequencies, so m2 bands stay smaller
+    @pytest.mark.parametrize("method, max_rays", [("m1", 150), ("m2", 40)])
+    @settings(deadline=None, max_examples=15)  # each example runs up to four batches
+    @given(data=st.data())
+    def test_edge_datasets_in_either_format_match_the_oracle(self, tmp_path_factory, method, max_rays, data):
+        json_text, csv_text, low_ghz, high_ghz = data.draw(edge_datasets(max_rays))
+        work = tmp_path_factory.mktemp("edge")
+        files = {work / "links.json": json_text, work / "links.csv": csv_text}
+        for path, text in files.items():
+            if text is not None:
+                path.write_text(text, encoding="utf-8")
+        self._assert_batches_match_the_oracle([path for path, text in files.items() if text is not None],
+                                              low_ghz, high_ghz, method)
+
+    def _assert_batches_match_the_oracle(self, paths, low_ghz, high_ghz, method):
+        """``batch`` on each of ``paths``, which hold the same links, with each pattern kind at 5 deg.
+
+        Exit 0 reports every link that passes, equal to the oracle's, and sets
+        aside every other one with a message that names one of its bands. Exit 4
+        means every link failed, and stderr is that one ``error:`` line.
+        """
+        links = {link_id: (low, high) for link_id, low, high in oracles.load_dataset(paths[0], low_ghz, high_ghz)}
+        for path in paths[1:]:
+            assert oracles.load_dataset(path, low_ghz, high_ghz) == [(k, *bands) for k, bands in links.items()]
         for kind, (specs, gains) in self.PATTERNS.items():
-            out_dir, out, err = path.parent / kind, io.StringIO(), io.StringIO()
-            argv = ["batch", "--data", str(path), "--low-ghz", repr(low_ghz), "--high-ghz", repr(high_ghz),
-                    "--pattern-low", specs[0], "--pattern-high", specs[1], "--grid-step-deg", "5",
-                    "--method", method, "--out", str(out_dir)]
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(argv)
-            if code != 0:
-                assert (code, err.getvalue().count("\n")) == (4, 1)
-                assert err.getvalue().startswith("error: every link failed analysis; first error: link ")
-                continue
-            report = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
-            assert sorted([*report["per_link"], *report["failures"]]) == sorted(links)
-            for link_id, got in report["per_link"].items():
-                expected = oracles.analyze_link(*links[link_id], *gains, 5.0, method)
-                for key in ("n_false", "card_low", "card_high"):
-                    assert got[key] == expected[key]
-                # the report rounds every float to 12 significant digits. Below -100 dB the
-                # low directions sit in nulls of the high band's ULA, where a gain is rounding
-                # noise in both pipelines, so the two need only agree that it is a null.
-                if expected["power_ratio_db"] > -100.0:
-                    assert got["power_ratio_db"] == pytest.approx(expected["power_ratio_db"], rel=1e-11)
-                else:
-                    assert got["power_ratio_db"] < -99.0
-                assert got["psp"]["psp_percent"] == pytest.approx(expected["psp_percent"], rel=0.0, abs=1e-9)
+            expected = {}
+            for path in paths:
+                out_dir, out, err = path.parent / f"{kind}-{path.suffix[1:]}", io.StringIO(), io.StringIO()
+                argv = ["batch", "--data", str(path), "--low-ghz", repr(low_ghz), "--high-ghz", repr(high_ghz),
+                        "--pattern-low", specs[0], "--pattern-high", specs[1], "--grid-step-deg", "5",
+                        "--method", method, "--out", str(out_dir)]
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(argv)
+                assert out.getvalue() == ""
+                if code != 0:
+                    first = min(links)
+                    assert code == 4
+                    assert re.fullmatch(rf"error: every link failed analysis; first error: link "
+                                        rf"{re.escape(repr(first))}: {_names_a_band(links[first])}[^\n]*\n",
+                                        err.getvalue())
+                    continue
+                assert err.getvalue() == ""
+                for curve in out_dir.glob("*.csv"):
+                    assert not re.search("nan|inf", curve.read_text(encoding="utf-8"), re.I)
+                report = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
+                assert sorted([*report["per_link"], *report["failures"]]) == sorted(links)
+                for link_id, message in report["failures"].items():
+                    assert re.match(_names_a_band(links[link_id]), message)
+                for link_id, got in report["per_link"].items():
+                    if link_id not in expected:
+                        expected[link_id] = oracles.analyze_link(*links[link_id], *gains, 5.0, method)
+                    self._assert_matches(got, expected[link_id])
+
+    @staticmethod
+    def _assert_matches(got, expected):
+        for key in ("n_false", "card_low", "card_high"):
+            assert got[key] == expected[key]
+        # the report rounds every float to 12 significant digits. Below -100 dB the
+        # low directions sit in nulls of the high band's ULA, where a gain is rounding
+        # noise in both pipelines, so the two need only agree that it is a null.
+        if expected["power_ratio_db"] > -100.0:
+            assert got["power_ratio_db"] == pytest.approx(expected["power_ratio_db"], rel=1e-11)
+        else:
+            assert got["power_ratio_db"] < -99.0
+        assert got["psp"]["psp_percent"] == pytest.approx(expected["psp_percent"], rel=0.0, abs=1e-9)
