@@ -1102,18 +1102,20 @@ class TestJsonCsvRoundTrip:
 EDGE_ANGLES = st.sampled_from([-0.0, 0.0, math.nextafter(360.0, 0.0)]) | ANGLES
 # dB values from the least one whose linear power is a normal float up to 3000 dB, a power of 1e300
 LEAST_POWER_DB = math.nextafter(10.0 * math.log10(sys.float_info.min), 0.0)
-EDGE_POWERS_DB = st.floats(-60.0, 0.0) | st.floats(LEAST_POWER_DB, 3000.0) | st.sampled_from([LEAST_POWER_DB, 3000.0])
+EDGE_POWERS_DB = (st.floats(-60.0, 0.0) | st.floats(LEAST_POWER_DB, 3000.0)
+                  | st.sampled_from([LEAST_POWER_DB, 3000.0]))
 
 
 @st.composite
 def edge_datasets(draw, max_rays):
-    """A valid dataset at edge values, as ``(json_text, csv_text, low_ghz, high_ghz)``.
+    """A valid dataset at edge values, as ``({file name: text}, low_ghz, high_ghz)``.
 
     One or two links, each with a low and a high band of 1 to ``max_rays``
-    paths, counted band by band. Half the bands hold one delay on either side
-    of where its ``m2`` tap phase overflows, about ``1.8e308 / (2*pi*f_top)``
-    for the top sweep frequency ``f_top``. Half the draws give some paths a
-    departure angle, which only JSON can hold; their ``csv_text`` is None.
+    paths, counted band by band. Half the bands hold one delay near where
+    their ``m2`` tap phase overflows, on either side of it: about
+    ``1.8e308 / (2*pi*f_top)`` ns for the top sweep frequency ``f_top`` in
+    GHz. The file is JSON, and CSV too unless some path has a departure
+    angle, which CSV cannot hold.
     """
     low = draw(st.floats(0.5, 100.0))
     high = low + draw(st.floats(1e-3, 100.0))
@@ -1130,19 +1132,19 @@ def edge_datasets(draw, max_rays):
             band = draw(st.lists(paths, min_size=n_rays, max_size=n_rays))
             overflow_ns = sys.float_info.max / (2.0 * math.pi * (freq + 1.0))
             if draw(st.booleans()):
-                band[draw(st.integers(0, len(band) - 1))]["delay_ns"] = draw(
+                band[draw(st.integers(0, n_rays - 1))]["delay_ns"] = draw(
                     st.floats(0.5 * overflow_ns, 2.0 * overflow_ns))
             bands.append({"freq_ghz": freq, "paths": band})
         links.append({"link_id": f"l{i}", "bands": bands})
-    json_text = json.dumps({"schema_version": "1", "metadata": {}, "links": links})
-    if with_aod:
-        return json_text, None, low, high
-    out = io.StringIO()
-    csv_module.writer(out, lineterminator="\n").writerows(
-        [["link_id", "freq_ghz", "power_db", "delay_ns", "aoa_deg"],
-         *([link["link_id"], repr(band["freq_ghz"]), *(repr(entry[key]) for key in ("power_db", "delay_ns", "aoa_deg"))]
-           for link in links for band in link["bands"] for entry in band["paths"])])
-    return json_text, out.getvalue(), low, high
+    texts = {"links.json": json.dumps({"schema_version": "1", "metadata": {}, "links": links})}
+    if not any("aod_deg" in entry for link in links for band in link["bands"] for entry in band["paths"]):
+        out = io.StringIO()
+        csv_module.writer(out, lineterminator="\n").writerows(
+            [["link_id", "freq_ghz", "power_db", "delay_ns", "aoa_deg"],
+             *([link["link_id"], repr(band["freq_ghz"]), repr(entry["power_db"]), repr(entry["delay_ns"]),
+                repr(entry["aoa_deg"])] for link in links for band in link["bands"] for entry in band["paths"])])
+        texts["links.csv"] = out.getvalue()
+    return texts, low, high
 
 
 def _names_a_band(bands):
@@ -1172,17 +1174,14 @@ class TestBatchMatchesTheOracles:
 
     # the oracle's m2 walk is pure Python over candidates x rays x 101 frequencies, so m2 bands stay smaller
     @pytest.mark.parametrize("method, max_rays", [("m1", 150), ("m2", 40)])
-    @settings(deadline=None, max_examples=15)  # each example runs up to four batches
+    @settings(deadline=None, max_examples=10)  # each example runs up to four batches
     @given(data=st.data())
     def test_edge_datasets_in_either_format_match_the_oracle(self, tmp_path_factory, method, max_rays, data):
-        json_text, csv_text, low_ghz, high_ghz = data.draw(edge_datasets(max_rays))
+        texts, low_ghz, high_ghz = data.draw(edge_datasets(max_rays))
         work = tmp_path_factory.mktemp("edge")
-        files = {work / "links.json": json_text, work / "links.csv": csv_text}
-        for path, text in files.items():
-            if text is not None:
-                path.write_text(text, encoding="utf-8")
-        self._assert_batches_match_the_oracle([path for path, text in files.items() if text is not None],
-                                              low_ghz, high_ghz, method)
+        for name, text in texts.items():
+            (work / name).write_text(text, encoding="utf-8")
+        self._assert_batches_match_the_oracle([work / name for name in texts], low_ghz, high_ghz, method)
 
     def _assert_batches_match_the_oracle(self, paths, low_ghz, high_ghz, method):
         """``batch`` on each of ``paths``, which hold the same links, with each pattern kind at 5 deg.
@@ -1191,9 +1190,10 @@ class TestBatchMatchesTheOracles:
         aside every other one with a message that names one of its bands. Exit 4
         means every link failed, and stderr is that one ``error:`` line.
         """
-        links = {link_id: (low, high) for link_id, low, high in oracles.load_dataset(paths[0], low_ghz, high_ghz)}
+        pairs = oracles.load_dataset(paths[0], low_ghz, high_ghz)
         for path in paths[1:]:
-            assert oracles.load_dataset(path, low_ghz, high_ghz) == [(k, *bands) for k, bands in links.items()]
+            assert oracles.load_dataset(path, low_ghz, high_ghz) == pairs
+        links = {link_id: (low, high) for link_id, low, high in pairs}
         for kind, (specs, gains) in self.PATTERNS.items():
             expected = {}
             for path in paths:
@@ -1221,17 +1221,14 @@ class TestBatchMatchesTheOracles:
                 for link_id, got in report["per_link"].items():
                     if link_id not in expected:
                         expected[link_id] = oracles.analyze_link(*links[link_id], *gains, 5.0, method)
-                    self._assert_matches(got, expected[link_id])
-
-    @staticmethod
-    def _assert_matches(got, expected):
-        for key in ("n_false", "card_low", "card_high"):
-            assert got[key] == expected[key]
-        # the report rounds every float to 12 significant digits. Below -100 dB the
-        # low directions sit in nulls of the high band's ULA, where a gain is rounding
-        # noise in both pipelines, so the two need only agree that it is a null.
-        if expected["power_ratio_db"] > -100.0:
-            assert got["power_ratio_db"] == pytest.approx(expected["power_ratio_db"], rel=1e-11)
-        else:
-            assert got["power_ratio_db"] < -99.0
-        assert got["psp"]["psp_percent"] == pytest.approx(expected["psp_percent"], rel=0.0, abs=1e-9)
+                    want = expected[link_id]
+                    for key in ("n_false", "card_low", "card_high"):
+                        assert got[key] == want[key]
+                    # the report rounds every float to 12 significant digits. Below -100 dB the
+                    # low directions sit in nulls of the high band's ULA, where a gain is rounding
+                    # noise in both pipelines, so the two need only agree that it is a null.
+                    if want["power_ratio_db"] > -100.0:
+                        assert got["power_ratio_db"] == pytest.approx(want["power_ratio_db"], rel=1e-11)
+                    else:
+                        assert got["power_ratio_db"] < -99.0
+                    assert got["psp"]["psp_percent"] == pytest.approx(want["psp_percent"], rel=0.0, abs=1e-9)
